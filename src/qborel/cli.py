@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .chars import character_identity_check, dump_csv, module_character
@@ -206,6 +207,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[spec.command](spec)
     except Exception as exc:  # surface residuals etc. as a FAIL line
+        traceback.print_exc(file=sys.stderr)
         sys.stdout.write(f"CHECK {spec.command} FAIL {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -2,10 +2,29 @@
 
 Two layers:
 
-* ``LaurentPoly`` -- integer Laurent polynomials in q, stored as a sparse
-  map from q-exponent to nonzero integer coefficient.
+* ``LaurentPoly`` -- integer Laurent polynomials in q, packed into one
+  Python integer by Kronecker substitution.
 * ``Coefficient`` -- polynomials in the formal parameter ``a`` whose
-  coefficients are Laurent polynomials in q.
+  coefficients are Laurent polynomials in q, stored as a map from
+  a-degree to nonzero ``LaurentPoly``.
+
+Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
+is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
+evaluated at ``X = 2^b``, with ``c_0 != 0``; the digit width ``b``, a
+multiple of 64 bits; and a tracked bound ``m >= ||p||_1 = sum_k |c_k|``.
+Zero is ``(0, 0, 64, 0)``.  The invariant
+
+    ||p||_1 <= m < 2^(b-1)
+
+makes the signed base-``2^b`` digits of ``n`` exactly the coefficients
+``c_k``, so ``n`` determines ``p`` at a given width: the zero test is
+``n == 0`` and equality is equality of ``(lo, n)`` at a common width.
+A product is one big-integer product and a sum one shift and add.  The
+bound follows ``m(pq) = m(p) m(q)`` and ``m(p +- q) = m(p) + m(q)``;
+when a result's bound would reach ``2^(b-1)``, the operands' exact
+norms replace their bounds and, if that is still not enough, the
+operands are repacked at a wider width.  The bound is tracked, never
+assumed.
 
 Everything is exact; there is no field of fractions.  The only division
 offered is ``exact_divide``, which raises ``NotDivisible`` when the
@@ -15,98 +34,261 @@ wrong construction upstream, never a rounding problem.
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
+from array import array
+from types import MappingProxyType
 
 
 class NotDivisible(ArithmeticError):
     """Raised when an exact division in Z[q^{+-1}][a] leaves a remainder."""
 
 
-def _trim(d):
-    return {k: v for k, v in d.items() if v != 0}
+# -- packed digits -------------------------------------------------------
+
+_BIG_ENDIAN = sys.byteorder == "big"   # array("q") words are native-endian
+
+
+def _width_for(m: int) -> int:
+    """The least multiple of 64 bits b >= 64 with m < 2^(b-1)."""
+    return max(64, (m.bit_length() + 64) // 64 * 64)
+
+
+def _offset(size: int, b: int) -> int:
+    """sum_{k < size} 2^(b-1) X^k at X = 2^b.  Adding it moves every
+    signed digit into [0, 2^b); xor-ing it then leaves each digit's
+    two's complement."""
+    return int.from_bytes((bytes(b // 8 - 1) + b"\x80") * size, "little")
+
+
+def _digits(n: int, b: int) -> list:
+    """The signed base-2^b digits of n, lowest first, without top zeros."""
+    if not n:
+        return []
+    size = n.bit_length() // b + 1
+    h = _offset(size, b)
+    raw = ((n + h) ^ h).to_bytes(size * b // 8, "little")
+    if b == 64:
+        words = array("q", raw)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        out = words.tolist()
+    else:
+        w = b // 8
+        out = [int.from_bytes(raw[i:i + w], "little", signed=True)
+               for i in range(0, len(raw), w)]
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def _pack(digits, b: int) -> int:
+    """Inverse of _digits: every |digit| must be below 2^(b-1)."""
+    if b == 64:
+        words = array("q", digits)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        raw = words.tobytes()
+    else:
+        raw = b"".join(d.to_bytes(b // 8, "little", signed=True)
+                       for d in digits)
+    h = _offset(len(digits), b)
+    return (int.from_bytes(raw, "little") ^ h) - h
+
+
+_new = object.__new__
+
+
+def _make(n, lo, b, m):
+    p = _new(LaurentPoly)
+    p.n = n
+    p.lo = lo
+    p.b = b
+    p.m = m
+    return p
+
+
+def _from_digits(digits, lo):
+    """The Laurent polynomial q^lo sum_k digits[k] q^k; the first and last
+    digits must be nonzero."""
+    m = sum(map(abs, digits))
+    b = _width_for(m)
+    return _make(_pack(digits, b), lo, b, m)
+
+
+def _at(p, b):
+    """p's packed integer at width b >= p.b."""
+    if p.b == b or p.n.bit_length() < p.b:   # a monomial packs alike at any width
+        return p.n
+    return _pack(_digits(p.n, p.b), b)
+
+
+def _norm(p):
+    """The exact l1-norm of p."""
+    return sum(map(abs, _digits(p.n, p.b)))
+
+
+def _widen(p, q, m, combine):
+    """Common width and result bound for combining p and q, where m is the
+    tracked bound of the result and combine(m_p, m_q) the bound rule."""
+    b = max(p.b, q.b)
+    if m >> (b - 1):
+        m = combine(_norm(p), _norm(q))
+        b = max(b, _width_for(m))
+    return b, m
+
+
+def _sum(p, q):
+    if not q.m:
+        return p
+    if not p.m:
+        return q
+    b = p.b
+    m = p.m + q.m
+    pn, qn = p.n, q.n
+    if q.b != b or m >> (b - 1):
+        b, m = _widen(p, q, m, operator.add)
+        pn, qn = _at(p, b), _at(q, b)
+    lo, qlo = p.lo, q.lo
+    if lo == qlo:
+        n = pn + qn
+        if not n:
+            return _make(0, 0, 64, 0)
+        if not n & ((1 << b) - 1):   # cancellation in the lowest digits
+            shift = ((n & -n).bit_length() - 1) // b
+            n >>= b * shift
+            lo += shift
+        return _make(n, lo, b, m)
+    if lo < qlo:
+        return _make(pn + (qn << (b * (qlo - lo))), lo, b, m)
+    return _make((pn << (b * (lo - qlo))) + qn, qlo, b, m)
 
 
 class LaurentPoly:
-    """An integer Laurent polynomial in q."""
+    """An integer Laurent polynomial in q (packed; see the module doc)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("n", "lo", "b", "m", "_terms")
 
     def __init__(self, terms=None):
-        self.terms = _trim(dict(terms or {}))
+        terms = {k: c for k, c in dict(terms or {}).items() if c}
+        if not terms:
+            self.n, self.lo, self.b, self.m = 0, 0, 64, 0
+            return
+        lo = min(terms)
+        digits = [terms.get(k, 0) for k in range(lo, max(terms) + 1)]
+        m = sum(map(abs, digits))
+        self.b = _width_for(m)
+        self.n = _pack(digits, self.b)
+        self.lo = lo
+        self.m = m
+
+    @property
+    def terms(self):
+        """The map q-exponent -> nonzero coefficient, decoded, read-only."""
+        try:
+            return self._terms
+        except AttributeError:   # decoded once, on first read
+            lo = self.lo
+            self._terms = MappingProxyType(
+                {lo + k: c for k, c in enumerate(_digits(self.n, self.b)) if c})
+            return self._terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero():
-        return LaurentPoly()
+        return _make(0, 0, 64, 0)
 
     @staticmethod
     def one():
-        return LaurentPoly({0: 1})
+        return _make(1, 0, 64, 1)
 
     @staticmethod
     def q_power(k, coeff=1):
-        return LaurentPoly({k: coeff})
+        if not coeff:
+            return _make(0, 0, 64, 0)
+        m = abs(coeff)
+        return _make(coeff, k, _width_for(m), m)
 
     @staticmethod
     def from_int(c):
-        return LaurentPoly({0: c})
+        return LaurentPoly.q_power(0, c)
 
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return LaurentPoly(terms)
+        return _sum(self, other)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) - v
-        return LaurentPoly(terms)
+        return _sum(self, -other)
 
     def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self.terms.items()})
+        return _make(-self.n, self.lo, self.b, self.m)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({k: v * other for k, v in self.terms.items()})
-        terms = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                terms[k] = terms.get(k, 0) + v1 * v2
-        return LaurentPoly(terms)
+            other = LaurentPoly.from_int(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        m = self.m * other.m
+        if not m:
+            return _make(0, 0, 64, 0)
+        b = self.b
+        if other.b == b and not m >> (b - 1):
+            p = _new(LaurentPoly)
+            p.n = self.n * other.n
+            p.lo = self.lo + other.lo
+            p.b = b
+            p.m = m
+            return p
+        b, m = _widen(self, other, m, operator.mul)
+        return _make(_at(self, b) * _at(other, b), self.lo + other.lo, b, m)
 
     __rmul__ = __mul__
 
-    def __pow__(self, m):
-        out = LaurentPoly.one()
-        for _ in range(m):
-            out = out * self
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("LaurentPoly power needs k >= 0")
+        out, base = LaurentPoly.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.from_int(other)
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        elif not isinstance(other, LaurentPoly):
+            return False
+        if self.lo != other.lo:
+            return False
+        if self.b == other.b:
+            return self.n == other.n
+        b = max(self.b, other.b)
+        return _at(self, b) == _at(other, b)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return self.n != 0
 
     def is_zero(self):
-        return not self.terms
+        return not self.n
 
     def bar(self):
         """The bar involution q -> q^{-1}."""
-        return LaurentPoly({-k: v for k, v in self.terms.items()})
+        if not self.n:
+            return self
+        digits = _digits(self.n, self.b)
+        return _from_digits(digits[::-1], -(self.lo + len(digits) - 1))
 
     def eval_at_one(self):
-        return sum(self.terms.values())
+        return sum(_digits(self.n, self.b))
 
     # -- exact division -----------------------------------------------
 
@@ -116,29 +298,26 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        # Shift both so the divisor becomes an honest polynomial with
-        # nonzero constant term, then do long division from the top.
-        num = dict(self.terms)
-        dmax, dmin = max(den.terms), min(den.terms)
-        dlead = den.terms[dmax]
-        # any quotient exponent must lie in [min(num)-dmin, max(num)-dmax]
-        qfloor = min(num) - dmin
-        quot = {}
-        while num:
-            k = max(num)
-            c = num[k]
-            if c % dlead != 0:
+        # Both packed values start at a nonzero digit, so this is long
+        # division of honest polynomials with nonzero constant terms,
+        # from the top.
+        num = _digits(self.n, self.b)
+        dd = _digits(den.n, den.b)
+        top, lead = len(dd) - 1, dd[-1]
+        qlen = len(num) - top
+        quot = [0] * qlen
+        for i in range(qlen - 1, -1, -1):
+            c = num[i + top]
+            if not c:
+                continue
+            if c % lead:
                 raise NotDivisible(f"{self} is not divisible by {den}")
-            qc, qk = c // dlead, k - dmax
-            if qk < qfloor:
-                raise NotDivisible(f"{self} is not divisible by {den}")
-            quot[qk] = quot.get(qk, 0) + qc
-            for dk, dv in den.terms.items():
-                kk = qk + dk
-                num[kk] = num.get(kk, 0) - qc * dv
-                if num[kk] == 0:
-                    del num[kk]
-        return LaurentPoly(quot)
+            qc = quot[i] = c // lead
+            for j, dv in enumerate(dd):
+                num[i + j] -= qc * dv
+        if any(num):
+            raise NotDivisible(f"{self} is not divisible by {den}")
+        return _from_digits(quot, self.lo - den.lo)
 
     # -- text form ----------------------------------------------------
 
@@ -152,7 +331,12 @@ def q_integer(m: int) -> LaurentPoly:
     """[m]_q = q^{m-1} + q^{m-3} + ... + q^{-(m-1)}; [0]_q = 0."""
     if m < 0:
         raise ValueError("q_integer needs m >= 0")
-    return LaurentPoly({m - 1 - 2 * j: 1 for j in range(m)})
+    if not m:
+        return LaurentPoly.zero()
+    b = _width_for(m)
+    # the digits 1, 0, 1, 0, ..., 1: a geometric sum in X^2
+    n = ((1 << (2 * b * m)) - 1) // ((1 << (2 * b)) - 1)
+    return _make(n, 1 - m, b, m)
 
 
 def q_factorial(m: int) -> LaurentPoly:
@@ -172,76 +356,109 @@ def q_binomial(m: int, k: int) -> LaurentPoly:
     return num.exact_divide(q_factorial(k))
 
 
+def _coeff(a_terms):
+    """A Coefficient on a map whose values are all nonzero."""
+    c = _new(Coefficient)
+    c.a_terms = a_terms
+    return c
+
+
 class Coefficient:
     """An element of Z[q^{+-1}][a]: a polynomial in a over LaurentPoly."""
 
     __slots__ = ("a_terms",)
 
     def __init__(self, a_terms=None):
-        self.a_terms = {d: p for d, p in (a_terms or {}).items() if not p.is_zero()}
+        self.a_terms = {d: p for d, p in (a_terms or {}).items() if p.n}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero():
-        return Coefficient()
+        return _coeff({})
 
     @staticmethod
     def one():
-        return Coefficient({0: LaurentPoly.one()})
+        return _coeff({0: LaurentPoly.one()})
 
     @staticmethod
     def from_laurent(p: LaurentPoly, a_degree: int = 0):
-        return Coefficient({a_degree: p})
+        return _coeff({a_degree: p} if p.n else {})
 
     @staticmethod
     def from_int(c: int):
-        return Coefficient({0: LaurentPoly.from_int(c)})
+        return Coefficient.from_laurent(LaurentPoly.from_int(c))
 
     @staticmethod
     def q_power(k: int):
-        return Coefficient({0: LaurentPoly.q_power(k)})
+        return _coeff({0: LaurentPoly.q_power(k)})
 
     @staticmethod
     def a_power(d: int):
-        return Coefficient({d: LaurentPoly.one()})
+        return _coeff({d: LaurentPoly.one()})
 
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
-        terms = dict(self.a_terms)
-        for d, p in other.a_terms.items():
-            terms[d] = terms.get(d, LaurentPoly.zero()) + p
-        return Coefficient(terms)
+        mine, theirs = self.a_terms, other.a_terms
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        terms = dict(mine)
+        for d, p in theirs.items():
+            s = terms.get(d)
+            if s is None:
+                terms[d] = p
+            else:
+                s = s + p
+                if s.n:
+                    terms[d] = s
+                else:
+                    del terms[d]
+        return _coeff(terms)
 
     def __sub__(self, other):
-        terms = dict(self.a_terms)
-        for d, p in other.a_terms.items():
-            terms[d] = terms.get(d, LaurentPoly.zero()) - p
-        return Coefficient(terms)
+        return self + (-other)
 
     def __neg__(self):
-        return Coefficient({d: -p for d, p in self.a_terms.items()})
+        return _coeff({d: -p for d, p in self.a_terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Coefficient.from_int(other)
-        elif isinstance(other, LaurentPoly):
+        if not isinstance(other, Coefficient):
+            if isinstance(other, int):
+                if not other:
+                    return _coeff({})
+                return _coeff({d: p * other for d, p in self.a_terms.items()})
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
             other = Coefficient.from_laurent(other)
+        mine, theirs = self.a_terms, other.a_terms
+        # Z[q^{+-1}] has no zero divisors, so a product of one a-degree
+        # with anything needs no zero filter
+        if len(theirs) == 1:
+            (d2, p2), = theirs.items()
+            return _coeff({d1 + d2: p1 * p2 for d1, p1 in mine.items()})
         terms = {}
-        for d1, p1 in self.a_terms.items():
-            for d2, p2 in other.a_terms.items():
+        for d1, p1 in mine.items():
+            for d2, p2 in theirs.items():
                 d = d1 + d2
-                prod = p1 * p2
-                terms[d] = terms.get(d, LaurentPoly.zero()) + prod
-        return Coefficient(terms)
+                s = terms.get(d)
+                terms[d] = p1 * p2 if s is None else s + p1 * p2
+        return _coeff({d: p for d, p in terms.items() if p.n})
 
     __rmul__ = __mul__
 
-    def __pow__(self, m):
-        out = Coefficient.one()
-        for _ in range(m):
-            out = out * self
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("Coefficient power needs k >= 0")
+        out, base = Coefficient.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -252,8 +469,7 @@ class Coefficient:
         return isinstance(other, Coefficient) and self.a_terms == other.a_terms
 
     def __hash__(self):
-        return hash(tuple(sorted((d, tuple(sorted(p.terms.items())))
-                                 for d, p in self.a_terms.items())))
+        return hash(frozenset(self.a_terms.items()))
 
     def __bool__(self):
         return bool(self.a_terms)
@@ -262,7 +478,7 @@ class Coefficient:
         return not self.a_terms
 
     def bar(self):
-        return Coefficient({d: p.bar() for d, p in self.a_terms.items()})
+        return _coeff({d: p.bar() for d, p in self.a_terms.items()})
 
     # -- text form ----------------------------------------------------
 
@@ -271,9 +487,9 @@ class Coefficient:
             return "0"
         chunks = []
         for d in sorted(self.a_terms):
-            p = self.a_terms[d]
-            for k in sorted(p.terms):
-                chunks.append((p.terms[k], k, d))
+            p = self.a_terms[d].terms
+            for k in sorted(p):
+                chunks.append((p[k], k, d))
         out = []
         for c, k, d in chunks:
             parts = []

@@ -299,6 +299,9 @@ class LatticeModule:
         out = []
         datum = [0] * self.nroots
         box = tuple(box) if box is not None else None
+        if box is not None and len(box) != self.t.n:
+            raise ValueError(f"box bound has {len(box)} entries; "
+                             f"{self.t} has rank {self.t.n}")
         used = [0] * self.t.n
 
         def feasible(p):

@@ -316,11 +316,12 @@ def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
             raise NotEigenvector(f"psi+_{t.r},{k} not diagonal on vacuum", w)
         coeffs.append(w.coefficient(0))
     geometric = -(Coefficient.a_power(1) * c_r(t))
+    power = Coefficient.one()
     for k in range(1, K + 1):
-        if coeffs[k] != geometric ** k:
+        power = power * geometric   # geometric ** k
+        if coeffs[k] != power:
             raise AssertionError(
-                f"psi_{t.r},{k} = {coeffs[k]} differs from geometric "
-                f"{(geometric ** k)}")
+                f"psi_{t.r},{k} = {coeffs[k]} differs from geometric {power}")
     psi = {i: tuple([Coefficient.one()] + [Coefficient.zero()] * K)
            for i in range(1, t.n + 1)}
     psi[t.r] = tuple(coeffs)

@@ -71,6 +71,15 @@ def test_invalid_type_is_failure_exit():
     assert "FAIL" in out
 
 
+def test_unexpected_exception_keeps_traceback(capsys):
+    code, out = run_cli(["braid", "--family", "D", "--n", "5", "--r", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert out == "CHECK braid FAIL ValueError: bad type D5r2\n"
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("ValueError: bad type D5r2")
+
+
 def test_reports_are_deterministic():
     args = ["relations", "--family", "A", "--n", "3", "--r", "2",
             "--height", "4", "--seed", "7"]
@@ -86,3 +95,10 @@ def test_output_file(tmp_path):
     assert code == 0
     assert out == ""
     assert "PASS" in path.read_text()
+
+
+def test_box_bound_of_wrong_length_is_failure_exit():
+    code, out = run_cli(["relations", "--family", "A", "--n", "2", "--r", "1",
+                         "--bound", "1,1,1,1,1"])
+    assert code == 1
+    assert out.startswith("CHECK relations FAIL ValueError: box bound has 5")

@@ -66,6 +66,8 @@ def test_exact_division_failure():
     num = Coefficient.from_laurent(lp({1: 1, 0: 1}))  # q + 1
     with pytest.raises(NotDivisible):
         exact_divide(num, q_integer(2))  # q + q^-1
+    with pytest.raises(NotDivisible):
+        lp({0: 1, 1: 3}).exact_divide(lp({0: 1, 1: 2}))  # floor quotient 1
 
 
 def test_bar_involution():
@@ -128,3 +130,105 @@ def test_q_integer_multiplicative_divisibility(m, k):
     out = exact_divide(Coefficient.from_laurent(prod), q_integer(m))
     assert out * Coefficient.from_laurent(q_integer(m)) \
         == Coefficient.from_laurent(prod)
+
+
+# -- the packed kernel past one 64-bit digit ------------------------------
+#
+# A dict of q-exponent -> coefficient is the reference: every operation of
+# the packed kernel must agree with these few lines of schoolbook
+# arithmetic, whatever digit width the packed values reach.
+
+def ref_add(x, y, sign=1):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_mul(x, y):
+    out = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+# coefficients just below a digit width's half, where a sum or product
+# must move to a wider digit
+near_width = st.builds(lambda j, sign, e: sign * (2 ** (64 * j - 2) + e),
+                       st.integers(1, 4), st.sampled_from([1, -1]),
+                       st.integers(-1, 1))
+big_int = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200),
+                    near_width)
+big_terms = st.dictionaries(st.integers(-60, 60), big_int.filter(bool),
+                            max_size=8)
+
+
+@given(big_terms, big_terms)
+def test_packed_ring_ops_match_reference(d1, d2):
+    x, y = lp(d1), lp(d2)
+    assert dict(x.terms) == d1 and dict(y.terms) == d2
+    assert dict((x * y).terms) == ref_mul(d1, d2)
+    assert dict((x + y).terms) == ref_add(d1, d2)
+    assert dict((x - y).terms) == ref_add(d1, d2, -1)
+    assert dict((-x).terms) == {k: -v for k, v in d1.items()}
+    assert dict((x * 3).terms) == {k: 3 * v for k, v in d1.items()}
+    assert (x * y).eval_at_one() == sum(ref_mul(d1, d2).values())
+    assert dict(x.bar().terms) == {-k: v for k, v in d1.items()}
+
+
+@given(big_terms, big_terms)
+def test_packed_cancellation_is_exactly_zero(d1, d2):
+    x, y = lp(d1), lp(d2)
+    prod = x * y
+    assert (prod - y * x).is_zero()
+    assert prod - y * x == LaurentPoly.zero()
+    assert not (x - x)
+    assert (prod + x) - prod == x
+    assert ((x + y) * (x - y)) - (x * x - y * y) == 0
+
+
+@given(big_terms, big_terms.filter(bool))
+def test_packed_exact_division(d1, d2):
+    x, y = lp(d1), lp(d2)
+    assert (x * y).exact_divide(y) == x
+    if x and len(d2) > 1:
+        with pytest.raises(NotDivisible):
+            (x * y + LaurentPoly.q_power(min(d1) + min(d2) - 1)).exact_divide(y)
+
+
+@given(big_terms.filter(bool))
+def test_equal_values_at_different_widths(d):
+    x = lp(d)
+    huge = LaurentPoly({0: 2 ** 600, 7: -(2 ** 599)})
+    y = (x + huge) - huge          # same value, carried at a wider width
+    assert y.b > x.b
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+    assert Coefficient.from_laurent(x) == Coefficient.from_laurent(y)
+    assert hash(Coefficient.from_laurent(x)) == hash(Coefficient.from_laurent(y))
+
+
+def test_binomial_power_coefficients():
+    import math
+    p = lp({0: 1, 1: 1}) ** 200
+    assert dict(p.terms) == {j: math.comb(200, j) for j in range(201)}
+    assert p.eval_at_one() == 2 ** 200
+
+
+def test_long_power_roundtrips_through_text():
+    qmq = Coefficient.from_laurent(lp({1: 1, -1: -1}))
+    c = qmq ** 149
+    assert parse_coefficient(str(c)) == c
+    terms = c.a_terms[0].terms
+    assert terms[149] == 1 and terms[-149] == -1 and len(terms) == 150
+
+
+def test_terms_is_read_only_and_power_needs_nonnegative_exponent():
+    x = lp({1: 2})
+    with pytest.raises(TypeError):
+        x.terms[0] = 1
+    with pytest.raises(ValueError):
+        x ** -1
+    with pytest.raises(ValueError):
+        Coefficient.from_laurent(x) ** -1

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
@@ -73,6 +74,19 @@ def test_enumerate_basis_examples():
     # (0,0),(1,0),(2,0),(0,1),(1,1)
     assert len(data) == 5
     assert (0, 0) in {tuple(c) for c in data}
+
+
+def test_enumerate_data_rejects_short_box():
+    # the height cap keeps an unchecked enumeration finite, so this test
+    # fails rather than hangs if the box length goes unchecked
+    mod = get_module(AffineType("A", 4, 2))
+    with pytest.raises(ValueError, match="rank 4"):
+        mod.enumerate_data(height=3, box=(1,))
+
+
+def test_enumerate_data_rejects_long_box():
+    with pytest.raises(ValueError, match="rank 2"):
+        enumerate_basis(AffineType("A", 2, 1), (1, 1, 1, 1, 1))
 
 
 def test_enumerate_basis_height():
