@@ -7,16 +7,19 @@ are provided and never merged:
 
 * ``module_character`` counts basis data directly;
 * ``product_character`` expands a product of geometric series
-  prod_beta (1 - e^{-beta})^{-m_beta} coefficientwise.
+  prod_beta (1 - e^{-beta})^{-m_beta} coefficientwise, as a sparse pass:
+  starting from {0: 1}, each factor (1 - e^{-beta})^{-1} walks every
+  nonzero cell up its beta-ray until the box or the height cap stops
+  it, so only cells the series reaches are ever visited.
 
 Their agreement on the inversion-set roots with unit exponents is a
-proved identity, checked by ``character_identity_check``; the two routes share
-no code beyond the cell enumeration.
+proved identity, checked by ``character_identity_check``; the two routes
+share no code: the product route never touches ``latticemod``.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from operator import add, neg
 
 from .opalg import CheckReport
 from .rootdata import AffineType, positive_roots_wr, to_simple_coords
@@ -27,52 +30,72 @@ def positive_roots_simple(t: AffineType):
     return [tuple(to_simple_coords(t, b)) for b in positive_roots_wr(t)]
 
 
-def _cells(rank, bound=None, height=None):
-    """Depth vectors within a componentwise box and/or a total cap,
-    in lexicographic order."""
-    if bound is None and height is None:
-        raise ValueError("need a box or a height cap")
-    if bound is None:
-        bound = (height,) * rank
-    out = []
-    for w in iproduct(*(range(b + 1) for b in bound)):
-        if height is None or sum(w) <= height:
-            out.append(w)
-    return out
-
-
 def module_character(t: AffineType, bound=None, height=None):
     """Weight-space dimensions of the lattice module by direct count."""
     from .latticemod import get_module
     mod = get_module(t)
     dims = {}
     for c in mod.enumerate_data(height=height, box=bound):
-        w = tuple(-x for x in mod.wt(c))
+        w = tuple(map(neg, mod.wt(c)))
         dims[w] = dims.get(w, 0) + 1
     return dims
 
 
 def product_character(roots, exponents, bound=None, height=None):
-    """Coefficients of prod_i (1 - e^{-roots[i]})^{-exponents[i]} on the
-    cell set; roots are simple-root coordinate tuples."""
+    """Coefficients of prod_i (1 - e^{-roots[i]})^{-exponents[i]} within a
+    componentwise box and/or a total-height cap; roots are simple-root
+    coordinate tuples, nonnegative and nonzero."""
+    if bound is None and height is None:
+        raise ValueError("need a box or a height cap")
     if len(roots) != len(exponents):
         raise ValueError("one exponent per root")
+    if not roots:
+        raise ValueError("need at least one root")
     if any(m < 1 for m in exponents):
         raise ValueError("exponents must be positive")
     rank = len(roots[0])
-    cells = _cells(rank, bound=bound, height=height)
-    cellset = set(cells)
-    dims = {w: 0 for w in cells}
-    dims[(0,) * rank] = 1
-    # in-place forward pass over lexicographically ordered cells turns
-    # each factor into its full geometric series
+    if any(len(beta) != rank for beta in roots):
+        raise ValueError("roots of different lengths")
+    if any(x < 0 for beta in roots for x in beta):
+        raise ValueError("roots must have nonnegative coordinates")
+    if any(not any(beta) for beta in roots):
+        raise ValueError("a zero root makes the series diverge")
+    if bound is not None:
+        bound = tuple(bound)
+        if len(bound) != rank:
+            raise ValueError(f"box bound has {len(bound)} entries; "
+                             f"the roots have {rank}")
+        if any(b < 0 for b in bound):
+            raise ValueError("box bound entries must be nonnegative")
+    if height is not None and height < 0:
+        raise ValueError("height cap must be nonnegative")
+    # a height cap alone bounds every coordinate by itself, and a box
+    # alone bounds the height by its total, so both caps always apply
+    if bound is None:
+        bound = (height,) * rank
+    if height is None:
+        height = sum(bound)
+    dims = {(0,) * rank: 1}
     for beta, m in zip(roots, exponents):
+        hb = sum(beta)
+        steps = [(j, x) for j, x in enumerate(beta) if x]
         for _ in range(m):
-            for w in cells:
-                prev = tuple(x - y for x, y in zip(w, beta))
-                if prev in cellset:
-                    dims[w] += dims[prev]
-    return {w: d for w, d in dims.items() if d}
+            # multiply by 1/(1 - e^{-beta}): every support cell w feeds
+            # w + k beta for 0 <= k <= kmax, the last step within the caps
+            out = {}
+            get = out.get
+            for w, d in dims.items():
+                kmax = (height - sum(w)) // hb
+                for j, x in steps:
+                    k = (bound[j] - w[j]) // x
+                    if k < kmax:
+                        kmax = k
+                out[w] = get(w, 0) + d
+                for _ in range(kmax):
+                    w = tuple(map(add, w, beta))
+                    out[w] = get(w, 0) + d
+            dims = out
+    return dims
 
 
 def character_identity_check(t: AffineType, height: int) -> CheckReport:

@@ -94,6 +94,9 @@ class LatticeModule:
         self.nroots = len(self.roots)
         self.idx = {b: p for p, b in enumerate(self.roots)}
         self.simple = [to_simple_coords(t, b) for b in self.roots]
+        # (node, coordinate) pairs of each root's nonzero coordinates
+        self.supports = [[(j, x) for j, x in enumerate(s) if x]
+                         for s in self.simple]
         self.height = [sum(s) for s in self.simple]
         self.theta = theta(t)
         self.theta_idx = self.idx[self.theta]
@@ -232,9 +235,10 @@ class LatticeModule:
     def wt(self, c):
         """-sum c_beta beta, in simple-root coordinates (length n)."""
         out = [0] * self.t.n
+        supports = self.supports
         for p, m in enumerate(c):
             if m:
-                for j, x in enumerate(self.simple[p]):
+                for j, x in supports[p]:
                     out[j] -= m * x
         return tuple(out)
 
@@ -296,40 +300,51 @@ class LatticeModule:
         in lexicographic order of the datum tuple."""
         if height is None and box is None:
             raise ValueError("need a height cap or a box")
-        out = []
+        if height is not None and height < 0:
+            raise ValueError("height cap must be nonnegative")
+        if box is not None:
+            box = tuple(box)
+            if len(box) != self.t.n:
+                raise ValueError(f"box bound has {len(box)} entries; "
+                                 f"{self.t} has rank {self.t.n}")
+            if any(b < 0 for b in box):
+                raise ValueError("box bound entries must be nonnegative")
+        # the height is the total of the used depths, so a height cap
+        # alone bounds each node by itself and a box alone bounds the
+        # height by its total: both caps always apply
+        room = list(box) if box is not None else [height] * self.t.n
+        if height is None:
+            height = sum(box)
+        supports, heights = self.supports, self.height
+        # below the least height of roots p, p+1, ... only zeros fit; past
+        # the last root nothing does
+        lowest = [min(heights[p:]) for p in range(self.nroots)] + [height + 1]
         datum = [0] * self.nroots
-        box = tuple(box) if box is not None else None
-        if box is not None and len(box) != self.t.n:
-            raise ValueError(f"box bound has {len(box)} entries; "
-                             f"{self.t} has rank {self.t.n}")
-        used = [0] * self.t.n
+        out = []
 
-        def feasible(p):
-            if height is not None and self.height_of(datum) > height:
-                return False
-            if box is not None and any(u > b for u, b in zip(used, box)):
-                return False
-            return True
-
-        def rec(p):
-            if p == self.nroots:
+        def rec(p, left):
+            if left < lowest[p]:
                 out.append(tuple(datum))
                 return
-            m = 0
-            while True:
-                rec(p + 1)
-                datum[p] += 1
-                for j, x in enumerate(self.simple[p]):
-                    used[j] += x
-                m += 1
-                if not feasible(p):
-                    break
+            # the largest multiplicity of root p that fits the remaining
+            # height and the remaining room at every node of its support
+            support, h = supports[p], heights[p]
+            top = left // h
+            for j, x in support:
+                k = room[j] // x
+                if k < top:
+                    top = k
+            for m in range(top + 1):
+                datum[p] = m
+                rec(p + 1, left)
+                left -= h
+                for j, x in support:
+                    room[j] -= x
+            for j, x in support:
+                room[j] += (top + 1) * x
             datum[p] = 0
-            for j, x in enumerate(self.simple[p]):
-                used[j] -= m * x
-            return
 
-        rec(0)
+        rec(0, height)
         return out
 
     def datum_str(self, c):

@@ -12,7 +12,7 @@ in Z[q^{+-1}][a].
 4. Root-vector cross-checks: complete expressions against transcripts,
    full vs leading agreement on the string span for 2 <= n <= 7, and the
    four scalar values.
-5. Character identity at height <= 10 for all supported types, n <= 6.
+5. Character identity at height <= 10 for all supported types, n <= 9.
 6. Braid combinatorics of the reading words for n <= 9.
 7. Divisibility sentinel: criteria 2-4 never hit an inexact division.
 """
@@ -162,7 +162,7 @@ def test_criterion4_string_span_values(t):
 
 # -- criterion 5: character identity -----------------------------------
 
-@pytest.mark.parametrize("t", TYPES_6, ids=str)
+@pytest.mark.parametrize("t", TYPES_9, ids=str)
 def test_criterion5_character_identity(t):
     rep = character_identity_check(t, height=10)
     assert rep.passed, rep.detail

@@ -102,3 +102,12 @@ def test_box_bound_of_wrong_length_is_failure_exit():
                          "--bound", "1,1,1,1,1"])
     assert code == 1
     assert out.startswith("CHECK relations FAIL ValueError: box bound has 5")
+
+
+@pytest.mark.parametrize("command", ["relations", "character"])
+def test_negative_height_is_failure_exit(command):
+    code, out = run_cli([command, "--family", "A", "--n", "2", "--r", "1",
+                         "--height", "-1"])
+    assert code == 1
+    assert out == (f"CHECK {command} FAIL ValueError: "
+                   "height cap must be nonnegative\n")

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,48 @@ def test_enumerate_data_rejects_short_box():
 def test_enumerate_data_rejects_long_box():
     with pytest.raises(ValueError, match="rank 2"):
         enumerate_basis(AffineType("A", 2, 1), (1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("kwargs", [{"height": -1}, {"box": (1, -1)},
+                                    {"height": 2, "box": (-1, 1)}],
+                         ids=["height", "box", "both"])
+def test_enumerate_data_rejects_negative_caps(kwargs):
+    # the vacuum has height 0, so no datum satisfies a negative cap
+    mod = get_module(AffineType("A", 2, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        mod.enumerate_data(**kwargs)
+
+
+def brute_force_data(mod, height=None, box=None):
+    """Every multiplicity tuple of a box big enough to hold all data,
+    in lexicographic order, filtered by the caps."""
+    cap = height if height is not None else sum(box)
+    rank = mod.t.n
+    out = []
+    for c in iproduct(*(range(cap + 1) for _ in range(mod.nroots))):
+        depth = [sum(m * s[j] for m, s in zip(c, mod.simple))
+                 for j in range(rank)]
+        if height is not None and sum(depth) > height:
+            continue
+        if box is not None and any(d > b for d, b in zip(depth, box)):
+            continue
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("t, kwargs", [
+    (AffineType("A", 3, 2), {"height": 4}),
+    (AffineType("A", 3, 2), {"box": (2, 3, 1)}),
+    (AffineType("A", 3, 2), {"height": 3, "box": (2, 2, 2)}),
+    (AffineType("A", 2, 1), {"height": 0}),
+    (AffineType("A", 2, 1), {"box": (0, 0)}),
+    (AffineType("D", 4, 1), {"height": 3}),
+    (AffineType("D", 4, 1), {"box": (1, 1, 1, 1)}),
+    (AffineType("D", 4, 4), {"height": 4, "box": (1, 2, 1, 2)}),
+], ids=str)
+def test_enumerate_data_matches_brute_force(t, kwargs):
+    mod = get_module(t)
+    assert mod.enumerate_data(**kwargs) == brute_force_data(mod, **kwargs)
 
 
 def test_enumerate_basis_height():
