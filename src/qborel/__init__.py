@@ -1,14 +1,14 @@
 """Exact symbolic realization of prefundamental Borel modules on
 Lusztig data, for affine families A and D at minuscule nodes."""
 
-from .coeffring import (Coefficient, LaurentPoly, NotDivisible, exact_divide,
-                        parse_coefficient, q_binomial, q_factorial, q_integer)
+from .coeffring import (Coefficient, Combination, LaurentPoly, NotDivisible,
+                        exact_divide, parse_coefficient, q_binomial,
+                        q_factorial, q_integer)
 from .rootdata import (AffineType, NotReduced, braid_equivalent, cartan_matrix,
                        convex_order, index_matrix, marks, o_sign, pairing,
                        positive_roots_wr, reading_words, reduced_word_wr,
                        root_str, simple_root, theta, to_simple_coords)
-from .latticemod import (Element, LatticeModule, apply_e, apply_k,
-                         enumerate_basis, get_module, wt)
+from .latticemod import Element, LatticeModule, get_module
 from .opalg import (CheckReport, OperatorExpr, central_element_expr,
                     check_identity_on_basis, evaluate, k_commutation_expr,
                     k_e_conjugation_expr, q_bracket, serre_expr)

@@ -3,7 +3,7 @@
 Reports are line-oriented (``CHECK <name> PASS|FAIL ...``); the ``text``
 format adds human-readable tables above the check lines.  Identical
 arguments (including --seed) produce byte-identical reports, and the
-exit code is 0 exactly when no FAIL line was emitted.
+exit code is 0 exactly when every check report passed.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ class JobSpec:
         return AffineType(self.family, self.n, self.r)
 
 
-def _emit(spec, lines):
+def _emit(spec, lines, passed):
     text = "\n".join(lines) + "\n"
     if spec.output:
         with open(spec.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if not any(" FAIL" in l for l in lines if l.startswith("CHECK")) else 1
+    return 0 if passed else 1
 
 
 def cmd_relations(spec: JobSpec) -> int:
@@ -69,12 +69,12 @@ def cmd_relations(spec: JobSpec) -> int:
             if i < j:
                 checks.append((f"k{i}-k{j}-comm", k_commutation_expr(i, j)))
     checks.append(("central-element", central_element_expr(t)))
-    for name, x in checks:
-        rep = check_identity_on_basis(
-            x, t, bound=spec.bound, height=None if spec.bound else height,
-            extra_random=10, seed=spec.seed, name=f"relations-{t}-{name}")
-        lines.append(rep.line())
-    return _emit(spec, lines)
+    reports = [check_identity_on_basis(
+        x, t, bound=spec.bound, height=None if spec.bound else height,
+        extra_random=10, seed=spec.seed, name=f"relations-{t}-{name}")
+        for name, x in checks]
+    lines += [rep.line() for rep in reports]
+    return _emit(spec, lines, all(rep.passed for rep in reports))
 
 
 def cmd_lweight(spec: JobSpec) -> int:
@@ -94,11 +94,12 @@ def cmd_lweight(spec: JobSpec) -> int:
     ok = (ell.closed_form[t.r] == expected_tag
           and all(ell.closed_form[i] == "trivial"
                   for i in ell.closed_form if i != t.r))
-    lines.append(CheckReport(
+    rep = CheckReport(
         f"lweight-{spec.model}-{t}-K{spec.K}", ok,
         f"node {t.r} {ell.closed_form[t.r]}, others trivial" if ok
-        else f"tags {ell.closed_form}").line())
-    return _emit(spec, lines)
+        else f"tags {ell.closed_form}")
+    lines.append(rep.line())
+    return _emit(spec, lines, rep.passed)
 
 
 def cmd_character(spec: JobSpec) -> int:
@@ -109,7 +110,7 @@ def cmd_character(spec: JobSpec) -> int:
     if spec.fmt == "text":
         lines.append(dump_csv(module_character(t, height=height)))
     lines.append(rep.line())
-    return _emit(spec, lines)
+    return _emit(spec, lines, rep.passed)
 
 
 def cmd_braid(spec: JobSpec) -> int:
@@ -127,20 +128,19 @@ def cmd_braid(spec: JobSpec) -> int:
         lines.append("convex order: " + ", ".join(root_str(b) for b in betas))
         lines.append(f"row reading: {row}")
         lines.append(f"col reading: {col}")
-    lines.append(CheckReport(f"braid-{t}-first-root", ok1,
-                             root_str(betas[0])).line())
-    lines.append(CheckReport(f"braid-{t}-last-root", ok2,
-                             root_str(betas[-1])).line())
-    lines.append(CheckReport(f"braid-{t}-inversion-set", ok3,
-                             f"{len(betas)} roots").line())
-    lines.append(CheckReport(f"braid-{t}-readings-equivalent", ok4).line())
-    return _emit(spec, lines)
+    reports = [CheckReport(f"braid-{t}-first-root", ok1, root_str(betas[0])),
+               CheckReport(f"braid-{t}-last-root", ok2, root_str(betas[-1])),
+               CheckReport(f"braid-{t}-inversion-set", ok3,
+                           f"{len(betas)} roots"),
+               CheckReport(f"braid-{t}-readings-equivalent", ok4)]
+    lines += [rep.line() for rep in reports]
+    return _emit(spec, lines, all(rep.passed for rep in reports))
 
 
 def cmd_rank1(spec: JobSpec) -> int:
     M = spec.height if spec.height is not None else 20
     rep = rank_one_serre_check(M)
-    return _emit(spec, rep.lines + [rep.line()])
+    return _emit(spec, rep.lines + [rep.line()], rep.passed)
 
 
 def cmd_recurrence(spec: JobSpec) -> int:
@@ -153,18 +153,19 @@ def cmd_recurrence(spec: JobSpec) -> int:
     if spec.model == "neg":
         bad = [k for k, g in enumerate(gammas, start=1)
                if g != negative_closed_form(t, k)]
-        lines.append(CheckReport(
+        rep = CheckReport(
             f"recurrence-neg-{t}-K{spec.K}", not bad,
             "closed-form residuals all 0" if not bad
-            else f"mismatch at k = {bad}").line())
+            else f"mismatch at k = {bad}")
     else:
         # the raising-model string recursion terminates: gamma_k = 0 past
         # the polynomial l-weight's single nontrivial coefficient
         ok = all(g == Coefficient.zero() for g in gammas[1:])
-        lines.append(CheckReport(
+        rep = CheckReport(
             f"recurrence-pos-{t}-K{spec.K}", ok,
-            "gamma_k = 0 for k >= 2" if ok else "unexpected tail").line())
-    return _emit(spec, lines)
+            "gamma_k = 0 for k >= 2" if ok else "unexpected tail")
+    lines.append(rep.line())
+    return _emit(spec, lines, rep.passed)
 
 
 _COMMANDS = {

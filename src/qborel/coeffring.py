@@ -1,12 +1,15 @@
 """Exact arithmetic in the ring Z[q^{+-1}][a].
 
-Two layers:
+Three layers:
 
 * ``LaurentPoly`` -- integer Laurent polynomials in q, packed into one
   Python integer by Kronecker substitution.
 * ``Coefficient`` -- polynomials in the formal parameter ``a`` whose
   coefficients are Laurent polynomials in q, stored as a map from
   a-degree to nonzero ``LaurentPoly``.
+* ``Combination`` -- finite ``Coefficient``-linear combinations of
+  hashable labels: module elements on Lusztig data, operator words and
+  vectors on the alpha_r-string are its subclasses.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -547,3 +550,81 @@ def parse_coefficient(text: str) -> Coefficient:
 def exact_divide(num: Coefficient, den: LaurentPoly) -> Coefficient:
     """Divide every a-component of num by den; NotDivisible on remainder."""
     return Coefficient({d: p.exact_divide(den) for d, p in num.a_terms.items()})
+
+
+class Combination:
+    """A finite Coefficient-linear combination of hashable labels.
+
+    ``terms`` maps each label to its nonzero Coefficient.  A subclass
+    names its labels: ``_label`` prints one, and ``_sort_key`` orders
+    them in the text form.
+    """
+
+    __slots__ = ("terms",)
+    _label = str
+    _sort_key = None
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v.a_terms}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def basis(cls, key, coeff=None):
+        return cls({key: Coefficient.one() if coeff is None else coeff})
+
+    @classmethod
+    def collect(cls, pairs):
+        """The sum of the (label, coefficient) pairs, equal labels added."""
+        return cls(_accumulate({}, pairs))
+
+    def __add__(self, other):
+        return type(self)(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def scale(self, coeff):
+        if isinstance(coeff, (int, LaurentPoly)):
+            coeff = coeff * Coefficient.one()
+        return type(self)({k: coeff * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def is_zero(self):
+        return not self.terms
+
+    def support(self):
+        return set(self.terms)
+
+    def coefficient(self, key):
+        c = self.terms.get(key)
+        return Coefficient.zero() if c is None else c
+
+    def __str__(self):
+        terms = self.terms
+        if not terms:
+            return "0"
+        return " + ".join(f"({terms[k]}) * {self._label(k)}"
+                          for k in sorted(terms, key=self._sort_key))
+
+    __repr__ = __str__
+
+
+def _accumulate(terms, pairs):
+    """Add each (label, coefficient) pair into the map terms, in place.
+
+    A sum that cancels stays in place as a zero, so that labels keep the
+    order of their first appearance; the Combination constructor drops
+    it."""
+    get = terms.get
+    for k, v in pairs:
+        s = get(k)
+        terms[k] = v if s is None else s + v
+    return terms

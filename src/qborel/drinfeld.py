@@ -7,7 +7,9 @@ The level-raising step is the four-term combination
           - E_k E_{d-a_i} e_i + q^{-2} E_k e_i E_{d-a_i},
 
 applied with memoized lazy evaluation on basis data (materializing E_k
-as a word expression would grow exponentially in k).  The division by
+as a word expression would grow exponentially in k).  ``raise_level``
+is that step; ``CurrentEngine`` applies it on the lattice module and
+``microrec.StringEngine`` on the alpha_r-string.  The division by
 q + q^{-1} must be exact; a failure is a hard error and always means
 the base operator data is wrong.
 
@@ -46,16 +48,33 @@ class EllWeight:
         return self.psi[i]
 
 
+QMQ = Coefficient.from_laurent(LaurentPoly({1: 1, -1: -1}))  # q - q^{-1}
+Q_INV2 = Coefficient.q_power(-2)  # q^{-2}
+_QPQ = q_integer(2)  # q + q^{-1}
+
+
 def c_r(t: AffineType) -> Coefficient:
     """The spectral-parameter shift scalar between the constructed module
     and the prefundamental representation."""
     n = t.n
-    qmq = LaurentPoly({1: 1, -1: -1})  # q - q^{-1}
     if t.family == "A":
         sign = (-1) ** (n + 1) * o_sign(t, t.r)
-        return Coefficient.from_laurent(qmq * LaurentPoly.q_power(-(n + 1), sign))
-    return Coefficient.from_laurent(
-        qmq * LaurentPoly.q_power(-2 * (n - 1), o_sign(t, t.r)))
+        return QMQ * Coefficient.from_laurent(LaurentPoly.q_power(-(n + 1), sign))
+    return QMQ * Coefficient.from_laurent(
+        LaurentPoly.q_power(-2 * (n - 1), o_sign(t, t.r)))
+
+
+def raise_level(E1, e, Ek, v):
+    """E_{(k+1)d - a_i} v by the four-term step of the module docstring.
+
+    E1, e and Ek apply E_{d-a_i}, e_i and E_{kd-a_i} to a combination.
+    The four terms are evaluated in a fixed order, so the first
+    DomainViolation a level-one operator raises is always the same."""
+    four = (E1(e(Ek(v)))
+            - e(E1(Ek(v))).scale(Q_INV2)
+            - Ek(E1(e(v)))
+            + Ek(e(E1(v))).scale(Q_INV2))
+    return type(four)({d: -exact_divide(c, _QPQ) for d, c in four.terms.items()})
 
 
 class CurrentEngine:
@@ -66,8 +85,6 @@ class CurrentEngine:
         self.mod = get_module(t)
         self._entries = {i: catalog_entry(t, i) for i in range(1, t.n + 1)}
         self._cache = {}
-        self._q2 = Coefficient.q_power(-2)
-        self._two = q_integer(2)  # q + q^{-1}
 
     # -- level one ----------------------------------------------------
 
@@ -110,15 +127,9 @@ class CurrentEngine:
         if k == 1:
             out = self.E1(i, v)
         else:
-            e = lambda u: self.mod.apply_e(i, u)
-            Ek = lambda u: self.E(i, k - 1, u)
-            E1 = lambda u: self.E1(i, u)
-            four = (E1(e(Ek(v)))
-                    - e(E1(Ek(v))).scale(self._q2)
-                    - Ek(E1(e(v)))
-                    + Ek(e(E1(v))).scale(self._q2))
-            out = Element(
-                {d: -exact_divide(cf, self._two) for d, cf in four.terms.items()})
+            out = raise_level(lambda u: self.E1(i, u),
+                              lambda u: self.mod.apply_e(i, u),
+                              lambda u: self.E(i, k - 1, u), v)
         self._cache[key] = out
         return out
 
@@ -126,11 +137,10 @@ class CurrentEngine:
 
     def psi_plus(self, i: int, k: int, v: Element) -> Element:
         o = o_sign(self.t, i)
-        qmq = Coefficient.from_laurent(LaurentPoly({1: 1, -1: -1}))
         w = (self.E(i, k, self.mod.apply_e(i, v))
-             - self.mod.apply_e(i, self.E(i, k, v)).scale(self._q2))
+             - self.mod.apply_e(i, self.E(i, k, v)).scale(Q_INV2))
         w = self.mod.apply_k(i, 1, w)
-        return w.scale(qmq * (o ** k))
+        return w.scale(QMQ * (o ** k))
 
     def x_minus_on_vacuum(self, i: int, k: int) -> Element:
         vac = Element.basis(self.mod.vacuum)
@@ -140,6 +150,8 @@ class CurrentEngine:
 
 def ell_weight_of_vacuum(t: AffineType, K: int = 6) -> EllWeight:
     """Eigenvalue lists of psi+_{i,k} on the vacuum, k <= K, per node."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
     eng = CurrentEngine(t)
     vac = Element.basis(eng.mod.vacuum)
     vkey = eng.mod.vacuum

@@ -23,66 +23,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffring import Coefficient, LaurentPoly, q_integer
+from .coeffring import Coefficient, Combination, LaurentPoly, q_integer
 from .rootdata import (AffineType, pairing, positive_roots_wr, root_str,
                        simple_root, theta, to_simple_coords)
 
 
-class Element:
+class Element(Combination):
     """A finite Coefficient-linear combination of basis data."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {c: v for c, v in (terms or {}).items() if not v.is_zero()}
+    __slots__ = ()
 
     @staticmethod
-    def zero():
-        return Element()
-
-    @staticmethod
-    def basis(c, coeff=None):
-        return Element({tuple(c): coeff if coeff is not None else Coefficient.one()})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for c, v in other.terms.items():
-            terms[c] = terms.get(c, Coefficient.zero()) + v
-        return Element(terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for c, v in other.terms.items():
-            terms[c] = terms.get(c, Coefficient.zero()) - v
-        return Element(terms)
-
-    def __neg__(self):
-        return Element({c: -v for c, v in self.terms.items()})
-
-    def scale(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            coeff = coeff * Coefficient.one()
-        return Element({c: coeff * v for c, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms))
-
-    def is_zero(self):
-        return not self.terms
-
-    def support(self):
-        return set(self.terms)
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({v}) * [{','.join(map(str, c))}]"
-                          for c, v in sorted(self.terms.items()))
-
-    __repr__ = __str__
+    def _label(c):
+        return f"[{','.join(map(str, c))}]"
 
 
 class LatticeModule:
@@ -278,9 +231,12 @@ class LatticeModule:
 
     def apply_e(self, i, v: Element) -> Element:
         terms = {}
+        get = terms.get
         for c, coef in v.terms.items():
             for mc, md in self.e_on_datum(i, c):
-                terms[md] = terms.get(md, Coefficient.zero()) + coef * mc
+                x = coef * mc
+                s = get(md)
+                terms[md] = x if s is None else s + x
         return Element(terms)
 
     def apply_k(self, i, exponent, v: Element) -> Element:
@@ -355,24 +311,6 @@ class LatticeModule:
 @lru_cache(maxsize=None)
 def get_module(t: AffineType) -> LatticeModule:
     return LatticeModule(t)
-
-
-def wt(t: AffineType, c):
-    return get_module(t).wt(c)
-
-
-def apply_e(t: AffineType, i, v):
-    return get_module(t).apply_e(i, v)
-
-
-def apply_k(t: AffineType, i, exponent, v):
-    return get_module(t).apply_k(i, exponent, v)
-
-
-def enumerate_basis(t: AffineType, bound):
-    """All data c with -wt(c) <= bound componentwise (bound in simple
-    root coordinates), in deterministic lexicographic order."""
-    return get_module(t).enumerate_data(box=bound)
 
 
 def random_datum(t: AffineType, rng, max_entry=10):

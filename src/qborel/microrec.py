@@ -16,73 +16,30 @@ only the alpha_r-pairing and is valid in every rank.
 
 from __future__ import annotations
 
-from .coeffring import (Coefficient, LaurentPoly, exact_divide, q_integer)
-from .drinfeld import DomainViolation, EllWeight, NotEigenvector, c_r
+from .coeffring import Coefficient, Combination, LaurentPoly, q_integer
+from .drinfeld import (QMQ, Q_INV2, DomainViolation, EllWeight,
+                       NotEigenvector, c_r, raise_level)
 from .opalg import CheckReport
 from .rootdata import AffineType, o_sign
+from .rootvec import string_span_values
 
-_QMQ = LaurentPoly({1: 1, -1: -1})  # q - q^{-1}
 
-
-class StringElement:
+class StringElement(Combination):
     """Finite Coefficient-linear combination of powers f^m."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+    __slots__ = ()
 
     @staticmethod
-    def zero():
-        return StringElement()
-
-    @staticmethod
-    def power(m, coeff=None):
-        return StringElement({m: coeff if coeff is not None else Coefficient.one()})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Coefficient.zero()) + c
-        return StringElement(terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Coefficient.zero()) - c
-        return StringElement(terms)
-
-    def scale(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            coeff = coeff * Coefficient.one()
-        return StringElement({m: coeff * c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, StringElement) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, m):
-        return self.terms.get(m, Coefficient.zero())
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({c}) * f^{m}" for m, c in sorted(self.terms.items()))
-
-    __repr__ = __str__
+    def _label(m):
+        return f"f^{m}"
 
 
 def _e_lower(v: StringElement) -> StringElement:
     """e_r on powers: f^m -> q^{-m+1} [m]_q f^{m-1}."""
-    terms = {}
-    for m, c in v.terms.items():
-        if m == 0:
-            continue
-        terms[m - 1] = terms.get(m - 1, Coefficient.zero()) + c * Coefficient.from_laurent(
-            LaurentPoly.q_power(-m + 1) * q_integer(m))
-    return StringElement(terms)
+    return StringElement.collect(
+        (m - 1, c * Coefficient.from_laurent(
+            LaurentPoly.q_power(-m + 1) * q_integer(m)))
+        for m, c in v.terms.items() if m)
 
 
 def rank_one_apply(op: str, model: str, v: StringElement) -> StringElement:
@@ -93,11 +50,9 @@ def rank_one_apply(op: str, model: str, v: StringElement) -> StringElement:
         return _e_lower(v)
     if op == "e0":
         a = Coefficient.a_power(1)
-        terms = {}
-        for m, c in v.terms.items():
-            factor = a * Coefficient.q_power(2 * m) if model == "pos" else a
-            terms[m + 1] = terms.get(m + 1, Coefficient.zero()) + c * factor
-        return StringElement(terms)
+        return StringElement.collect(
+            (m + 1, c * (a * Coefficient.q_power(2 * m) if model == "pos" else a))
+            for m, c in v.terms.items())
     if op in ("k1", "k0"):
         sign = -1 if op == "k1" else 1
         return StringElement({m: c * Coefficient.q_power(sign * 2 * m)
@@ -114,6 +69,8 @@ def _compose(ops, model, v):
 def rank_one_serre_check(M: int = 20) -> CheckReport:
     """Quartic Serre relations on f^m (m <= M) in both models, plus the
     eight intermediate three-letter expansions checked line by line."""
+    if M < 0:
+        raise ValueError("M must be >= 0")
     lines = []
     ok = True
     three = Coefficient.from_laurent(q_integer(3))
@@ -128,7 +85,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
     for model in ("pos", "neg"):
         bad = [m for m in range(M + 1)
                for (i, j) in ((0, 1), (1, 0))
-               if not serre(i, j, model, StringElement.power(m)).is_zero()]
+               if not serre(i, j, model, StringElement.basis(m)).is_zero()]
         ok &= not bad
         lines.append(CheckReport(f"rank1-serre-{model}", not bad,
                                  f"m <= {M}" if not bad else f"fails at {bad}").line())
@@ -143,7 +100,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
 
     for m in range(6):
         s = t = -2 * m
-        fm2 = lambda c: StringElement.power(m + 2, c)
+        fm2 = lambda c: StringElement.basis(m + 2, c)
         expansions_pos = [
             (["e0", "e0", "e0", "e1"], fm2(ap(-3 * s) * eprime(m))),
             (["e0", "e0", "e1", "e0"],
@@ -166,7 +123,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
         ]
         for model, expansions in (("pos", expansions_pos), ("neg", expansions_neg)):
             for ops, expected in expansions:
-                got = _compose(ops, model, StringElement.power(m))
+                got = _compose(ops, model, StringElement.basis(m))
                 if got != expected:
                     ok = False
                     lines.append(CheckReport(
@@ -181,7 +138,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
         for (kj, ei, aij) in (("k0", "e1", -2), ("k1", "e0", -2),
                               ("k0", "e0", 2), ("k1", "e1", 2)):
             for m in range(6):
-                v = StringElement.power(m)
+                v = StringElement.basis(m)
                 lhs = rank_one_apply(kj, model, rank_one_apply(ei, model, v))
                 rhs = rank_one_apply(ei, model, rank_one_apply(
                     kj, model, v)).scale(Coefficient.q_power(aij))
@@ -203,20 +160,20 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
 def base_scalars(t: AffineType, model: str):
     """(E.1 scalar against f, E.f scalar against f^2) for E_{d-alpha_r}.
 
-    Raising model: the two scalars independently re-derived on the
-    lattice module in rootvec.  Lowering model: quoted input data.
+    Raising model: the lattice-module scalars of
+    ``rootvec.string_span_values``, which ``verified_domain_check``
+    confirms by evaluating the catalog operator.  Lowering model: quoted
+    input data.
     """
+    if model == "pos":
+        return string_span_values(t)
     n = t.n
     a = Coefficient.a_power(1)
     if t.family == "A":
         g = Coefficient.from_laurent(
             LaurentPoly.q_power(-(n - 1), (-1) ** (n - 1))) * a
-        if model == "pos":
-            return g, g * Coefficient.q_power(2)
-        return g, g
-    g = Coefficient.q_power(-2 * n + 4) * a
-    if model == "pos":
-        return g, Coefficient.q_power(-2 * n + 6) * a
+    else:
+        g = Coefficient.q_power(-2 * n + 4) * a
     return g, g
 
 
@@ -228,8 +185,6 @@ class StringEngine:
         self.model = model
         self.E1_0, self.E1_1 = base_scalars(t, model)
         self._cache = {}
-        self._q2 = Coefficient.q_power(-2)
-        self._two = q_integer(2)
 
     def _assert_closed(self, v: StringElement):
         if any(m > 2 for m in v.terms):
@@ -239,14 +194,16 @@ class StringEngine:
         out = StringElement.zero()
         for m, c in v.terms.items():
             if m == 0:
-                out = out + StringElement.power(1, c * self.E1_0)
+                out = out + StringElement.basis(1, c * self.E1_0)
             elif m == 1:
-                out = out + StringElement.power(2, c * self.E1_1)
+                out = out + StringElement.basis(2, c * self.E1_1)
             else:
                 raise DomainViolation("E_(delta-alpha_r) needed on f^2")
         return out
 
     def E(self, k: int, v: StringElement) -> StringElement:
+        if k < 1:
+            raise ValueError("level must be >= 1")
         self._assert_closed(v)
         out = StringElement.zero()
         for m, c in v.terms.items():
@@ -258,17 +215,12 @@ class StringEngine:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        v = StringElement.power(m)
+        v = StringElement.basis(m)
         if k == 1:
             out = self.E1(v)
         else:
-            e = _e_lower
-            four = (self.E1(e(self.E(k - 1, v)))
-                    - e(self.E1(self.E(k - 1, v))).scale(self._q2)
-                    - self.E(k - 1, self.E1(e(v)))
-                    + self.E(k - 1, e(self.E1(v))).scale(self._q2))
-            out = StringElement({mm: -exact_divide(c, self._two)
-                                 for mm, c in four.terms.items()})
+            out = raise_level(self.E1, _e_lower,
+                              lambda u: self.E(k - 1, u), v)
         self._assert_closed(out)
         self._cache[key] = out
         return out
@@ -276,10 +228,12 @@ class StringEngine:
 
 def string_recurrence(t: AffineType, model: str, K: int):
     """The scalars gamma_k with E_{k delta - alpha_r}.1 = gamma_k f."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
     eng = StringEngine(t, model)
     out = []
     for k in range(1, K + 1):
-        v = eng.E(k, StringElement.power(0))
+        v = eng.E(k, StringElement.basis(0))
         if not set(v.terms) <= {1}:
             raise AssertionError(f"E_{k}.1 is not a multiple of f: {v}")
         out.append(v.coefficient(1))
@@ -289,7 +243,7 @@ def string_recurrence(t: AffineType, model: str, K: int):
 def negative_closed_form(t: AffineType, k: int) -> Coefficient:
     """The lowering-model scalar gamma_k in closed form."""
     n = t.n
-    qmq_pow = Coefficient.from_laurent(_QMQ) ** (k - 1)
+    qmq_pow = QMQ ** (k - 1)
     a_k = Coefficient.a_power(k)
     if t.family == "A":
         sign = (-1) ** (k * n - 1)
@@ -303,15 +257,16 @@ def negative_closed_form(t: AffineType, k: int) -> Coefficient:
 def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
     """psi+_{r,k}-eigenvalues of the vacuum in the lowering model,
     computed on the string span and matched to the geometric series."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
     eng = StringEngine(t, "neg")
     o = o_sign(t, t.r)
-    qmq = Coefficient.from_laurent(_QMQ)
-    one = StringElement.power(0)
+    one = StringElement.basis(0)
     coeffs = [Coefficient.one()]
     for k in range(1, K + 1):
-        w = eng.E(k, _e_lower(one)) - _e_lower(eng.E(k, one)).scale(eng._q2)
+        w = eng.E(k, _e_lower(one)) - _e_lower(eng.E(k, one)).scale(Q_INV2)
         # k_r is the identity on the vacuum (weight zero)
-        w = w.scale(qmq * (o ** k))
+        w = w.scale(QMQ * (o ** k))
         if set(w.terms) - {0}:
             raise NotEigenvector(f"psi+_{t.r},{k} not diagonal on vacuum", w)
         coeffs.append(w.coefficient(0))

@@ -12,112 +12,66 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coeffring import Coefficient, LaurentPoly, q_binomial
+from .coeffring import Coefficient, Combination, q_binomial
 from .latticemod import Element, get_module, random_datum
 from .rootdata import AffineType, cartan_matrix
 
 # letters: an int i means e_i; ("k", i, s) means k_i^s with s = +-1.
 
 
-class OperatorExpr:
-    __slots__ = ("terms",)
+class OperatorExpr(Combination):
+    """A combination of words; ``==`` compares free words only, and
+    operator equality goes via evaluation."""
 
-    def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
-
-    @staticmethod
-    def zero():
-        return OperatorExpr()
+    __slots__ = ()
 
     @staticmethod
     def identity():
-        return OperatorExpr({(): Coefficient.one()})
+        return OperatorExpr.basis(())
 
     @staticmethod
     def e(i):
-        return OperatorExpr({(i,): Coefficient.one()})
+        return OperatorExpr.basis((i,))
 
     @staticmethod
     def k(i, s=1):
-        return OperatorExpr({(("k", i, s),): Coefficient.one()})
-
-    @staticmethod
-    def word(letters, coeff=None):
-        return OperatorExpr({tuple(letters): coeff or Coefficient.one()})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Coefficient.zero()) + c
-        return OperatorExpr(terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Coefficient.zero()) - c
-        return OperatorExpr(terms)
-
-    def __neg__(self):
-        return OperatorExpr({w: -c for w, c in self.terms.items()})
+        return OperatorExpr.basis((("k", i, s),))
 
     def __mul__(self, other):
         """Concatenation product: (xy)(v) = x(y(v))."""
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                terms[w] = terms.get(w, Coefficient.zero()) + c
-        return OperatorExpr(terms)
-
-    def scale(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            coeff = coeff * Coefficient.one()
-        return OperatorExpr({w: coeff * c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        """Free-word equality only; operator equality goes via evaluation."""
-        return isinstance(other, OperatorExpr) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def words(self):
-        return set(self.terms)
+        return OperatorExpr.collect((w1 + w2, c1 * c2)
+                                    for w1, c1 in self.terms.items()
+                                    for w2, c2 in other.terms.items())
 
     def relabel(self, f):
         """Apply a letter relabeling i -> f(i) to every e-letter."""
-        terms = {}
-        for w, c in self.terms.items():
-            w2 = tuple(x if isinstance(x, tuple) else f(x) for x in w)
-            terms[w2] = terms.get(w2, Coefficient.zero()) + c
-        return OperatorExpr(terms)
+        return OperatorExpr.collect(
+            (tuple(x if isinstance(x, tuple) else f(x) for x in w), c)
+            for w, c in self.terms.items())
 
     def substitute(self, table):
         """Replace each e-letter i by the OperatorExpr table[i]."""
         out = OperatorExpr.zero()
         for w, c in self.terms.items():
-            prod = OperatorExpr({(): c})
+            prod = OperatorExpr.basis((), c)
             for x in w:
-                factor = table[x] if not isinstance(x, tuple) else OperatorExpr({(x,): Coefficient.one()})
+                factor = table[x] if not isinstance(x, tuple) else OperatorExpr.basis((x,))
                 prod = prod * factor
             out = out + prod
         return out
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-
+    @staticmethod
+    def _label(w):
         def lstr(x):
             if isinstance(x, tuple):
                 return f"k{x[1]}" + ("" if x[2] == 1 else "^-1")
             return f"e{x}"
 
-        return " + ".join(
-            f"({c}) * {'.'.join(map(lstr, w)) or '1'}"
-            for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), str(kv[0]))))
+        return '.'.join(map(lstr, w)) or '1'
 
-    __repr__ = __str__
+    @staticmethod
+    def _sort_key(w):
+        return (len(w), str(w))
 
 
 def q_bracket(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
@@ -153,7 +107,7 @@ def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     for m in range(N + 1):
         word = (i,) * (N - m) + (j,) + (i,) * m
         coeff = Coefficient.from_laurent(q_binomial(N, m) * ((-1) ** m))
-        out = out + OperatorExpr.word(word, coeff)
+        out = out + OperatorExpr.basis(word, coeff)
     return out
 
 

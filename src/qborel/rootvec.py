@@ -34,7 +34,7 @@ class CatalogEntry:
 
 def _word(letters, qexp=0, sign=1):
     coeff = Coefficient.from_laurent(LaurentPoly.q_power(qexp, sign))
-    return OperatorExpr.word(letters, coeff)
+    return OperatorExpr.basis(tuple(letters), coeff)
 
 
 def leading_E(t: AffineType, i: int) -> OperatorExpr:
@@ -100,7 +100,7 @@ def hardcoded_full_E(t: AffineType) -> CatalogEntry:
     coefficients are never invented; only their vanishing on the
     alpha_r-string is used downstream."""
     qp = Coefficient.q_power
-    e = OperatorExpr.word
+    e = OperatorExpr.basis
     key = (t.family, t.n, t.r)
     if key == ("A", 3, 1):
         full = (e((0, 3, 2)) + e((3, 0, 2), qp(-1) * -1)

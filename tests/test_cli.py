@@ -111,3 +111,27 @@ def test_negative_height_is_failure_exit(command):
     assert code == 1
     assert out == (f"CHECK {command} FAIL ValueError: "
                    "height cap must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["recurrence", "--model", "pos", "--K", "0"], "K must be >= 1"),
+    (["recurrence", "--model", "neg", "--K", "-3"], "K must be >= 1"),
+    (["lweight", "--model", "neg", "--K", "0"], "K must be >= 1"),
+    (["lweight", "--model", "pos", "--K", "-3"], "K must be >= 1"),
+    (["rank1", "--height", "-1"], "M must be >= 0"),
+], ids=["recurrence-pos", "recurrence-neg", "lweight-neg", "lweight-pos",
+        "rank1"])
+def test_invalid_level_is_failure_exit(argv, message):
+    code, out = run_cli(argv + ["--family", "A", "--n", "3", "--r", "2"])
+    assert code == 1
+    assert out == f"CHECK {argv[0]} FAIL ValueError: {message}\n"
+
+
+def test_exit_code_comes_from_reports(monkeypatch):
+    from qborel import cli
+    from qborel.opalg import CheckReport
+    monkeypatch.setattr(cli, "character_identity_check", lambda t, h:
+                        CheckReport("character-x", True, "no FAIL here"))
+    code, out = run_cli(["character", "--family", "A", "--n", "2", "--r", "1"])
+    assert out == "CHECK character-x PASS no FAIL here\n"
+    assert code == 0

@@ -1,0 +1,102 @@
+"""The shared combination core and the text form of its subclasses."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qborel.coeffring import Coefficient, Combination, LaurentPoly
+from qborel.latticemod import Element
+from qborel.microrec import StringElement
+from qborel.opalg import OperatorExpr
+
+LABELS = ("x", "y", "z")
+
+
+def coeffs():
+    """Small Coefficients, zero included, so that sums cancel often."""
+    poly = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2)
+    return st.dictionaries(st.integers(0, 1), poly, max_size=2).map(
+        lambda a: Coefficient({d: LaurentPoly(p) for d, p in a.items()}))
+
+
+def pairs():
+    return st.lists(st.tuples(st.sampled_from(LABELS), coeffs()), max_size=6)
+
+
+def reference(ps):
+    """A dict of Coefficients summed label by label, zeros dropped."""
+    out = {}
+    for k, v in ps:
+        out[k] = out.get(k, Coefficient.zero()) + v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def ref_combine(x, y, sign):
+    return reference(list(x.items()) + [(k, v if sign > 0 else -v)
+                                        for k, v in y.items()])
+
+
+def no_stored_zero(c):
+    return all(not v.is_zero() for v in c.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(), pairs(), coeffs())
+def test_combination_against_dict_reference(p1, p2, s):
+    x, y = Combination.collect(p1), Combination.collect(p2)
+    rx, ry = reference(p1), reference(p2)
+    assert x.terms == rx and y.terms == ry
+    assert (x + y).terms == ref_combine(rx, ry, 1)
+    assert (x - y).terms == ref_combine(rx, ry, -1)
+    assert (-x).terms == {k: -v for k, v in rx.items()}
+    assert x.scale(s).terms == reference((k, s * v) for k, v in rx.items())
+    for c in (x, y, x + y, x - y, -x, x.scale(s)):
+        assert no_stored_zero(c)
+    assert (x - x).is_zero() and (x - x) == Combination.zero()
+    assert x.scale(Coefficient.zero()).is_zero()
+    assert x.scale(0).is_zero()
+    assert x.support() == set(rx)
+    for k in LABELS:
+        assert x.coefficient(k) == rx.get(k, Coefficient.zero())
+
+
+@pytest.mark.parametrize("cls, key", [(Element, (0, 1)), (OperatorExpr, (1,)),
+                                      (StringElement, 2), (Combination, "x")])
+def test_basis_with_zero_coefficient_is_zero(cls, key):
+    assert cls.basis(key, Coefficient.zero()).is_zero()
+    assert str(cls.basis(key, Coefficient.zero())) == "0"
+    assert cls.basis(key).coefficient(key) == Coefficient.one()
+
+
+def test_combinations_of_different_kinds_differ():
+    assert Element.basis((0,)) != OperatorExpr.basis((0,))
+    assert StringElement.zero() != Element.zero()
+
+
+def test_text_form_element():
+    x = (Element.basis((1, 0, 2), Coefficient.q_power(1))
+         + Element.basis((0, 3, 0), Coefficient.from_int(-2)
+                         * Coefficient.a_power(1)))
+    assert str(x) == "(-2*a) * [0,3,0] + (q^1) * [1,0,2]"
+    assert repr(x) == str(x)
+
+
+def test_text_form_operator_expr():
+    E, qp = OperatorExpr, Coefficient.q_power
+    y = (E.k(1) * E.e(2) * E.k(1, -1) - E.e(2).scale(qp(-1))
+         + E.identity().scale(3) + E.e(10) * E.e(2)
+         + (E.e(2) * E.e(10)).scale(Coefficient.a_power(2))
+         + E.k(0, -1) * E.e(0))
+    assert str(y) == ("(3) * 1 + (-q^-1) * e2 + (1) * k0^-1.e0 + (1) * e10.e2"
+                      " + (a^2) * e2.e10 + (1) * k1.e2.k1^-1")
+
+
+def test_text_form_string_element():
+    z = (StringElement.basis(2, Coefficient.q_power(2) * Coefficient.a_power(1))
+         + StringElement.basis(0, Coefficient.from_laurent(
+             LaurentPoly({1: 1, -1: -1}))))
+    assert str(z) == "(-q^-1 + q^1) * f^0 + (q^2*a) * f^2"
+
+
+@pytest.mark.parametrize("cls", [Element, OperatorExpr, StringElement])
+def test_text_form_zero(cls):
+    assert str(cls.zero()) == "0"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
-from qborel.latticemod import Element, enumerate_basis, get_module, random_datum
+from qborel.latticemod import Element, get_module, random_datum
 from qborel.rootdata import AffineType, simple_root, theta, to_simple_coords
 
 
@@ -70,7 +70,7 @@ def test_k_diagonal_consistency():
 
 def test_enumerate_basis_examples():
     t = AffineType("A", 2, 1)
-    data = enumerate_basis(t, (2, 1))
+    data = get_module(t).enumerate_data(box=(2, 1))
     # roots alpha_1 and alpha_1+alpha_2: box 2a_1+a_2 allows
     # (0,0),(1,0),(2,0),(0,1),(1,1)
     assert len(data) == 5
@@ -87,7 +87,7 @@ def test_enumerate_data_rejects_short_box():
 
 def test_enumerate_data_rejects_long_box():
     with pytest.raises(ValueError, match="rank 2"):
-        enumerate_basis(AffineType("A", 2, 1), (1, 1, 1, 1, 1))
+        get_module(AffineType("A", 2, 1)).enumerate_data(box=(1, 1, 1, 1, 1))
 
 
 @pytest.mark.parametrize("kwargs", [{"height": -1}, {"box": (1, -1)},

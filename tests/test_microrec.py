@@ -15,15 +15,15 @@ def test_rank_one_suite():
 
 
 def test_rank_one_generators():
-    f2 = StringElement.power(2)
+    f2 = StringElement.basis(2)
     # e_1 f^2 = q^{-1} [2] f
     out = rank_one_apply("e1", "pos", f2)
-    assert out == StringElement.power(1, Coefficient.from_laurent(
+    assert out == StringElement.basis(1, Coefficient.from_laurent(
         LaurentPoly.q_power(-1) * q_integer(2)))
     # raising model: e_0 f^m = a q^{2m} f^{m+1}; lowering: a f^{m+1}
-    assert rank_one_apply("e0", "pos", f2) == StringElement.power(
+    assert rank_one_apply("e0", "pos", f2) == StringElement.basis(
         3, Coefficient.a_power(1) * Coefficient.q_power(4))
-    assert rank_one_apply("e0", "neg", f2) == StringElement.power(
+    assert rank_one_apply("e0", "neg", f2) == StringElement.basis(
         3, Coefficient.a_power(1))
     # diagonal: k_1 f^m = q^{-2m} f^m, k_0 f^m = q^{2m} f^m
     assert rank_one_apply("k1", "pos", f2) == f2.scale(Coefficient.q_power(-4))
@@ -85,4 +85,25 @@ def test_string_engine_rejects_overflow():
     from qborel.drinfeld import DomainViolation
     eng = StringEngine(AffineType("A", 2, 1), "neg")
     with pytest.raises(DomainViolation):
-        eng.E(1, StringElement.power(3))
+        eng.E(1, StringElement.basis(3))
+
+
+def test_string_engine_rejects_level_zero():
+    eng = StringEngine(AffineType("A", 2, 1), "neg")
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        eng.E(0, StringElement.basis(0))
+
+
+@pytest.mark.parametrize("K", [0, -3])
+def test_string_jobs_reject_nonpositive_K(K):
+    t = AffineType("A", 3, 2)
+    for model in ("pos", "neg"):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            string_recurrence(t, model, K)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        negative_ell_weight(t, K)
+
+
+def test_rank_one_rejects_negative_height():
+    with pytest.raises(ValueError, match="M must be >= 0"):
+        rank_one_serre_check(-1)

@@ -22,17 +22,17 @@ def test_expr_algebra():
     y = OperatorExpr.e(2) * OperatorExpr.e(1)
     assert x != y
     assert (x - x).is_zero()
-    assert q_bracket(OperatorExpr.e(1), OperatorExpr.e(2)).words() \
+    assert q_bracket(OperatorExpr.e(1), OperatorExpr.e(2)).support() \
         == {(1, 2), (2, 1)}
     z = x.relabel(lambda i: i + 1)
-    assert z.words() == {(2, 3)}
+    assert z.support() == {(2, 3)}
 
 
 def test_substitute_expands_words():
-    x = OperatorExpr.word((1, 2))
+    x = OperatorExpr.basis((1, 2))
     table = {1: OperatorExpr.e(3), 2: q_bracket(OperatorExpr.e(4), OperatorExpr.e(5))}
     out = x.substitute(table)
-    assert out.words() == {(3, 4, 5), (3, 5, 4)}
+    assert out.support() == {(3, 4, 5), (3, 5, 4)}
 
 
 def test_evaluation_right_to_left():
@@ -40,19 +40,19 @@ def test_evaluation_right_to_left():
     mod = get_module(t)
     vac = Element.basis(mod.vacuum)
     # e_2 e_0 vac is nonzero, e_0 e_2 vac applies e_2 first and dies
-    assert not evaluate(OperatorExpr.word((2, 0)), t, vac).is_zero()
-    assert evaluate(OperatorExpr.word((0, 2)), t, vac).is_zero()
+    assert not evaluate(OperatorExpr.basis((2, 0)), t, vac).is_zero()
+    assert evaluate(OperatorExpr.basis((0, 2)), t, vac).is_zero()
 
 
 def test_serre_expr_shape():
     t = AffineType("A", 2, 1)
     x = serre_expr(1, 2, t)
-    assert x.words() == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+    assert x.support() == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
     # A_1^(1): a_01 = -2 gives the quartic form
     t1 = AffineType("A", 1, 1)
     y = serre_expr(0, 1, t1)
-    assert x is not y and len(y.words()) == 4
-    assert all(len(w) == 4 for w in y.words())
+    assert x is not y and len(y.support()) == 4
+    assert all(len(w) == 4 for w in y.support())
 
 
 def test_defining_relations_sample_sweep():

@@ -17,7 +17,7 @@ def test_full_E_word_structure_family_A():
         for r in range(1, n + 1):
             x = full_E_typeA(n, r)
             enders = []
-            for w in x.words():
+            for w in x.support():
                 assert sorted(w) == sorted(set(range(n + 1)) - {r})
                 assert w[-1] != r
                 enders.append(w[-1])
@@ -34,7 +34,7 @@ def test_full_E_leading_term():
             lead = leading_E(t, r)
             (lw, lc), = lead.terms.items()
             x = full_E_typeA(n, r)
-            (w0,) = [w for w in x.words() if w[-1] == 0]
+            (w0,) = [w for w in x.support() if w[-1] == 0]
             assert braid_equivalent(t, w0, lw)
             assert x.terms[w0] == lc
 
