@@ -2,8 +2,7 @@
 Lusztig data, for affine families A and D at minuscule nodes."""
 
 from .coeffring import (Coefficient, Combination, LaurentPoly, NotDivisible,
-                        exact_divide, parse_coefficient, q_binomial,
-                        q_factorial, q_integer)
+                        parse_coefficient, q_binomial, q_factorial, q_integer)
 from .rootdata import (AffineType, NotReduced, braid_equivalent, cartan_matrix,
                        convex_order, index_matrix, marks, o_sign, pairing,
                        positive_roots_wr, reading_words, reduced_word_wr,

@@ -98,13 +98,20 @@ def product_character(roots, exponents, bound=None, height=None):
     return dims
 
 
-def character_identity_check(t: AffineType, height: int) -> CheckReport:
-    """Direct count vs unit-exponent product expansion on the full
-    height-capped weight box."""
+def character_identity_check(t: AffineType, height=None,
+                             bound=None) -> CheckReport:
+    """Direct count vs unit-exponent product expansion on every weight
+    within the height cap and/or the simple-root box; the check is named
+    by what it covered."""
     roots = positive_roots_simple(t)
-    lhs = module_character(t, height=height)
-    rhs = product_character(roots, [1] * len(roots), height=height)
-    name = f"character-{t}-h{height}"
+    lhs = module_character(t, bound=bound, height=height)
+    rhs = product_character(roots, [1] * len(roots), bound=bound,
+                            height=height)
+    name = f"character-{t}"
+    if height is not None:
+        name += f"-h{height}"
+    if bound is not None:
+        name += "-b" + ",".join(map(str, bound))
     if lhs == rhs:
         return CheckReport(name, True, f"{len(lhs)} weights")
     bad = sorted(set(lhs) ^ set(rhs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from dataclasses import dataclass
 
 from .chars import character_identity_check, dump_csv, module_character
 from .coeffring import Coefficient
@@ -26,39 +25,21 @@ from .rootdata import (AffineType, braid_equivalent, convex_order,
                        root_str, simple_root, theta)
 
 
-@dataclass
-class JobSpec:
-    command: str
-    family: str = "A"
-    n: int = 1
-    r: int = 1
-    height: int = None
-    bound: tuple = None
-    K: int = 6
-    seed: int = 0
-    model: str = "pos"
-    fmt: str = "lines"
-    output: str = None
-
-    def affine_type(self) -> AffineType:
-        return AffineType(self.family, self.n, self.r)
-
-
-def _emit(spec, lines, passed):
+def _emit(args, lines, passed):
     text = "\n".join(lines) + "\n"
-    if spec.output:
-        with open(spec.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0 if passed else 1
 
 
-def cmd_relations(spec: JobSpec) -> int:
-    t = spec.affine_type()
-    height = spec.height if spec.height is not None else 6
+def cmd_relations(args) -> int:
+    t = AffineType(args.family, args.n, args.r)
+    height = args.height if args.height is not None else 6
     lines = []
-    if spec.fmt == "text":
+    if args.fmt == "text":
         lines.append(f"defining-relation sweep on {t}, height <= {height}")
     checks = []
     for i in range(t.n + 1):
@@ -70,23 +51,23 @@ def cmd_relations(spec: JobSpec) -> int:
                 checks.append((f"k{i}-k{j}-comm", k_commutation_expr(i, j)))
     checks.append(("central-element", central_element_expr(t)))
     reports = [check_identity_on_basis(
-        x, t, bound=spec.bound, height=None if spec.bound else height,
-        extra_random=10, seed=spec.seed, name=f"relations-{t}-{name}")
+        x, t, bound=args.bound, height=None if args.bound else height,
+        extra_random=10, seed=args.seed, name=f"relations-{t}-{name}")
         for name, x in checks]
     lines += [rep.line() for rep in reports]
-    return _emit(spec, lines, all(rep.passed for rep in reports))
+    return _emit(args, lines, all(rep.passed for rep in reports))
 
 
-def cmd_lweight(spec: JobSpec) -> int:
-    t = spec.affine_type()
+def cmd_lweight(args) -> int:
+    t = AffineType(args.family, args.n, args.r)
     lines = []
-    if spec.model == "pos":
-        ell = ell_weight_of_vacuum(t, spec.K)
+    if args.model == "pos":
+        ell = ell_weight_of_vacuum(t, args.K)
         expected_tag = "polynomial"
     else:
-        ell = negative_ell_weight(t, spec.K)
+        ell = negative_ell_weight(t, args.K)
         expected_tag = "geometric"
-    if spec.fmt == "text":
+    if args.fmt == "text":
         for i in sorted(ell.psi):
             coeffs = ", ".join(str(c) for c in ell.psi[i])
             lines.append(f"Psi_{i}(z) coefficients: {coeffs}  [{ell.closed_form[i]}]")
@@ -95,26 +76,29 @@ def cmd_lweight(spec: JobSpec) -> int:
           and all(ell.closed_form[i] == "trivial"
                   for i in ell.closed_form if i != t.r))
     rep = CheckReport(
-        f"lweight-{spec.model}-{t}-K{spec.K}", ok,
+        f"lweight-{args.model}-{t}-K{args.K}", ok,
         f"node {t.r} {ell.closed_form[t.r]}, others trivial" if ok
         else f"tags {ell.closed_form}")
     lines.append(rep.line())
-    return _emit(spec, lines, rep.passed)
+    return _emit(args, lines, rep.passed)
 
 
-def cmd_character(spec: JobSpec) -> int:
-    t = spec.affine_type()
-    height = spec.height if spec.height is not None else 8
+def cmd_character(args) -> int:
+    t = AffineType(args.family, args.n, args.r)
+    height = args.height if args.height is not None else 8
+    if args.bound:
+        height = None
     lines = []
-    rep = character_identity_check(t, height)
-    if spec.fmt == "text":
-        lines.append(dump_csv(module_character(t, height=height)))
+    rep = character_identity_check(t, height, bound=args.bound)
+    if args.fmt == "text":
+        lines.append(dump_csv(module_character(t, bound=args.bound,
+                                               height=height)))
     lines.append(rep.line())
-    return _emit(spec, lines, rep.passed)
+    return _emit(args, lines, rep.passed)
 
 
-def cmd_braid(spec: JobSpec) -> int:
-    t = spec.affine_type()
+def cmd_braid(args) -> int:
+    t = AffineType(args.family, args.n, args.r)
     lines = []
     word = reduced_word_wr(t)
     betas = convex_order(t, word)  # raises NotReduced on a bad word
@@ -123,7 +107,7 @@ def cmd_braid(spec: JobSpec) -> int:
     ok3 = sorted(betas) == sorted(positive_roots_wr(t))
     row, col = reading_words(t)
     ok4 = braid_equivalent(t, row, col)
-    if spec.fmt == "text":
+    if args.fmt == "text":
         lines.append(f"reduced word: {word}")
         lines.append("convex order: " + ", ".join(root_str(b) for b in betas))
         lines.append(f"row reading: {row}")
@@ -134,27 +118,27 @@ def cmd_braid(spec: JobSpec) -> int:
                            f"{len(betas)} roots"),
                CheckReport(f"braid-{t}-readings-equivalent", ok4)]
     lines += [rep.line() for rep in reports]
-    return _emit(spec, lines, all(rep.passed for rep in reports))
+    return _emit(args, lines, all(rep.passed for rep in reports))
 
 
-def cmd_rank1(spec: JobSpec) -> int:
-    M = spec.height if spec.height is not None else 20
+def cmd_rank1(args) -> int:
+    M = args.height if args.height is not None else 20
     rep = rank_one_serre_check(M)
-    return _emit(spec, rep.lines + [rep.line()], rep.passed)
+    return _emit(args, rep.lines + [rep.line()], rep.passed)
 
 
-def cmd_recurrence(spec: JobSpec) -> int:
-    t = spec.affine_type()
+def cmd_recurrence(args) -> int:
+    t = AffineType(args.family, args.n, args.r)
     lines = []
-    gammas = string_recurrence(t, spec.model, spec.K)
-    if spec.fmt == "text":
+    gammas = string_recurrence(t, args.model, args.K)
+    if args.fmt == "text":
         for k, g in enumerate(gammas, start=1):
             lines.append(f"gamma_{k} = {g}")
-    if spec.model == "neg":
+    if args.model == "neg":
         bad = [k for k, g in enumerate(gammas, start=1)
                if g != negative_closed_form(t, k)]
         rep = CheckReport(
-            f"recurrence-neg-{t}-K{spec.K}", not bad,
+            f"recurrence-neg-{t}-K{args.K}", not bad,
             "closed-form residuals all 0" if not bad
             else f"mismatch at k = {bad}")
     else:
@@ -162,10 +146,10 @@ def cmd_recurrence(spec: JobSpec) -> int:
         # the polynomial l-weight's single nontrivial coefficient
         ok = all(g == Coefficient.zero() for g in gammas[1:])
         rep = CheckReport(
-            f"recurrence-pos-{t}-K{spec.K}", ok,
+            f"recurrence-pos-{t}-K{args.K}", ok,
             "gamma_k = 0 for k >= 2" if ok else "unexpected tail")
     lines.append(rep.line())
-    return _emit(spec, lines, rep.passed)
+    return _emit(args, lines, rep.passed)
 
 
 _COMMANDS = {
@@ -178,6 +162,13 @@ _COMMANDS = {
 }
 
 
+def box(text):
+    """A --bound argument: comma-separated per-node depth bounds, such as
+    2,1,2; argparse turns the ValueError of a malformed one into a usage
+    error."""
+    return tuple(int(x) for x in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qborel",
@@ -187,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--height", type=int, default=None)
-    p.add_argument("--bound", type=str, default=None,
+    p.add_argument("--bound", type=box, default=None,
                    help="comma-separated per-node depth bounds")
     p.add_argument("--K", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
@@ -200,16 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    bound = tuple(int(x) for x in args.bound.split(",")) if args.bound else None
-    spec = JobSpec(command=args.command, family=args.family, n=args.n,
-                   r=args.r, height=args.height, bound=bound, K=args.K,
-                   seed=args.seed, model=args.model, fmt=args.fmt,
-                   output=args.output)
     try:
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[args.command](args)
     except Exception as exc:  # surface residuals etc. as a FAIL line
         traceback.print_exc(file=sys.stderr)
-        sys.stdout.write(f"CHECK {spec.command} FAIL {type(exc).__name__}: {exc}\n")
+        sys.stdout.write(f"CHECK {args.command} FAIL {type(exc).__name__}: {exc}\n")
         return 1
 
 

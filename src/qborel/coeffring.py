@@ -1,15 +1,15 @@
 """Exact arithmetic in the ring Z[q^{+-1}][a].
 
-Three layers:
+Two structures:
 
 * ``LaurentPoly`` -- integer Laurent polynomials in q, packed into one
   Python integer by Kronecker substitution.
-* ``Coefficient`` -- polynomials in the formal parameter ``a`` whose
-  coefficients are Laurent polynomials in q, stored as a map from
-  a-degree to nonzero ``LaurentPoly``.
-* ``Combination`` -- finite ``Coefficient``-linear combinations of
-  hashable labels: module elements on Lusztig data, operator words and
-  vectors on the alpha_r-string are its subclasses.
+* ``Combination`` -- finite linear combinations of hashable labels with
+  nonzero coefficients in a ring.  ``Coefficient``, a polynomial in the
+  formal parameter ``a``, is the combination of its a-degrees over
+  ``LaurentPoly``; module elements on Lusztig data, operator words and
+  vectors on the alpha_r-string are combinations over ``Coefficient``.
+  One core thus serves both levels of the coefficient tower.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -30,9 +30,9 @@ operands are repacked at a wider width.  The bound is tracked, never
 assumed.
 
 Everything is exact; there is no field of fractions.  The only division
-offered is ``exact_divide``, which raises ``NotDivisible`` when the
-quotient does not exist in the ring.  A failed division always signals a
-wrong construction upstream, never a rounding problem.
+offered is the method ``exact_divide``, which raises ``NotDivisible``
+when the quotient does not exist in the ring.  A failed division always
+signals a wrong construction upstream, never a rounding problem.
 """
 
 from __future__ import annotations
@@ -168,6 +168,20 @@ def _sum(p, q):
     return _make((pn << (b * (lo - qlo))) + qn, qlo, b, m)
 
 
+def _power(x, k):
+    """x ** k by square-and-multiply, for a LaurentPoly or Coefficient x."""
+    if k < 0:
+        raise ValueError(f"{type(x).__name__} power needs k >= 0")
+    out, base = type(x).one(), x
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 class LaurentPoly:
     """An integer Laurent polynomial in q (packed; see the module doc)."""
 
@@ -250,17 +264,7 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("LaurentPoly power needs k >= 0")
-        out, base = LaurentPoly.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+    __pow__ = _power
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -359,34 +363,149 @@ def q_binomial(m: int, k: int) -> LaurentPoly:
     return num.exact_divide(q_factorial(k))
 
 
-def _coeff(a_terms):
-    """A Coefficient on a map whose values are all nonzero."""
-    c = _new(Coefficient)
-    c.a_terms = a_terms
-    return c
+class Combination:
+    """A finite linear combination of hashable labels over a coefficient
+    ring.
+
+    ``terms`` maps each label to its nonzero coefficient, an element of
+    the class attribute ``ring``: ``Coefficient`` for module elements,
+    operator words and string vectors, ``LaurentPoly`` for
+    ``Coefficient`` itself, whose labels are a-degrees.  A subclass names
+    its labels: ``_label`` prints one, and ``_sort_key`` orders them in
+    the text form.
+    """
+
+    __slots__ = ("terms",)
+    _label = str
+    _sort_key = None
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def _of(cls, terms):
+        """A combination on a map whose values are all nonzero."""
+        c = _new(cls)
+        c.terms = terms
+        return c
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    @classmethod
+    def basis(cls, key, coeff=None):
+        return cls({key: cls.ring.one() if coeff is None else coeff})
+
+    @classmethod
+    def collect(cls, pairs):
+        """The sum of the (label, coefficient) pairs, equal labels added."""
+        return cls(_accumulate({}, pairs))
+
+    def __add__(self, other):
+        mine, theirs = self.terms, other.terms
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        terms = dict(mine)
+        for k, v in theirs.items():
+            s = terms.get(k)
+            if s is None:
+                terms[k] = v
+            else:
+                s = s + v
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+        return self._of(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    # Z[q^{+-1}][a] has no zero divisors, so negation and scaling by a
+    # nonzero scalar need no zero filter
+
+    def __neg__(self):
+        return self._of({k: -v for k, v in self.terms.items()})
+
+    def scale(self, coeff):
+        ring = self.ring
+        if not isinstance(coeff, ring):
+            coeff = ring.one() * coeff
+        if not coeff:
+            return self._of({})
+        return self._of({k: coeff * v for k, v in self.terms.items()})
+
+    def exact_divide(self, den: LaurentPoly):
+        """Divide every coefficient by den; NotDivisible on a remainder."""
+        return self._of({k: v.exact_divide(den) for k, v in self.terms.items()})
+
+    def bar(self):
+        """The bar involution q -> q^{-1} on every coefficient."""
+        return self._of({k: v.bar() for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def support(self):
+        return set(self.terms)
+
+    def coefficient(self, key):
+        c = self.terms.get(key)
+        return self.ring.zero() if c is None else c
+
+    def __str__(self):
+        terms = self.terms
+        if not terms:
+            return "0"
+        return " + ".join(f"({terms[k]}) * {self._label(k)}"
+                          for k in sorted(terms, key=self._sort_key))
+
+    __repr__ = __str__
 
 
-class Coefficient:
-    """An element of Z[q^{+-1}][a]: a polynomial in a over LaurentPoly."""
+def _accumulate(terms, pairs):
+    """Add each (label, coefficient) pair into the map terms, in place.
 
-    __slots__ = ("a_terms",)
+    A sum that cancels stays in place as a zero, so that labels keep the
+    order of their first appearance; the Combination constructor drops
+    it."""
+    get = terms.get
+    for k, v in pairs:
+        s = get(k)
+        terms[k] = v if s is None else s + v
+    return terms
 
-    def __init__(self, a_terms=None):
-        self.a_terms = {d: p for d, p in (a_terms or {}).items() if p.n}
+
+class Coefficient(Combination):
+    """An element of Z[q^{+-1}][a]: a polynomial in a over LaurentPoly,
+    the combination of its a-degrees."""
+
+    __slots__ = ()
+    ring = LaurentPoly
+
+    @property
+    def a_terms(self):
+        """The map a-degree -> nonzero LaurentPoly (the map ``terms``)."""
+        return self.terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero():
-        return _coeff({})
-
-    @staticmethod
     def one():
-        return _coeff({0: LaurentPoly.one()})
+        return Coefficient._of({0: LaurentPoly.one()})
 
     @staticmethod
     def from_laurent(p: LaurentPoly, a_degree: int = 0):
-        return _coeff({a_degree: p} if p.n else {})
+        return Coefficient._of({a_degree: p} if p.n else {})
 
     @staticmethod
     def from_int(c: int):
@@ -394,103 +513,56 @@ class Coefficient:
 
     @staticmethod
     def q_power(k: int):
-        return _coeff({0: LaurentPoly.q_power(k)})
+        return Coefficient._of({0: LaurentPoly.q_power(k)})
 
     @staticmethod
     def a_power(d: int):
-        return _coeff({d: LaurentPoly.one()})
+        return Coefficient._of({d: LaurentPoly.one()})
 
     # -- ring structure -----------------------------------------------
-
-    def __add__(self, other):
-        mine, theirs = self.a_terms, other.a_terms
-        if not theirs:
-            return self
-        if not mine:
-            return other
-        terms = dict(mine)
-        for d, p in theirs.items():
-            s = terms.get(d)
-            if s is None:
-                terms[d] = p
-            else:
-                s = s + p
-                if s.n:
-                    terms[d] = s
-                else:
-                    del terms[d]
-        return _coeff(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _coeff({d: -p for d, p in self.a_terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Coefficient):
             if isinstance(other, int):
                 if not other:
-                    return _coeff({})
-                return _coeff({d: p * other for d, p in self.a_terms.items()})
+                    return Coefficient._of({})
+                return Coefficient._of(
+                    {d: p * other for d, p in self.terms.items()})
             if not isinstance(other, LaurentPoly):
                 return NotImplemented
             other = Coefficient.from_laurent(other)
-        mine, theirs = self.a_terms, other.a_terms
+        mine, theirs = self.terms, other.terms
         # Z[q^{+-1}] has no zero divisors, so a product of one a-degree
         # with anything needs no zero filter
         if len(theirs) == 1:
             (d2, p2), = theirs.items()
-            return _coeff({d1 + d2: p1 * p2 for d1, p1 in mine.items()})
-        terms = {}
-        for d1, p1 in mine.items():
-            for d2, p2 in theirs.items():
-                d = d1 + d2
-                s = terms.get(d)
-                terms[d] = p1 * p2 if s is None else s + p1 * p2
-        return _coeff({d: p for d, p in terms.items() if p.n})
+            return Coefficient._of({d1 + d2: p1 * p2
+                                    for d1, p1 in mine.items()})
+        return Coefficient.collect((d1 + d2, p1 * p2)
+                                   for d1, p1 in mine.items()
+                                   for d2, p2 in theirs.items())
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("Coefficient power needs k >= 0")
-        out, base = Coefficient.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+    __pow__ = _power
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = Coefficient.from_int(other)
         elif isinstance(other, LaurentPoly):
             other = Coefficient.from_laurent(other)
-        return isinstance(other, Coefficient) and self.a_terms == other.a_terms
+        return isinstance(other, Coefficient) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.a_terms.items()))
-
-    def __bool__(self):
-        return bool(self.a_terms)
-
-    def is_zero(self):
-        return not self.a_terms
-
-    def bar(self):
-        return _coeff({d: p.bar() for d, p in self.a_terms.items()})
+        return hash(frozenset(self.terms.items()))
 
     # -- text form ----------------------------------------------------
 
     def __str__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
         chunks = []
-        for d in sorted(self.a_terms):
-            p = self.a_terms[d].terms
+        for d in sorted(self.terms):
+            p = self.terms[d].terms
             for k in sorted(p):
                 chunks.append((p[k], k, d))
         out = []
@@ -510,6 +582,10 @@ class Coefficient:
         return " ".join(out)
 
     __repr__ = __str__
+
+
+# a plain Combination, and every subclass but Coefficient, is over Coefficient
+Combination.ring = Coefficient
 
 
 _MONO_RE = re.compile(
@@ -545,86 +621,3 @@ def parse_coefficient(text: str) -> Coefficient:
         d = int(m.group("a")) if m.group("a") is not None else (1 if has_a else 0)
         out = out + Coefficient({d: LaurentPoly.q_power(k, c)})
     return out
-
-
-def exact_divide(num: Coefficient, den: LaurentPoly) -> Coefficient:
-    """Divide every a-component of num by den; NotDivisible on remainder."""
-    return Coefficient({d: p.exact_divide(den) for d, p in num.a_terms.items()})
-
-
-class Combination:
-    """A finite Coefficient-linear combination of hashable labels.
-
-    ``terms`` maps each label to its nonzero Coefficient.  A subclass
-    names its labels: ``_label`` prints one, and ``_sort_key`` orders
-    them in the text form.
-    """
-
-    __slots__ = ("terms",)
-    _label = str
-    _sort_key = None
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v.a_terms}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def basis(cls, key, coeff=None):
-        return cls({key: Coefficient.one() if coeff is None else coeff})
-
-    @classmethod
-    def collect(cls, pairs):
-        """The sum of the (label, coefficient) pairs, equal labels added."""
-        return cls(_accumulate({}, pairs))
-
-    def __add__(self, other):
-        return type(self)(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)({k: -v for k, v in self.terms.items()})
-
-    def scale(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            coeff = coeff * Coefficient.one()
-        return type(self)({k: coeff * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def support(self):
-        return set(self.terms)
-
-    def coefficient(self, key):
-        c = self.terms.get(key)
-        return Coefficient.zero() if c is None else c
-
-    def __str__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        return " + ".join(f"({terms[k]}) * {self._label(k)}"
-                          for k in sorted(terms, key=self._sort_key))
-
-    __repr__ = __str__
-
-
-def _accumulate(terms, pairs):
-    """Add each (label, coefficient) pair into the map terms, in place.
-
-    A sum that cancels stays in place as a zero, so that labels keep the
-    order of their first appearance; the Combination constructor drops
-    it."""
-    get = terms.get
-    for k, v in pairs:
-        s = get(k)
-        terms[k] = v if s is None else s + v
-    return terms

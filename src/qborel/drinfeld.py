@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffring import Coefficient, LaurentPoly, exact_divide, q_integer
+from .coeffring import Coefficient, LaurentPoly, q_integer
 from .latticemod import Element, get_module
 from .opalg import evaluate
 from .rootdata import AffineType, o_sign
@@ -74,7 +74,7 @@ def raise_level(E1, e, Ek, v):
             - e(E1(Ek(v))).scale(Q_INV2)
             - Ek(E1(e(v)))
             + Ek(e(E1(v))).scale(Q_INV2))
-    return type(four)({d: -exact_divide(c, _QPQ) for d, c in four.terms.items()})
+    return -four.exact_divide(_QPQ)
 
 
 class CurrentEngine:

@@ -8,7 +8,9 @@ combinatorial formulas:
 * ``e_i`` (i in I) moves one unit from a root beta to beta - alpha_i
   (deleting it when beta = alpha_r), with coefficient
   q^{E(i,beta,c)} [c_beta]_q, where [c_beta]_q is the q-integer of the
-  multiplicity of the DECREMENTED root and E is linear in the datum;
+  multiplicity of the DECREMENTED root and E is linear in the datum.
+  The moves are derived, not tabulated: one rule reads them off the
+  convex order of the roots for every family (``_build_moves``);
 * ``e_0`` adds one unit at theta with coefficient
   a * q^{-(theta, wt(c)) - c_theta};
 * ``k_i`` acts diagonally by q^{(alpha_i, wt(c))}, and k_0 by
@@ -70,117 +72,33 @@ class LatticeModule:
     # -- move construction --------------------------------------------
 
     def _build_moves(self):
-        t = self.t
-        if t.family == "A":
-            return self._moves_type_A()
-        if t.r == 1:
-            return self._moves_D_r1()
-        n = t.n
-        if t.r == n:
-            pos = lambda k, l: self.idx[self._plus_root(k, l, flip=False)]
-            table = self._moves_D_rn(pos)
-            return table
-        # r = n-1: same combinatorics through the eps_n sign flip and the
-        # diagram flip n <-> n-1 on generator indices.
-        pos = lambda k, l: self.idx[self._plus_root(k, l, flip=True)]
-        table = self._moves_D_rn(pos)
-        sigma = {i: i for i in range(1, n + 1)}
-        sigma[n - 1], sigma[n] = n, n - 1
-        return {i: table[sigma[i]] for i in table}
+        """The moves of each e_i, read off the convex order of the roots.
 
-    def _plus_root(self, k, l, flip):
-        v = [0] * self.t.n
-        v[k - 1] += 1
-        v[l - 1] += 1
-        if flip:
-            v[self.t.n - 1] = -v[self.t.n - 1]
-        return tuple(v)
-
-    def _moves_type_A(self):
-        t = self.t
-        n, r = t.n, t.r
-        z = [0] * self.nroots
-
-        def pos(i, j):  # root eps_i - eps_j
-            v = [0] * (n + 1)
-            v[i - 1], v[j - 1] = 1, -1
-            return self.idx[tuple(v)]
-
+        e_i acts on the dual PBW product as a q-derivation: it turns one
+        unit at beta into one at beta - alpha_i, or deletes it when
+        beta = alpha_i, which only alpha_r can be (every stored root has
+        alpha_r-coefficient 1).  The roots are scanned in their stored
+        convex order, and the q-exponent of a move is the accumulated
+        (c_target - c_source) over all earlier moves of the same e_i:
+        the pass-through cost of the derivation reaching that factor of
+        the dual PBW product."""
+        where = {s: p for p, s in enumerate(self.simple)}
         moves = {}
-        for i in range(1, n + 1):
-            mv = []
-            if i < r:
-                for l in range(r + 1, n + 2):
-                    vec = list(z)
-                    for tt in range(r + 1, l):
-                        vec[pos(i + 1, tt)] += 1
-                        vec[pos(i, tt)] -= 1
-                    mv.append((pos(i, l), pos(i + 1, l), tuple(vec)))
-            elif i == r:
-                mv.append((pos(r, r + 1), None, tuple(z)))
-            else:
-                for k in range(1, r + 1):
-                    vec = list(z)
-                    for tt in range(k + 1, r + 1):
-                        vec[pos(tt, i)] += 1
-                        vec[pos(tt, i + 1)] -= 1
-                    mv.append((pos(k, i + 1), pos(k, i), tuple(vec)))
-            moves[i] = tuple(mv)
-        return moves
-
-    def _moves_D_r1(self):
-        t = self.t
-        n = t.n
-        z = [0] * self.nroots
-
-        def minus(i):  # eps_1 - eps_i
-            v = [0] * n
-            v[0], v[i - 1] = 1, -1
-            return self.idx[tuple(v)]
-
-        def plus(i):  # eps_1 + eps_i
-            v = [0] * n
-            v[0], v[i - 1] = 1, 1
-            return self.idx[tuple(v)]
-
-        moves = {1: ((minus(2), None, tuple(z)),)}
-        for i in range(2, n):
-            vec = list(z)
-            vec[minus(i)] += 1
-            vec[minus(i + 1)] -= 1
-            moves[i] = ((minus(i + 1), minus(i), tuple(z)),
-                        (plus(i), plus(i + 1), tuple(vec)))
-        vec = list(z)
-        vec[minus(n - 1)] += 1
-        vec[plus(n)] -= 1
-        moves[n] = ((plus(n), minus(n - 1), tuple(z)),
-                    (plus(n - 1), minus(n), tuple(vec)))
-        return moves
-
-    def _moves_D_rn(self, pos):
-        """Moves for the r = n combinatorics, abstracted over the cell
-        position map so the r = n-1 flip can reuse it verbatim.
-
-        Each e_i (i < n) converts one unit along a (source, target) pair
-        with target = source - alpha_i.  The pairs are scanned in a fixed
-        order -- eps_i + eps_l for l = n down to i+2, then eps_k + eps_i
-        for k = i-1 down to 1 -- and the q-exponent of a move is the
-        accumulated (c_target - c_source) over all earlier pairs, the
-        pass-through cost of the derivation reaching that factor of the
-        dual PBW product."""
-        n = self.t.n
-        moves = {}
-        for i in range(1, n):
-            pairs = [(pos(i, l), pos(i + 1, l)) for l in range(n, i + 1, -1)]
-            pairs += [(pos(k, i), pos(k, i + 1)) for k in range(i - 1, 0, -1)]
+        for i in range(1, self.t.n + 1):
             mv = []
             vec = [0] * self.nroots
-            for src, tgt in pairs:
-                mv.append((src, tgt, tuple(vec)))
-                vec[tgt] += 1
-                vec[src] -= 1
+            for src, s in enumerate(self.simple):
+                if not s[i - 1]:
+                    continue
+                if self.height[src] == 1:
+                    mv.append((src, None, tuple(vec)))
+                    continue
+                tgt = where.get(s[:i - 1] + (s[i - 1] - 1,) + s[i:])
+                if tgt is not None:
+                    mv.append((src, tgt, tuple(vec)))
+                    vec[tgt] += 1
+                    vec[src] -= 1
             moves[i] = tuple(mv)
-        moves[n] = ((pos(n - 1, n), None, (0,) * self.nroots),)
         return moves
 
     # -- weights --------------------------------------------------------
@@ -247,7 +165,8 @@ class LatticeModule:
         for c, coef in v.terms.items():
             e = exponent * sum(x * m for x, m in zip(vec, c))
             terms[c] = coef * Coefficient.q_power(e)
-        return Element(terms)
+        # a unit times a nonzero coefficient is nonzero: nothing to filter
+        return Element._of(terms)
 
     # -- basis enumeration ------------------------------------------------
 

@@ -50,6 +50,14 @@ def test_character_command():
     assert "CHECK character-A4r2-h8 PASS" in out
 
 
+def test_character_box_is_checked_and_named():
+    # the height-8 default covers 64 weights of A3r2; the box only 5
+    code, out = run_cli(["character", "--family", "A", "--n", "3", "--r", "2",
+                         "--bound", "1,1,1"])
+    assert code == 0
+    assert out == "CHECK character-A3r2-b1,1,1 PASS 5 weights\n"
+
+
 def test_braid_command():
     code, out = run_cli(["braid", "--family", "D", "--n", "5", "--r", "5"])
     assert code == 0
@@ -97,6 +105,16 @@ def test_output_file(tmp_path):
     assert "PASS" in path.read_text()
 
 
+def test_malformed_box_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "--family", "A", "--n", "2", "--r", "1",
+              "--bound", "1,x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "CHECK" not in captured.out
+    assert "invalid box value: '1,x'" in captured.err
+
+
 def test_box_bound_of_wrong_length_is_failure_exit():
     code, out = run_cli(["relations", "--family", "A", "--n", "2", "--r", "1",
                          "--bound", "1,1,1,1,1"])
@@ -130,7 +148,8 @@ def test_invalid_level_is_failure_exit(argv, message):
 def test_exit_code_comes_from_reports(monkeypatch):
     from qborel import cli
     from qborel.opalg import CheckReport
-    monkeypatch.setattr(cli, "character_identity_check", lambda t, h:
+    monkeypatch.setattr(cli, "character_identity_check",
+                        lambda t, h, bound=None:
                         CheckReport("character-x", True, "no FAIL here"))
     code, out = run_cli(["character", "--family", "A", "--n", "2", "--r", "1"])
     assert out == "CHECK character-x PASS no FAIL here\n"

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qborel.coeffring import (Coefficient, LaurentPoly, NotDivisible,
-                              exact_divide, parse_coefficient, q_binomial,
-                              q_factorial, q_integer)
+                              parse_coefficient, q_binomial, q_factorial,
+                              q_integer)
 
 
 def lp(d):
@@ -58,14 +58,14 @@ def test_q_factorial_degree():
 
 def test_exact_division_success():
     num = q_integer(2) * q_integer(3)
-    assert exact_divide(Coefficient.from_laurent(num), q_integer(2)) \
+    assert Coefficient.from_laurent(num).exact_divide(q_integer(2)) \
         == Coefficient.from_laurent(q_integer(3))
 
 
 def test_exact_division_failure():
     num = Coefficient.from_laurent(lp({1: 1, 0: 1}))  # q + 1
     with pytest.raises(NotDivisible):
-        exact_divide(num, q_integer(2))  # q + q^-1
+        num.exact_divide(q_integer(2))  # q + q^-1
     with pytest.raises(NotDivisible):
         lp({0: 1, 1: 3}).exact_divide(lp({0: 1, 1: 2}))  # floor quotient 1
 
@@ -127,7 +127,7 @@ def test_ring_commutativity(d1, d2):
 def test_q_integer_multiplicative_divisibility(m, k):
     # [mk] is divisible by [m]
     prod = q_integer(m * k)
-    out = exact_divide(Coefficient.from_laurent(prod), q_integer(m))
+    out = Coefficient.from_laurent(prod).exact_divide(q_integer(m))
     assert out * Coefficient.from_laurent(q_integer(m)) \
         == Coefficient.from_laurent(prod)
 

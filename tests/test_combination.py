@@ -11,60 +11,74 @@ from qborel.opalg import OperatorExpr
 LABELS = ("x", "y", "z")
 
 
+def laurents():
+    """Small Laurent polynomials, zero included, so that sums cancel often."""
+    return st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
+                           max_size=2).map(LaurentPoly)
+
+
 def coeffs():
     """Small Coefficients, zero included, so that sums cancel often."""
-    poly = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2)
-    return st.dictionaries(st.integers(0, 1), poly, max_size=2).map(
-        lambda a: Coefficient({d: LaurentPoly(p) for d, p in a.items()}))
+    return st.dictionaries(st.integers(0, 1), laurents(), max_size=2).map(
+        Coefficient)
 
 
-def pairs():
-    return st.lists(st.tuples(st.sampled_from(LABELS), coeffs()), max_size=6)
+# labels and coefficients of each kind: words over Coefficient, and
+# Coefficient itself as the combination of its a-degrees over LaurentPoly
+KINDS = {Combination: (LABELS, coeffs()), Coefficient: ((0, 1, 2), laurents())}
 
 
-def reference(ps):
-    """A dict of Coefficients summed label by label, zeros dropped."""
+def reference(ps, zero):
+    """A dict of coefficients summed label by label, zeros dropped."""
     out = {}
     for k, v in ps:
-        out[k] = out.get(k, Coefficient.zero()) + v
+        out[k] = out.get(k, zero) + v
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def ref_combine(x, y, sign):
+def ref_combine(x, y, sign, zero):
     return reference(list(x.items()) + [(k, v if sign > 0 else -v)
-                                        for k, v in y.items()])
+                                        for k, v in y.items()], zero)
 
 
 def no_stored_zero(c):
     return all(not v.is_zero() for v in c.terms.values())
 
 
+@pytest.mark.parametrize("cls", [Combination, Coefficient],
+                         ids=lambda c: c.__name__)
 @settings(max_examples=150, deadline=None)
-@given(pairs(), pairs(), coeffs())
-def test_combination_against_dict_reference(p1, p2, s):
-    x, y = Combination.collect(p1), Combination.collect(p2)
-    rx, ry = reference(p1), reference(p2)
+@given(data=st.data())
+def test_combination_against_dict_reference(cls, data):
+    labels, values = KINDS[cls]
+    pairs = st.lists(st.tuples(st.sampled_from(labels), values), max_size=6)
+    p1, p2, s = data.draw(pairs), data.draw(pairs), data.draw(values)
+    zero = cls.ring.zero()
+    x, y = cls.collect(p1), cls.collect(p2)
+    rx, ry = reference(p1, zero), reference(p2, zero)
     assert x.terms == rx and y.terms == ry
-    assert (x + y).terms == ref_combine(rx, ry, 1)
-    assert (x - y).terms == ref_combine(rx, ry, -1)
+    assert (x + y).terms == ref_combine(rx, ry, 1, zero)
+    assert (x - y).terms == ref_combine(rx, ry, -1, zero)
     assert (-x).terms == {k: -v for k, v in rx.items()}
-    assert x.scale(s).terms == reference((k, s * v) for k, v in rx.items())
+    assert x.scale(s).terms == reference(((k, s * v) for k, v in rx.items()),
+                                         zero)
     for c in (x, y, x + y, x - y, -x, x.scale(s)):
         assert no_stored_zero(c)
-    assert (x - x).is_zero() and (x - x) == Combination.zero()
-    assert x.scale(Coefficient.zero()).is_zero()
+    assert (x - x).is_zero() and (x - x) == cls.zero()
+    assert x.scale(zero).is_zero()
     assert x.scale(0).is_zero()
     assert x.support() == set(rx)
-    for k in LABELS:
-        assert x.coefficient(k) == rx.get(k, Coefficient.zero())
+    for k in labels:
+        assert x.coefficient(k) == rx.get(k, zero)
 
 
 @pytest.mark.parametrize("cls, key", [(Element, (0, 1)), (OperatorExpr, (1,)),
-                                      (StringElement, 2), (Combination, "x")])
+                                      (StringElement, 2), (Combination, "x"),
+                                      (Coefficient, 1)])
 def test_basis_with_zero_coefficient_is_zero(cls, key):
-    assert cls.basis(key, Coefficient.zero()).is_zero()
-    assert str(cls.basis(key, Coefficient.zero())) == "0"
-    assert cls.basis(key).coefficient(key) == Coefficient.one()
+    assert cls.basis(key, cls.ring.zero()).is_zero()
+    assert str(cls.basis(key, cls.ring.zero())) == "0"
+    assert cls.basis(key).coefficient(key) == cls.ring.one()
 
 
 def test_combinations_of_different_kinds_differ():

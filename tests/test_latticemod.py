@@ -171,3 +171,194 @@ def test_action_linearity(family, data):
     rhs = (mod.apply_e(i, Element.basis(c1)).scale(Coefficient.q_power(1))
            + mod.apply_e(i, Element.basis(c2)))
     assert lhs == rhs
+
+
+def golden_data(nroots):
+    """Three fixed data with unequal entries, so that every exponent
+    vector shows in the q-powers of the moves."""
+    return [tuple(p % 3 + 1 for p in range(nroots)),
+            tuple(2 * p % 5 for p in range(nroots)),
+            tuple(p * p % 5 + 1 for p in range(nroots))]
+
+
+@pytest.mark.parametrize("t", [AffineType("A", 4, 2), AffineType("D", 5, 1),
+                               AffineType("D", 5, 4), AffineType("D", 5, 5)],
+                         ids=str)
+def test_moves_match_golden_values(t):
+    # A4r2 has nodes on both sides of r; D5r4 is the r = n-1 family that
+    # the diagram flip n <-> n-1 relates to D5r5
+    mod = get_module(t)
+    for k, c in enumerate(golden_data(mod.nroots)):
+        for i in range(1, t.n + 1):
+            got = {d: str(coeff) for coeff, d in mod.e_on_datum(i, c)}
+            assert got == MOVE_GOLDEN[(str(t), i, k)], (i, c)
+
+
+# e_on_datum(i, golden_data(nroots)[k]) for every node i, as
+# {datum: coefficient text}, keyed by (type, i, k): the values of the
+# per-family move tables that the convex-order rule replaced
+MOVE_GOLDEN = {
+    ("A4r2", 1, 0): {
+        (1, 2, 4, 1, 2, 2): "q^-2 + 1 + q^2",
+        (1, 3, 3, 1, 1, 3): "q^-1 + q^1",
+        (2, 2, 3, 0, 2, 3): "1"},
+    ("A4r2", 1, 1): {
+        (0, 3, 4, 1, 2, 0): "q^-3 + q^-1 + q^1",
+        (1, 2, 4, 0, 3, 0): "1"},
+    ("A4r2", 1, 2): {
+        (1, 2, 6, 5, 2, 0): "q^-4",
+        (1, 3, 5, 5, 1, 1): "q^-5 + q^-3",
+        (2, 2, 5, 4, 2, 1): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("A4r2", 2, 0): {(0, 2, 3, 1, 2, 3): "1"},
+    ("A4r2", 2, 1): {},
+    ("A4r2", 2, 2): {(0, 2, 5, 5, 2, 1): "1"},
+    ("A4r2", 3, 0): {
+        (1, 2, 3, 2, 1, 3): "q^-2 + 1",
+        (2, 1, 3, 1, 2, 3): "q^-1 + q^1"},
+    ("A4r2", 3, 1): {
+        (0, 2, 4, 2, 2, 0): "q^-4 + q^-2 + 1",
+        (1, 1, 4, 1, 3, 0): "q^-1 + q^1"},
+    ("A4r2", 3, 2): {
+        (1, 2, 5, 6, 1, 1): "q^-2 + 1",
+        (2, 1, 5, 5, 2, 1): "q^-1 + q^1"},
+    ("A4r2", 4, 0): {
+        (1, 2, 3, 1, 3, 2): "q^-3 + q^-1 + q^1",
+        (1, 3, 2, 1, 2, 3): "q^-2 + 1 + q^2"},
+    ("A4r2", 4, 1): {(0, 3, 3, 1, 3, 0): "q^-3 + q^-1 + q^1 + q^3"},
+    ("A4r2", 4, 2): {
+        (1, 2, 5, 5, 3, 0): "q^-3",
+        (1, 3, 4, 5, 2, 1): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r1", 1, 0): {(0, 2, 3, 1, 2, 3, 1, 2): "1"},
+    ("D5r1", 1, 1): {},
+    ("D5r1", 1, 2): {(0, 2, 5, 5, 2, 1, 2, 5): "1"},
+    ("D5r1", 2, 0): {
+        (1, 2, 3, 1, 2, 3, 2, 1): "q^-2 + 1",
+        (2, 1, 3, 1, 2, 3, 1, 2): "q^-1 + q^1"},
+    ("D5r1", 2, 1): {
+        (0, 2, 4, 1, 3, 0, 3, 3): "q^-5 + q^-3 + q^-1 + q^1",
+        (1, 1, 4, 1, 3, 0, 2, 4): "q^-1 + q^1"},
+    ("D5r1", 2, 2): {
+        (1, 2, 5, 5, 2, 1, 3, 4): "q^-5 + q^-3 + q^-1 + q^1 + q^3",
+        (2, 1, 5, 5, 2, 1, 2, 5): "q^-1 + q^1"},
+    ("D5r1", 3, 0): {
+        (1, 2, 3, 1, 2, 4, 0, 2): "q^-1",
+        (1, 3, 2, 1, 2, 3, 1, 2): "q^-2 + 1 + q^2"},
+    ("D5r1", 3, 1): {
+        (0, 2, 4, 1, 3, 1, 1, 4): "q^-3 + q^-1",
+        (0, 3, 3, 1, 3, 0, 2, 4): "q^-3 + q^-1 + q^1 + q^3"},
+    ("D5r1", 3, 2): {
+        (1, 2, 5, 5, 2, 2, 1, 5): "q^-4 + q^-2",
+        (1, 3, 4, 5, 2, 1, 2, 5): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r1", 4, 0): {
+        (1, 2, 3, 1, 3, 2, 1, 2): "1 + q^2 + q^4",
+        (1, 2, 4, 0, 2, 3, 1, 2): "1"},
+    ("D5r1", 4, 1): {(0, 2, 5, 0, 3, 0, 2, 4): "1"},
+    ("D5r1", 4, 2): {
+        (1, 2, 5, 5, 3, 0, 2, 5): "1",
+        (1, 2, 6, 4, 2, 1, 2, 5): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r1", 5, 0): {
+        (1, 2, 3, 2, 2, 2, 1, 2): "q^-1 + q^1 + q^3",
+        (1, 2, 4, 1, 1, 3, 1, 2): "q^-1 + q^1"},
+    ("D5r1", 5, 1): {(0, 2, 5, 1, 2, 0, 2, 4): "q^-2 + 1 + q^2"},
+    ("D5r1", 5, 2): {
+        (1, 2, 5, 6, 2, 0, 2, 5): "q^3",
+        (1, 2, 6, 5, 1, 1, 2, 5): "q^-1 + q^1"},
+    ("D5r4", 1, 0): {
+        (1, 2, 3, 1, 2, 3, 1, 3, 2, 1): "q^2 + q^4 + q^6",
+        (1, 2, 3, 1, 2, 4, 0, 2, 3, 1): "q^2",
+        (1, 2, 4, 0, 2, 3, 1, 2, 3, 1): "1"},
+    ("D5r4", 1, 1): {
+        (0, 2, 4, 1, 3, 0, 2, 5, 0, 3): "q^1",
+        (0, 2, 4, 1, 3, 1, 1, 4, 1, 3): "q^2 + q^4",
+        (0, 2, 5, 0, 3, 0, 2, 4, 1, 3): "1"},
+    ("D5r4", 1, 2): {
+        (1, 2, 5, 5, 2, 1, 2, 6, 4, 2): "q^-5 + q^-3 + q^-1 + q^1 + q^3",
+        (1, 2, 5, 5, 2, 2, 1, 5, 5, 2): "q^-1 + q^1",
+        (1, 2, 6, 4, 2, 1, 2, 5, 5, 2): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r4", 2, 0): {
+        (1, 2, 3, 1, 2, 3, 1, 2, 4, 0): "q^-2",
+        (1, 2, 3, 1, 3, 2, 1, 2, 3, 1): "q^-3 + q^-1 + q^1",
+        (1, 3, 2, 1, 2, 3, 1, 2, 3, 1): "q^-2 + 1 + q^2"},
+    ("D5r4", 2, 1): {
+        (0, 2, 4, 1, 3, 0, 2, 4, 2, 2): "q^-1 + q^1 + q^3",
+        (0, 3, 3, 1, 3, 0, 2, 4, 1, 3): "q^-3 + q^-1 + q^1 + q^3"},
+    ("D5r4", 2, 2): {
+        (1, 2, 5, 5, 2, 1, 2, 5, 6, 1): "q^-3 + q^-1",
+        (1, 2, 5, 5, 3, 0, 2, 5, 5, 2): "q^-3",
+        (1, 3, 4, 5, 2, 1, 2, 5, 5, 2): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r4", 3, 0): {
+        (1, 2, 3, 1, 2, 3, 2, 2, 2, 1): "q^-2 + 1 + q^2",
+        (1, 2, 3, 1, 2, 4, 1, 1, 3, 1): "q^-2 + 1",
+        (2, 1, 3, 1, 2, 3, 1, 2, 3, 1): "q^-1 + q^1"},
+    ("D5r4", 3, 1): {
+        (0, 2, 4, 1, 3, 0, 3, 4, 0, 3): "q^-6",
+        (0, 2, 4, 1, 3, 1, 2, 3, 1, 3): "q^-5 + q^-3 + q^-1 + q^1",
+        (1, 1, 4, 1, 3, 0, 2, 4, 1, 3): "q^-1 + q^1"},
+    ("D5r4", 3, 2): {
+        (1, 2, 5, 5, 2, 1, 3, 5, 4, 2): "q^-9 + q^-7 + q^-5 + q^-3 + q^-1",
+        (1, 2, 5, 5, 2, 2, 2, 4, 5, 2): "q^-5 + q^-3 + q^-1 + q^1 + q^3",
+        (2, 1, 5, 5, 2, 1, 2, 5, 5, 2): "q^-1 + q^1"},
+    ("D5r4", 4, 0): {(0, 2, 3, 1, 2, 3, 1, 2, 3, 1): "1"},
+    ("D5r4", 4, 1): {},
+    ("D5r4", 4, 2): {(0, 2, 5, 5, 2, 1, 2, 5, 5, 2): "1"},
+    ("D5r4", 5, 0): {
+        (1, 2, 3, 2, 2, 3, 0, 2, 3, 1): "1",
+        (1, 2, 4, 1, 2, 2, 1, 2, 3, 1): "q^-2 + 1 + q^2",
+        (1, 3, 3, 1, 1, 3, 1, 2, 3, 1): "q^-1 + q^1"},
+    ("D5r4", 5, 1): {
+        (0, 2, 4, 2, 3, 0, 1, 4, 1, 3): "q^2 + q^4",
+        (0, 3, 4, 1, 2, 0, 2, 4, 1, 3): "q^-2 + 1 + q^2"},
+    ("D5r4", 5, 2): {
+        (1, 2, 5, 6, 2, 1, 1, 5, 5, 2): "q^3 + q^5",
+        (1, 2, 6, 5, 2, 0, 2, 5, 5, 2): "1",
+        (1, 3, 5, 5, 1, 1, 2, 5, 5, 2): "q^-1 + q^1"},
+    ("D5r5", 1, 0): {
+        (1, 2, 3, 1, 2, 3, 1, 3, 2, 1): "q^2 + q^4 + q^6",
+        (1, 2, 3, 1, 2, 4, 0, 2, 3, 1): "q^2",
+        (1, 2, 4, 0, 2, 3, 1, 2, 3, 1): "1"},
+    ("D5r5", 1, 1): {
+        (0, 2, 4, 1, 3, 0, 2, 5, 0, 3): "q^1",
+        (0, 2, 4, 1, 3, 1, 1, 4, 1, 3): "q^2 + q^4",
+        (0, 2, 5, 0, 3, 0, 2, 4, 1, 3): "1"},
+    ("D5r5", 1, 2): {
+        (1, 2, 5, 5, 2, 1, 2, 6, 4, 2): "q^-5 + q^-3 + q^-1 + q^1 + q^3",
+        (1, 2, 5, 5, 2, 2, 1, 5, 5, 2): "q^-1 + q^1",
+        (1, 2, 6, 4, 2, 1, 2, 5, 5, 2): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r5", 2, 0): {
+        (1, 2, 3, 1, 2, 3, 1, 2, 4, 0): "q^-2",
+        (1, 2, 3, 1, 3, 2, 1, 2, 3, 1): "q^-3 + q^-1 + q^1",
+        (1, 3, 2, 1, 2, 3, 1, 2, 3, 1): "q^-2 + 1 + q^2"},
+    ("D5r5", 2, 1): {
+        (0, 2, 4, 1, 3, 0, 2, 4, 2, 2): "q^-1 + q^1 + q^3",
+        (0, 3, 3, 1, 3, 0, 2, 4, 1, 3): "q^-3 + q^-1 + q^1 + q^3"},
+    ("D5r5", 2, 2): {
+        (1, 2, 5, 5, 2, 1, 2, 5, 6, 1): "q^-3 + q^-1",
+        (1, 2, 5, 5, 3, 0, 2, 5, 5, 2): "q^-3",
+        (1, 3, 4, 5, 2, 1, 2, 5, 5, 2): "q^-4 + q^-2 + 1 + q^2 + q^4"},
+    ("D5r5", 3, 0): {
+        (1, 2, 3, 1, 2, 3, 2, 2, 2, 1): "q^-2 + 1 + q^2",
+        (1, 2, 3, 1, 2, 4, 1, 1, 3, 1): "q^-2 + 1",
+        (2, 1, 3, 1, 2, 3, 1, 2, 3, 1): "q^-1 + q^1"},
+    ("D5r5", 3, 1): {
+        (0, 2, 4, 1, 3, 0, 3, 4, 0, 3): "q^-6",
+        (0, 2, 4, 1, 3, 1, 2, 3, 1, 3): "q^-5 + q^-3 + q^-1 + q^1",
+        (1, 1, 4, 1, 3, 0, 2, 4, 1, 3): "q^-1 + q^1"},
+    ("D5r5", 3, 2): {
+        (1, 2, 5, 5, 2, 1, 3, 5, 4, 2): "q^-9 + q^-7 + q^-5 + q^-3 + q^-1",
+        (1, 2, 5, 5, 2, 2, 2, 4, 5, 2): "q^-5 + q^-3 + q^-1 + q^1 + q^3",
+        (2, 1, 5, 5, 2, 1, 2, 5, 5, 2): "q^-1 + q^1"},
+    ("D5r5", 4, 0): {
+        (1, 2, 3, 2, 2, 3, 0, 2, 3, 1): "1",
+        (1, 2, 4, 1, 2, 2, 1, 2, 3, 1): "q^-2 + 1 + q^2",
+        (1, 3, 3, 1, 1, 3, 1, 2, 3, 1): "q^-1 + q^1"},
+    ("D5r5", 4, 1): {
+        (0, 2, 4, 2, 3, 0, 1, 4, 1, 3): "q^2 + q^4",
+        (0, 3, 4, 1, 2, 0, 2, 4, 1, 3): "q^-2 + 1 + q^2"},
+    ("D5r5", 4, 2): {
+        (1, 2, 5, 6, 2, 1, 1, 5, 5, 2): "q^3 + q^5",
+        (1, 2, 6, 5, 2, 0, 2, 5, 5, 2): "1",
+        (1, 3, 5, 5, 1, 1, 2, 5, 5, 2): "q^-1 + q^1"},
+    ("D5r5", 5, 0): {(0, 2, 3, 1, 2, 3, 1, 2, 3, 1): "1"},
+    ("D5r5", 5, 1): {},
+    ("D5r5", 5, 2): {(0, 2, 5, 5, 2, 1, 2, 5, 5, 2): "1"},
+}
