@@ -25,7 +25,7 @@ from .coeffring import Coefficient, LaurentPoly, q_integer
 from .latticemod import Element, get_module
 from .opalg import evaluate
 from .rootdata import AffineType, o_sign
-from .rootvec import catalog_entry
+from .rootvec import catalog_entry, check_node
 
 
 class DomainViolation(RuntimeError):
@@ -113,6 +113,7 @@ class CurrentEngine:
     def E(self, i: int, k: int, v: Element) -> Element:
         if k < 1:
             raise ValueError("level must be >= 1")
+        check_node(self.t, i)
         out = Element.zero()
         for c, coeff in v.terms.items():
             out = out + self._E_on_datum(i, k, c).scale(coeff)

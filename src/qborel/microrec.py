@@ -163,18 +163,10 @@ def base_scalars(t: AffineType, model: str):
     Raising model: the lattice-module scalars of
     ``rootvec.string_span_values``, which ``verified_domain_check``
     confirms by evaluating the catalog operator.  Lowering model: quoted
-    input data.
+    input data, the raising model's first scalar twice.
     """
-    if model == "pos":
-        return string_span_values(t)
-    n = t.n
-    a = Coefficient.a_power(1)
-    if t.family == "A":
-        g = Coefficient.from_laurent(
-            LaurentPoly.q_power(-(n - 1), (-1) ** (n - 1))) * a
-    else:
-        g = Coefficient.q_power(-2 * n + 4) * a
-    return g, g
+    v1, v2 = string_span_values(t)
+    return (v1, v2) if model == "pos" else (v1, v1)
 
 
 class StringEngine:

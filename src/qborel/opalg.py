@@ -43,23 +43,6 @@ class OperatorExpr(Combination):
                                     for w1, c1 in self.terms.items()
                                     for w2, c2 in other.terms.items())
 
-    def relabel(self, f):
-        """Apply a letter relabeling i -> f(i) to every e-letter."""
-        return OperatorExpr.collect(
-            (tuple(x if isinstance(x, tuple) else f(x) for x in w), c)
-            for w, c in self.terms.items())
-
-    def substitute(self, table):
-        """Replace each e-letter i by the OperatorExpr table[i]."""
-        out = OperatorExpr.zero()
-        for w, c in self.terms.items():
-            prod = OperatorExpr.basis((), c)
-            for x in w:
-                factor = table[x] if not isinstance(x, tuple) else OperatorExpr.basis((x,))
-                prod = prod * factor
-            out = out + prod
-        return out
-
     @staticmethod
     def _label(w):
         def lstr(x):

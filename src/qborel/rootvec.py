@@ -1,15 +1,20 @@
 """Level-one affine root vectors E_{delta - alpha_i} as operator words.
 
-Three sources, kept separate on purpose:
+Both constructed operators come from one path: the letters p_1 ... p_k
+that carry alpha_0 to delta - alpha_r one adjacent simple root at a time.
 
-* ``leading_E`` -- the leading word with its scalar, valid as the full
-  operator on the alpha_r-string span (every discarded tail word ends in
-  a letter other than e_0 and e_r, so tails kill that span);
-* ``full_E_typeA`` -- the complete free-word expression for family A,
-  built by the rank recursion on bracket substitutions (no general braid
-  automorphism is ever applied);
+* ``leading_E`` -- the leading word e_{p_k} ... e_{p_1} e_0 with its
+  scalar (-q^{-1})^k, valid as the full operator on the alpha_r-string
+  span (every other word of the bracket ends in a letter other than e_0
+  and e_r, so it kills that span);
+* ``bracket_E`` -- the complete operator, the left-normed q-bracket
+  [...[[e_0, e_{p_1}]_q, e_{p_2}]_q ...]_q (Beck's iterated brackets;
+  no braid automorphism is ever applied);
 * ``hardcoded_full_E`` -- transcribed small-rank expressions used as
   independent cross-checks.
+
+The catalog uses ``bracket_E`` in family A; family D keeps the leading
+word on its verified span.
 
 Operator comparisons are evaluation-based; see opalg.
 """
@@ -17,7 +22,6 @@ Operator comparisons are evaluation-based; see opalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coeffring import Coefficient, LaurentPoly
 from .latticemod import Element, get_module
@@ -29,65 +33,52 @@ from .rootdata import AffineType
 class CatalogEntry:
     leading: OperatorExpr
     full: OperatorExpr | None
-    provenance: str  # "leading-only" | "recursion" | "hardcoded" | "zero"
+    provenance: str  # "leading-only" | "bracket" | "hardcoded" | "zero"
 
 
-def _word(letters, qexp=0, sign=1):
-    coeff = Coefficient.from_laurent(LaurentPoly.q_power(qexp, sign))
-    return OperatorExpr.basis(tuple(letters), coeff)
+def check_node(t: AffineType, i: int):
+    """Reject a node outside 1..n with a ValueError."""
+    if not 1 <= i <= t.n:
+        raise ValueError(f"node {i} is outside 1..{t.n} for {t}")
+
+
+def _path(t: AffineType):
+    """The letters p_1 ... p_k of the path from alpha_0 to delta - alpha_r:
+    alpha_{p_j} pairs to -1 with the running sum alpha_0 + alpha_{p_1}
+    + ... + alpha_{p_{j-1}}, and the whole sum is delta - alpha_r."""
+    n, r = t.n, t.r
+    if t.family == "A":
+        return tuple(range(1, r)) + tuple(range(n, r, -1))
+    middle = tuple(range(2, n - 1))
+    if r == 1:
+        return middle + (n,) + tuple(range(n - 1, 1, -1))
+    # r = n takes the fork through n - 1, and r = n - 1 through n
+    return middle + (2 * n - 1 - r,) + tuple(range(1, n - 1))
 
 
 def leading_E(t: AffineType, i: int) -> OperatorExpr:
-    """The leading word of E_{delta - alpha_i} with its scalar.
+    """The leading word of E_{delta - alpha_i} with its scalar: the path
+    read backwards, then e_0, with scalar (-q^{-1})^k.
 
     For i != r the operator annihilates the verified domain, so the zero
     operator is returned (valid there and nowhere else).
     """
-    n, r = t.n, t.r
-    if i != r:
+    check_node(t, i)
+    if i != t.r:
         return OperatorExpr.zero()
-    if t.family == "A":
-        letters = list(range(r + 1, n + 1)) + list(range(r - 1, 0, -1)) + [0]
-        return _word(letters, qexp=-(n - 1), sign=(-1) ** (n - 1))
-    if r == 1:
-        letters = list(range(2, n)) + [n] + list(range(n - 2, 1, -1)) + [0]
-    else:
-        second = [n - 1] if r == n else [n]
-        letters = (list(range(n - 2, 0, -1)) + second
-                   + list(range(n - 2, 1, -1)) + [0])
-    return _word(letters, qexp=-2 * n + 4)
+    path = _path(t)
+    coeff = Coefficient.from_laurent(
+        LaurentPoly.q_power(-len(path), (-1) ** len(path)))
+    return OperatorExpr.basis(path[::-1] + (0,), coeff)
 
 
-@lru_cache(maxsize=None)
-def _x_expr(n: int, r: int) -> OperatorExpr:
-    """The pre-relabeling expression in letters 1..n (family A)."""
-    if r == 1:
-        u = OperatorExpr.e(n)
-        for k in range(n - 1, 0, -1):
-            u = q_bracket(u, OperatorExpr.e(k))
-        return u
-    if r == n:
-        u = OperatorExpr.e(1)
-        for k in range(2, n + 1):
-            u = q_bracket(u, OperatorExpr.e(k))
-        return u
-    table = {}
-    for k in range(1, n):
-        if k < n - r:
-            table[k] = OperatorExpr.e(k)
-        elif k == n - r:
-            table[k] = q_bracket(OperatorExpr.e(n + 1 - r), OperatorExpr.e(n - r))
-        else:
-            table[k] = OperatorExpr.e(k + 1)
-    return _x_expr(n - 1, r).substitute(table)
-
-
-@lru_cache(maxsize=None)
-def full_E_typeA(n: int, r: int) -> OperatorExpr:
-    """The complete expression of E_{delta - alpha_r} for family A."""
-    if not 1 <= r <= n:
-        raise ValueError("need 1 <= r <= n")
-    return _x_expr(n, r).relabel(lambda i: (i + r) % (n + 1))
+def bracket_E(t: AffineType) -> OperatorExpr:
+    """The complete E_{delta - alpha_r} as the left-normed q-bracket
+    [...[[e_0, e_{p_1}]_q, e_{p_2}]_q ...]_q along the path."""
+    u = OperatorExpr.e(0)
+    for p in _path(t):
+        u = q_bracket(u, OperatorExpr.e(p))
+    return u
 
 
 class Unsupported(ValueError):
@@ -123,10 +114,11 @@ def hardcoded_full_E(t: AffineType) -> CatalogEntry:
 
 
 def catalog_entry(t: AffineType, i: int) -> CatalogEntry:
+    check_node(t, i)
     if i != t.r:
         return CatalogEntry(OperatorExpr.zero(), None, "zero")
     if t.family == "A":
-        return CatalogEntry(leading_E(t, i), full_E_typeA(t.n, t.r), "recursion")
+        return CatalogEntry(leading_E(t, i), bracket_E(t), "bracket")
     return CatalogEntry(leading_E(t, i), None, "leading-only")
 
 

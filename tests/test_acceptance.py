@@ -33,8 +33,8 @@ from qborel.opalg import (central_element_expr, evaluate, k_commutation_expr,
 from qborel.rootdata import (AffineType, braid_equivalent, convex_order,
                              positive_roots_wr, reading_words, reduced_word_wr,
                              simple_root, theta)
-from qborel.rootvec import (alpha_r_string, catalog_entry, string_span_values,
-                            full_E_typeA, hardcoded_full_E,
+from qborel.rootvec import (alpha_r_string, bracket_E, catalog_entry,
+                            hardcoded_full_E, string_span_values,
                             verified_domain_check)
 
 
@@ -126,7 +126,7 @@ def test_criterion3_D4_exact():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_criterion4_full_E_A3_vs_transcript(r):
     t = AffineType("A", 3, r)
-    full = full_E_typeA(3, r)
+    full = bracket_E(t)
     hard = hardcoded_full_E(t).full
     mod = get_module(t)
     for c in mod.enumerate_data(height=6):

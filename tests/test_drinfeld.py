@@ -71,3 +71,12 @@ def test_E_level_requires_positive_k():
     eng = CurrentEngine(AffineType("A", 2, 1))
     with pytest.raises(ValueError):
         eng.E(1, 0, Element.basis(get_module(AffineType("A", 2, 1)).vacuum))
+
+
+def test_E_rejects_node_outside_range():
+    t = AffineType("A", 3, 2)
+    eng = CurrentEngine(t)
+    vac = Element.basis(get_module(t).vacuum)
+    for i in (0, 4, 9):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            eng.E(i, 1, vac)

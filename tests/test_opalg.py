@@ -24,15 +24,6 @@ def test_expr_algebra():
     assert (x - x).is_zero()
     assert q_bracket(OperatorExpr.e(1), OperatorExpr.e(2)).support() \
         == {(1, 2), (2, 1)}
-    z = x.relabel(lambda i: i + 1)
-    assert z.support() == {(2, 3)}
-
-
-def test_substitute_expands_words():
-    x = OperatorExpr.basis((1, 2))
-    table = {1: OperatorExpr.e(3), 2: q_bracket(OperatorExpr.e(4), OperatorExpr.e(5))}
-    out = x.substitute(table)
-    assert out.support() == {(3, 4, 5), (3, 5, 4)}
 
 
 def test_evaluation_right_to_left():

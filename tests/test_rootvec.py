@@ -4,9 +4,9 @@ from qborel.coeffring import Coefficient, LaurentPoly
 from qborel.latticemod import Element
 from qborel.opalg import evaluate
 from qborel.rootdata import AffineType
-from qborel.rootvec import (Unsupported, alpha_r_string, catalog_entry,
-                            string_span_values, full_E_typeA, hardcoded_full_E,
-                            leading_E, string_coefficient,
+from qborel.rootvec import (Unsupported, alpha_r_string, bracket_E,
+                            catalog_entry, hardcoded_full_E, leading_E,
+                            string_coefficient, string_span_values,
                             verified_domain_check)
 
 
@@ -15,7 +15,7 @@ def test_full_E_word_structure_family_A():
     # ends in e_r, and exactly one word ends in e_0
     for n in range(2, 7):
         for r in range(1, n + 1):
-            x = full_E_typeA(n, r)
+            x = bracket_E(AffineType("A", n, r))
             enders = []
             for w in x.support():
                 assert sorted(w) == sorted(set(range(n + 1)) - {r})
@@ -25,17 +25,16 @@ def test_full_E_word_structure_family_A():
 
 
 def test_full_E_leading_term():
-    # the unique 0-terminated word of the full expression carries the
-    # leading scalar and equals the leading word up to commuting swaps
-    from qborel.rootdata import braid_equivalent
+    # the unique 0-terminated word of the bracket is the leading word,
+    # letter for letter, with the leading scalar
     for n in range(2, 7):
         for r in range(1, n + 1):
             t = AffineType("A", n, r)
             lead = leading_E(t, r)
             (lw, lc), = lead.terms.items()
-            x = full_E_typeA(n, r)
+            x = bracket_E(t)
             (w0,) = [w for w in x.support() if w[-1] == 0]
-            assert braid_equivalent(t, w0, lw)
+            assert w0 == lw
             assert x.terms[w0] == lc
 
 
@@ -44,7 +43,7 @@ def test_full_vs_hardcoded_A3():
     from qborel.latticemod import get_module
     for r in (1, 2, 3):
         t = AffineType("A", 3, r)
-        full = full_E_typeA(3, r)
+        full = bracket_E(t)
         hard = hardcoded_full_E(t).full
         mod = get_module(t)
         for c in mod.enumerate_data(height=5):
@@ -65,7 +64,65 @@ def test_catalog_zero_off_node():
     t = AffineType("A", 3, 2)
     assert catalog_entry(t, 1).provenance == "zero"
     assert catalog_entry(t, 1).leading.is_zero()
-    assert catalog_entry(t, 2).provenance == "recursion"
+    assert catalog_entry(t, 2).provenance == "bracket"
+
+
+def test_node_outside_range_is_rejected():
+    t = AffineType("A", 3, 2)
+    for i in (0, 4, 9):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            leading_E(t, i)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            catalog_entry(t, i)
+
+
+@pytest.mark.parametrize("t", [AffineType("D", n, r) for n in range(4, 8)
+                               for r in (1, n - 1, n)], ids=str)
+def test_bracket_matches_leading_on_string_D(t):
+    # family D: the bracket along the path is a complete operator whose
+    # image of the alpha_r-string span is the leading word's
+    x = bracket_E(t)
+    lead = leading_E(t, t.r)
+    for m in range(3):
+        v = alpha_r_string(t, m)
+        assert evaluate(x, t, v) == evaluate(lead, t, v)
+
+
+@pytest.mark.parametrize("t", [AffineType("A", 4, 2), AffineType("A", 5, 3),
+                               AffineType("A", 6, 3)], ids=str)
+def test_complete_operator_golden_values(t):
+    # middle nodes with n > 3, where the bracket's free words differ from
+    # those of the rank recursion it replaced; the first datum is on the
+    # alpha_r-string, the other two are off it, of height >= 4
+    x = catalog_entry(t, t.r).full
+    for c, want in FULL_E_GOLDEN[str(t)].items():
+        got = evaluate(x, t, Element.basis(c))
+        assert {d: str(coeff) for d, coeff in got.terms.items()} == want, c
+
+
+# evaluate(E_{delta - alpha_r}, t, basis(c)) as {datum: coefficient text},
+# captured from the rank-recursion construction the bracket replaced
+FULL_E_GOLDEN = {
+    "A4r2": {
+        (2, 0, 0, 0, 0, 0): {(3, 0, 0, 0, 0, 0): "-q^-1*a"},
+        (2, 1, 0, 0, 1, 0): {(2, 2, 0, 1, 0, 0): "-a + q^2*a",
+                             (3, 1, 0, 0, 1, 0): "-q^-1*a"},
+        (4, 0, 0, 0, 1, 0): {(4, 1, 0, 1, 0, 0): "-q^4*a + q^6*a",
+                             (5, 0, 0, 0, 1, 0): "-q^1*a"}},
+    "A5r3": {
+        (2, 0, 0, 0, 0, 0, 0, 0, 0): {(3, 0, 0, 0, 0, 0, 0, 0, 0): "q^-2*a"},
+        (3, 0, 0, 0, 1, 0, 0, 0, 0): {(3, 1, 0, 1, 0, 0, 0, 0, 0): "q^1*a - q^3*a",
+                                      (4, 0, 0, 0, 1, 0, 0, 0, 0): "q^-1*a"},
+        (4, 1, 0, 0, 0, 0, 0, 0, 0): {(5, 1, 0, 0, 0, 0, 0, 0, 0): "a"}},
+    "A6r3": {
+        (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0):
+            {(3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0): "-q^-3*a"},
+        (3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0):
+            {(3, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0): "-a + q^2*a",
+             (4, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0): "-q^-2*a"},
+        (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0):
+            {(5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0): "-q^-1*a"}},
+}
 
 
 def test_string_span_values_on_string():
