@@ -37,10 +37,17 @@ def _emit(args, lines, passed):
 
 def cmd_relations(args) -> int:
     t = AffineType(args.family, args.n, args.r)
-    height = args.height if args.height is not None else 6
+    # both caps apply when both are given; the default height only when
+    # neither is
+    height = args.height
+    if height is None and args.bound is None:
+        height = 6
     lines = []
     if args.fmt == "text":
-        lines.append(f"defining-relation sweep on {t}, height <= {height}")
+        caps = [f"height <= {height}"] if height is not None else []
+        if args.bound is not None:
+            caps.append(f"box {','.join(map(str, args.bound))}")
+        lines.append(f"defining-relation sweep on {t}, {', '.join(caps)}")
     checks = []
     for i in range(t.n + 1):
         for j in range(t.n + 1):
@@ -51,7 +58,7 @@ def cmd_relations(args) -> int:
                 checks.append((f"k{i}-k{j}-comm", k_commutation_expr(i, j)))
     checks.append(("central-element", central_element_expr(t)))
     reports = [check_identity_on_basis(
-        x, t, bound=args.bound, height=None if args.bound else height,
+        x, t, bound=args.bound, height=height,
         extra_random=10, seed=args.seed, name=f"relations-{t}-{name}")
         for name, x in checks]
     lines += [rep.line() for rep in reports]

@@ -7,9 +7,13 @@ Two structures:
 * ``Combination`` -- finite linear combinations of hashable labels with
   nonzero coefficients in a ring.  ``Coefficient``, a polynomial in the
   formal parameter ``a``, is the combination of its a-degrees over
-  ``LaurentPoly``; module elements on Lusztig data, operator words and
-  vectors on the alpha_r-string are combinations over ``Coefficient``.
-  One core thus serves both levels of the coefficient tower.
+  ``LaurentPoly``, and operator words are combinations over
+  ``Coefficient``.  ``GradedCombination`` is a combination over
+  ``LaurentPoly`` that carries one a-degree for all its terms: module
+  elements on Lusztig data and vectors on the alpha_r-string are of
+  this kind, since every generator acts a-homogeneously, so their
+  arithmetic never builds a ``Coefficient``.  One core thus serves
+  every level of the coefficient tower.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -266,6 +270,12 @@ class LaurentPoly:
 
     __pow__ = _power
 
+    def shift(self, e):
+        """self * q^e; only the lowest exponent moves."""
+        if not self.n:
+            return self
+        return _make(self.n, self.lo + e, self.b, self.m)
+
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.from_int(other)
@@ -368,11 +378,11 @@ class Combination:
     ring.
 
     ``terms`` maps each label to its nonzero coefficient, an element of
-    the class attribute ``ring``: ``Coefficient`` for module elements,
-    operator words and string vectors, ``LaurentPoly`` for
-    ``Coefficient`` itself, whose labels are a-degrees.  A subclass names
-    its labels: ``_label`` prints one, and ``_sort_key`` orders them in
-    the text form.
+    the class attribute ``ring``: ``Coefficient`` for operator words,
+    ``LaurentPoly`` for ``Coefficient`` itself, whose labels are
+    a-degrees, and for the ``GradedCombination`` of module elements and
+    string vectors.  A subclass names its labels: ``_label`` prints one,
+    and ``_sort_key`` orders them in the text form.
     """
 
     __slots__ = ("terms",)
@@ -388,6 +398,10 @@ class Combination:
         c = _new(cls)
         c.terms = terms
         return c
+
+    def _like(self, terms):
+        """A combination of self's kind on a map of nonzero values."""
+        return self._of(terms)
 
     @classmethod
     def zero(cls):
@@ -419,7 +433,7 @@ class Combination:
                     terms[k] = s
                 else:
                     del terms[k]
-        return self._of(terms)
+        return self._like(terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -428,7 +442,7 @@ class Combination:
     # nonzero scalar need no zero filter
 
     def __neg__(self):
-        return self._of({k: -v for k, v in self.terms.items()})
+        return self._like({k: -v for k, v in self.terms.items()})
 
     def scale(self, coeff):
         ring = self.ring
@@ -440,11 +454,12 @@ class Combination:
 
     def exact_divide(self, den: LaurentPoly):
         """Divide every coefficient by den; NotDivisible on a remainder."""
-        return self._of({k: v.exact_divide(den) for k, v in self.terms.items()})
+        return self._like({k: v.exact_divide(den)
+                           for k, v in self.terms.items()})
 
     def bar(self):
         """The bar involution q -> q^{-1} on every coefficient."""
-        return self._of({k: v.bar() for k, v in self.terms.items()})
+        return self._like({k: v.bar() for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -466,7 +481,7 @@ class Combination:
         terms = self.terms
         if not terms:
             return "0"
-        return " + ".join(f"({terms[k]}) * {self._label(k)}"
+        return " + ".join(f"({self.coefficient(k)}) * {self._label(k)}"
                           for k in sorted(terms, key=self._sort_key))
 
     __repr__ = __str__
@@ -584,8 +599,93 @@ class Coefficient(Combination):
     __repr__ = __str__
 
 
-# a plain Combination, and every subclass but Coefficient, is over Coefficient
+# a plain Combination, and OperatorExpr, is over Coefficient
 Combination.ring = Coefficient
+
+
+def _homogeneous(coeff):
+    """(p, d) with coeff = a^d p, for an int, a LaurentPoly or a
+    Coefficient of at most one a-degree; ValueError on any other
+    Coefficient."""
+    if isinstance(coeff, LaurentPoly):
+        return coeff, 0
+    if isinstance(coeff, int):
+        return LaurentPoly.from_int(coeff), 0
+    if not isinstance(coeff, Coefficient):
+        raise TypeError(f"cannot scale by a {type(coeff).__name__}")
+    terms = coeff.terms
+    if len(terms) == 1:
+        (d, p), = terms.items()
+        return p, d
+    if not terms:
+        return LaurentPoly.zero(), 0
+    raise ValueError(f"{coeff} is not a power of a times a Laurent polynomial")
+
+
+class GradedCombination(Combination):
+    """A combination whose terms all carry one power of a: the value
+    a^deg * sum_k terms[k] k, with ``terms`` over LaurentPoly.
+
+    Module elements and string vectors are of this kind, because every
+    generator acts a-homogeneously: e_0 carries one factor of a, and
+    e_1..e_n and k_i none.  A zero value has no degree.  Adding two
+    nonzero values of different degrees raises ValueError: no
+    construction of the library makes such a sum, so one signals a
+    wrong operator upstream.  ``coefficient`` and the text form give
+    each term's full Coefficient a^deg * terms[k].
+    """
+
+    __slots__ = ("deg",)
+    ring = LaurentPoly
+
+    def __init__(self, terms=None, deg=0):
+        Combination.__init__(self, terms)
+        self.deg = deg
+
+    @classmethod
+    def _of(cls, terms, deg=0):
+        c = _new(cls)
+        c.terms = terms
+        c.deg = deg
+        return c
+
+    def _like(self, terms):
+        return self._of(terms, self.deg)
+
+    @classmethod
+    def basis(cls, key, coeff=None):
+        """coeff is an int, a LaurentPoly or a Coefficient of one a-degree."""
+        if coeff is None:
+            return cls._of({key: LaurentPoly.one()})
+        p, d = _homogeneous(coeff)
+        return cls._of({key: p} if p else {}, d)
+
+    @classmethod
+    def collect(cls, pairs, deg=0):
+        """The sum of the (label, LaurentPoly) pairs, times a^deg."""
+        return cls(_accumulate({}, pairs), deg)
+
+    def __add__(self, other):
+        if self.deg != other.deg and self.terms and other.terms:
+            raise ValueError(
+                f"sum of a-degrees {self.deg} and {other.deg}: {self} + {other}")
+        return Combination.__add__(self, other)
+
+    def scale(self, coeff, deg=0):
+        """self times a^deg coeff, for coeff as in ``basis``."""
+        p, d = _homogeneous(coeff)
+        if not p:
+            return self._of({})
+        return self._of({k: p * v for k, v in self.terms.items()},
+                        self.deg + d + deg)
+
+    def __eq__(self, other):
+        return (Combination.__eq__(self, other)
+                and (self.deg == other.deg or not self.terms))
+
+    def coefficient(self, key):
+        p = self.terms.get(key)
+        return Coefficient.zero() if p is None else Coefficient._of({self.deg: p})
 
 
 _MONO_RE = re.compile(

@@ -116,7 +116,7 @@ class CurrentEngine:
         check_node(self.t, i)
         out = Element.zero()
         for c, coeff in v.terms.items():
-            out = out + self._E_on_datum(i, k, c).scale(coeff)
+            out = out + self._E_on_datum(i, k, c).scale(coeff, v.deg)
         return out
 
     def _E_on_datum(self, i: int, k: int, c) -> Element:
@@ -165,7 +165,7 @@ def ell_weight_of_vacuum(t: AffineType, K: int = 6) -> EllWeight:
             if w.is_zero():
                 coeffs.append(Coefficient.zero())
             elif set(w.terms) == {vkey}:
-                coeffs.append(w.terms[vkey])
+                coeffs.append(w.coefficient(vkey))
             else:
                 raise NotEigenvector(
                     f"psi+_{i},{k} does not preserve the vacuum line", w)

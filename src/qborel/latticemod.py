@@ -19,19 +19,24 @@ combinatorial formulas:
 All exponents here are linear functionals of the datum, so each move is
 precomputed as (decremented index, incremented index or None, exponent
 vector) and evaluated by a dot product.
+
+Every generator acts a-homogeneously, so an ``Element`` is a
+``GradedCombination``: one a-degree, the number of e_0 letters applied,
+and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
+each move, and ``apply_e(0, .)`` raises the degree by one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffring import Coefficient, Combination, LaurentPoly, q_integer
+from .coeffring import GradedCombination, LaurentPoly, q_integer
 from .rootdata import (AffineType, pairing, positive_roots_wr, root_str,
                        simple_root, theta, to_simple_coords)
 
 
-class Element(Combination):
-    """A finite Coefficient-linear combination of basis data."""
+class Element(GradedCombination):
+    """A finite linear combination of basis data, a-homogeneous."""
 
     __slots__ = ()
 
@@ -119,7 +124,8 @@ class LatticeModule:
     # -- generator actions ----------------------------------------------
 
     def e_on_datum(self, i, c):
-        """e_i applied to a basis datum, as a tuple of (Coefficient, datum)."""
+        """e_i applied to a basis datum, as a tuple of (LaurentPoly, datum)
+        pairs; for i = 0 the factor a is left to ``apply_e``."""
         key = (i, c)
         hit = self._e_cache.get(key)
         if hit is not None:
@@ -129,7 +135,7 @@ class LatticeModule:
             e = sum(v * m for v, m in zip(self._e0_vec, c))
             d = list(c)
             d[self.theta_idx] += 1
-            out.append((Coefficient({1: LaurentPoly.q_power(e)}), tuple(d)))
+            out.append((LaurentPoly.q_power(e), tuple(d)))
         else:
             for dec, inc, vec in self._moves[i]:
                 m = c[dec]
@@ -140,9 +146,7 @@ class LatticeModule:
                 d[dec] -= 1
                 if inc is not None:
                     d[inc] += 1
-                coeff = Coefficient.from_laurent(
-                    LaurentPoly.q_power(e) * q_integer(m))
-                out.append((coeff, tuple(d)))
+                out.append((q_integer(m).shift(e), tuple(d)))
         out = tuple(out)
         self._e_cache[key] = out
         return out
@@ -155,18 +159,15 @@ class LatticeModule:
                 x = coef * mc
                 s = get(md)
                 terms[md] = x if s is None else s + x
-        return Element(terms)
+        return Element(terms, v.deg + (i == 0))
 
     def apply_k(self, i, exponent, v: Element) -> Element:
         if exponent not in (1, -1):
             raise ValueError("k exponent must be +-1")
         vec = self._k_vec[i]
-        terms = {}
-        for c, coef in v.terms.items():
-            e = exponent * sum(x * m for x, m in zip(vec, c))
-            terms[c] = coef * Coefficient.q_power(e)
-        # a unit times a nonzero coefficient is nonzero: nothing to filter
-        return Element._of(terms)
+        terms = {c: coef.shift(exponent * sum(x * m for x, m in zip(vec, c)))
+                 for c, coef in v.terms.items()}
+        return v._like(terms)
 
     # -- basis enumeration ------------------------------------------------
 

@@ -11,12 +11,17 @@ at rank one where everything closes unconditionally.
 
 Basis vectors are powers f^m of the node-r lowering generator, with
 e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
-only the alpha_r-pairing and is valid in every rank.
+only the alpha_r-pairing and is valid in every rank.  A string vector,
+like a module element, is a ``GradedCombination``: one a-degree and
+coefficients in ``LaurentPoly``.  The scalars that leave this module
+(``string_recurrence``, ``negative_ell_weight``) are full
+``Coefficient``s.
 """
 
 from __future__ import annotations
 
-from .coeffring import Coefficient, Combination, LaurentPoly, q_integer
+from .coeffring import (Coefficient, GradedCombination, LaurentPoly,
+                        q_integer)
 from .drinfeld import (QMQ, Q_INV2, DomainViolation, EllWeight,
                        NotEigenvector, c_r, raise_level)
 from .opalg import CheckReport
@@ -24,8 +29,8 @@ from .rootdata import AffineType, o_sign
 from .rootvec import string_span_values
 
 
-class StringElement(Combination):
-    """Finite Coefficient-linear combination of powers f^m."""
+class StringElement(GradedCombination):
+    """Finite linear combination of powers f^m, a-homogeneous."""
 
     __slots__ = ()
 
@@ -37,9 +42,8 @@ class StringElement(Combination):
 def _e_lower(v: StringElement) -> StringElement:
     """e_r on powers: f^m -> q^{-m+1} [m]_q f^{m-1}."""
     return StringElement.collect(
-        (m - 1, c * Coefficient.from_laurent(
-            LaurentPoly.q_power(-m + 1) * q_integer(m)))
-        for m, c in v.terms.items() if m)
+        ((m - 1, c * q_integer(m).shift(1 - m))
+         for m, c in v.terms.items() if m), v.deg)
 
 
 def rank_one_apply(op: str, model: str, v: StringElement) -> StringElement:
@@ -49,14 +53,13 @@ def rank_one_apply(op: str, model: str, v: StringElement) -> StringElement:
     if op == "e1":
         return _e_lower(v)
     if op == "e0":
-        a = Coefficient.a_power(1)
         return StringElement.collect(
-            (m + 1, c * (a * Coefficient.q_power(2 * m) if model == "pos" else a))
-            for m, c in v.terms.items())
+            ((m + 1, c.shift(2 * m) if model == "pos" else c)
+             for m, c in v.terms.items()), v.deg + 1)
     if op in ("k1", "k0"):
         sign = -1 if op == "k1" else 1
-        return StringElement({m: c * Coefficient.q_power(sign * 2 * m)
-                              for m, c in v.terms.items()})
+        return StringElement({m: c.shift(sign * 2 * m)
+                              for m, c in v.terms.items()}, v.deg)
     raise ValueError(f"unknown generator {op!r}")
 
 
@@ -185,12 +188,10 @@ class StringEngine:
     def E1(self, v: StringElement) -> StringElement:
         out = StringElement.zero()
         for m, c in v.terms.items():
-            if m == 0:
-                out = out + StringElement.basis(1, c * self.E1_0)
-            elif m == 1:
-                out = out + StringElement.basis(2, c * self.E1_1)
-            else:
+            if m > 1:
                 raise DomainViolation("E_(delta-alpha_r) needed on f^2")
+            scalar = self.E1_1 if m else self.E1_0
+            out = out + StringElement.basis(m + 1, scalar).scale(c, v.deg)
         return out
 
     def E(self, k: int, v: StringElement) -> StringElement:
@@ -199,7 +200,7 @@ class StringEngine:
         self._assert_closed(v)
         out = StringElement.zero()
         for m, c in v.terms.items():
-            out = out + self._E_power(k, m).scale(c)
+            out = out + self._E_power(k, m).scale(c, v.deg)
         return out
 
     def _E_power(self, k: int, m: int) -> StringElement:

@@ -63,7 +63,11 @@ def q_bracket(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
 
 
 def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
-    """Apply the expression to a module element, letters right-to-left."""
+    """Apply the expression to a module element, letters right-to-left.
+
+    Each word's value has the a-degree of v plus its number of e_0
+    letters and its coefficient's degree; words whose values differ in
+    degree make the sum raise ValueError."""
     mod = get_module(t)
     out = Element.zero()
     for w, c in x.terms.items():
@@ -131,14 +135,11 @@ def check_identity_on_basis(x: OperatorExpr, t: AffineType, bound,
                             extra_random: int = 0, seed: int = 0,
                             name: str = "identity",
                             height: int = None) -> CheckReport:
-    """Evaluate x on every basis vector in the bound (a simple-root box,
-    or a total height cap via `height`) plus extra seeded random data;
-    PASS iff every value is zero."""
+    """Evaluate x on every basis vector within the caps (a simple-root
+    box `bound`, a total height cap `height`, or both) plus extra seeded
+    random data; PASS iff every value is zero."""
     mod = get_module(t)
-    if height is not None:
-        data = mod.enumerate_data(height=height)
-    else:
-        data = mod.enumerate_data(box=bound)
+    data = mod.enumerate_data(height=height, box=bound)
     rng = random.Random(seed)
     data = list(data) + [random_datum(t, rng) for _ in range(extra_random)]
     for c in data:

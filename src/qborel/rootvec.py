@@ -146,7 +146,7 @@ def string_coefficient(t: AffineType, v: Element, m: int) -> Coefficient:
         return Coefficient.zero()
     if set(v.terms) != {tuple(c)}:
         raise ValueError("element is not a single string vector")
-    return coeff * Coefficient.q_power(m * (m - 1) // 2)
+    return Coefficient.from_laurent(coeff.shift(m * (m - 1) // 2), v.deg)
 
 
 def string_span_values(t: AffineType):

@@ -154,3 +154,21 @@ def test_exit_code_comes_from_reports(monkeypatch):
     code, out = run_cli(["character", "--family", "A", "--n", "2", "--r", "1"])
     assert out == "CHECK character-x PASS no FAIL here\n"
     assert code == 0
+
+
+def test_relations_with_height_and_bound_applies_both():
+    from qborel.latticemod import get_module
+    from qborel.rootdata import AffineType
+    code, out = run_cli(["relations", "--family", "A", "--n", "2", "--r", "1",
+                         "--height", "1", "--bound", "2,2", "--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "defining-relation sweep on A2r1, height <= 1, box 2,2"
+    mod = get_module(AffineType("A", 2, 1))
+    both = len(mod.enumerate_data(height=1, box=(2, 2)))
+    assert both < len(mod.enumerate_data(box=(2, 2)))
+    # every check covers the capped data plus its 10 random ones
+    assert all(l.endswith(f" PASS {both + 10} vectors") for l in lines[1:])
+    code, out = run_cli(["relations", "--family", "A", "--n", "2", "--r", "1",
+                         "--bound", "2,2", "--format", "text"])
+    assert out.splitlines()[0] == "defining-relation sweep on A2r1, box 2,2"

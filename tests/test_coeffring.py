@@ -232,3 +232,11 @@ def test_terms_is_read_only_and_power_needs_nonnegative_exponent():
         x ** -1
     with pytest.raises(ValueError):
         Coefficient.from_laurent(x) ** -1
+
+
+@given(big_terms, st.integers(-200, 200))
+def test_shift_is_multiplication_by_a_q_power(d, e):
+    p = lp(d)
+    assert p.shift(e) == p * LaurentPoly.q_power(e)
+    assert dict(p.shift(e).terms) == {k + e: c for k, c in d.items()}
+    assert p.shift(e).shift(-e) == p

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qborel.coeffring import Coefficient, Combination, LaurentPoly
+from qborel.coeffring import (Coefficient, Combination, GradedCombination,
+                              LaurentPoly)
 from qborel.latticemod import Element
 from qborel.microrec import StringElement
 from qborel.opalg import OperatorExpr
@@ -23,9 +24,11 @@ def coeffs():
         Coefficient)
 
 
-# labels and coefficients of each kind: words over Coefficient, and
-# Coefficient itself as the combination of its a-degrees over LaurentPoly
-KINDS = {Combination: (LABELS, coeffs()), Coefficient: ((0, 1, 2), laurents())}
+# labels and coefficients of each kind: words over Coefficient,
+# Coefficient itself as the combination of its a-degrees over LaurentPoly,
+# and the graded core at a-degree 0 over LaurentPoly
+KINDS = {Combination: (LABELS, coeffs()), Coefficient: ((0, 1, 2), laurents()),
+         GradedCombination: (LABELS, laurents())}
 
 
 def reference(ps, zero):
@@ -45,7 +48,7 @@ def no_stored_zero(c):
     return all(not v.is_zero() for v in c.terms.values())
 
 
-@pytest.mark.parametrize("cls", [Combination, Coefficient],
+@pytest.mark.parametrize("cls", [Combination, Coefficient, GradedCombination],
                          ids=lambda c: c.__name__)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -72,6 +75,43 @@ def test_combination_against_dict_reference(cls, data):
         assert x.coefficient(k) == rx.get(k, zero)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_graded_combination_carries_one_degree(data):
+    pairs = st.lists(st.tuples(st.sampled_from(LABELS), laurents()), max_size=6)
+    p1, p2, s = data.draw(pairs), data.draw(pairs), data.draw(laurents())
+    d, e = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    zero = LaurentPoly.zero()
+    x, y = GradedCombination.collect(p1, d), GradedCombination.collect(p2, d)
+    rx, ry = reference(p1, zero), reference(p2, zero)
+    assert x.terms == rx
+    for k in LABELS:
+        assert x.coefficient(k) == Coefficient.from_laurent(rx.get(k, zero), d)
+    if rx and ry:
+        assert (x + y).deg == d
+    # scaling by a^e s, given as a Coefficient of one a-degree
+    xs = x.scale(Coefficient.from_laurent(s, e))
+    assert xs.terms == reference(((k, s * v) for k, v in rx.items()), zero)
+    assert xs.is_zero() or xs.deg == d + e
+    assert xs == x.scale(s, e) == x.scale(s).scale(Coefficient.a_power(e))
+    assert GradedCombination.basis("x", Coefficient.from_laurent(s, e)) == (
+        GradedCombination.basis("x").scale(s, e))
+    if rx and ry and e:
+        with pytest.raises(ValueError):
+            x + y.scale(Coefficient.a_power(e))
+
+
+def test_graded_combination_rejects_non_homogeneous_coefficients():
+    two_degrees = Coefficient.one() + Coefficient.a_power(1)
+    x = GradedCombination.basis("x")
+    with pytest.raises(ValueError):
+        x.scale(two_degrees)
+    with pytest.raises(ValueError):
+        GradedCombination.basis("x", two_degrees)
+    assert x.scale(Coefficient.zero()).is_zero()
+    assert x.scale(3).coefficient("x") == Coefficient.from_int(3)
+
+
 @pytest.mark.parametrize("cls, key", [(Element, (0, 1)), (OperatorExpr, (1,)),
                                       (StringElement, 2), (Combination, "x"),
                                       (Coefficient, 1)])
@@ -87,11 +127,26 @@ def test_combinations_of_different_kinds_differ():
 
 
 def test_text_form_element():
-    x = (Element.basis((1, 0, 2), Coefficient.q_power(1))
-         + Element.basis((0, 3, 0), Coefficient.from_int(-2)
-                         * Coefficient.a_power(1)))
-    assert str(x) == "(-2*a) * [0,3,0] + (q^1) * [1,0,2]"
+    a = Coefficient.a_power(1)
+    x = (Element.basis((1, 0, 2), Coefficient.q_power(1) * a)
+         + Element.basis((0, 3, 0), Coefficient.from_int(-2) * a))
+    assert str(x) == "(-2*a) * [0,3,0] + (q^1*a) * [1,0,2]"
     assert repr(x) == str(x)
+    assert str(Element.basis((2,), Coefficient.q_power(-1))) == "(q^-1) * [2]"
+
+
+@pytest.mark.parametrize("cls, key", [(Element, (0, 3, 0)),
+                                      (StringElement, 2)])
+def test_mixed_degree_sum_raises(cls, key):
+    x = cls.basis(key, Coefficient.q_power(1))
+    y = cls.basis(key, Coefficient.from_int(-2) * Coefficient.a_power(1))
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        y - x
+    # a zero value has no degree
+    z = y - y
+    assert z.is_zero() and z + x == x and x + z == x and z == cls.zero()
 
 
 def test_text_form_operator_expr():
@@ -107,8 +162,8 @@ def test_text_form_operator_expr():
 def test_text_form_string_element():
     z = (StringElement.basis(2, Coefficient.q_power(2) * Coefficient.a_power(1))
          + StringElement.basis(0, Coefficient.from_laurent(
-             LaurentPoly({1: 1, -1: -1}))))
-    assert str(z) == "(-q^-1 + q^1) * f^0 + (q^2*a) * f^2"
+             LaurentPoly({1: 1, -1: -1}), 1)))
+    assert str(z) == "(-q^-1*a + q^1*a) * f^0 + (q^2*a) * f^2"
 
 
 @pytest.mark.parametrize("cls", [Element, OperatorExpr, StringElement])

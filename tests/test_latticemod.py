@@ -26,7 +26,23 @@ def test_e0_adds_theta():
         (c,) = out.terms
         assert c[mod.theta_idx] == 1 and sum(c) == 1
         # coefficient is a * q^0 on the vacuum
-        assert out.terms[c] == Coefficient.a_power(1)
+        assert out.coefficient(c) == Coefficient.a_power(1)
+
+
+def test_e0_powers_raise_the_a_degree():
+    # the a-degree of e_0^k on the vacuum is k; e_i and k_i keep it
+    for t in [AffineType("A", 3, 2), AffineType("D", 4, 4)]:
+        mod = get_module(t)
+        v = Element.basis(mod.vacuum)
+        for k in range(1, 5):
+            v = mod.apply_e(0, v)
+            assert not v.is_zero() and v.deg == k
+            assert all(c.a_terms.keys() == {k}
+                       for c in map(v.coefficient, v.terms))
+            assert mod.apply_k(0, 1, v).deg == k
+        raised = [mod.apply_e(i, v) for i in range(1, t.n + 1)]
+        assert any(not w.is_zero() for w in raised)
+        assert all(w.deg == 4 for w in raised if not w.is_zero())
 
 
 def test_er_on_alpha_r_string():
