@@ -344,16 +344,32 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def q_integer(m: int) -> LaurentPoly:
-    """[m]_q = q^{m-1} + q^{m-3} + ... + q^{-(m-1)}; [0]_q = 0."""
-    if m < 0:
-        raise ValueError("q_integer needs m >= 0")
+def _build_q_integer(m):
     if not m:
         return LaurentPoly.zero()
     b = _width_for(m)
     # the digits 1, 0, 1, 0, ..., 1: a geometric sum in X^2
     n = ((1 << (2 * b * m)) - 1) // ((1 << (2 * b)) - 1)
     return _make(n, 1 - m, b, m)
+
+
+# [m]_q for the small m that multiplicities take, each built on first use
+# so that importing costs nothing.  The size is fixed: a table grown to the
+# largest m seen would keep O(m^2) digits for the life of the process
+# after one huge multiplicity.
+_Q_INTEGERS = [None] * 64
+
+
+def q_integer(m: int) -> LaurentPoly:
+    """[m]_q = q^{m-1} + q^{m-3} + ... + q^{-(m-1)}; [0]_q = 0."""
+    if 0 <= m < len(_Q_INTEGERS):
+        p = _Q_INTEGERS[m]
+        if p is None:
+            p = _Q_INTEGERS[m] = _build_q_integer(m)
+        return p
+    if m < 0:
+        raise ValueError("q_integer needs m >= 0")
+    return _build_q_integer(m)
 
 
 def q_factorial(m: int) -> LaurentPoly:

@@ -16,14 +16,22 @@ combinatorial formulas:
 * ``k_i`` acts diagonally by q^{(alpha_i, wt(c))}, and k_0 by
   q^{-(theta, wt(c))}.
 
-All exponents here are linear functionals of the datum, so each move is
-precomputed as (decremented index, incremented index or None, exponent
-vector) and evaluated by a dot product.
+All exponents here are linear functionals of the datum.  A move is
+stored as its (decremented index, incremented index or None) pair only:
+``e_on_datum`` reads the exponent of each move of e_i as a running sum
+over the earlier moves of the same e_i, and the exponents of e_0 and of
+each k_i from precomputed sparse (position, pairing) pairs.
 
 Every generator acts a-homogeneously, so an ``Element`` is a
 ``GradedCombination``: one a-degree, the number of e_0 letters applied,
 and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
-each move, and ``apply_e(0, .)`` raises the degree by one.
+each move, and ``apply_e(0, .)`` raises the degree by one.  The
+generators act on plain term maps {datum: LaurentPoly} (``_e_step``,
+``_k_step``); ``apply_e`` and ``apply_k`` wrap them for elements, and
+``opalg.evaluate`` runs whole words on the maps.
+
+A letter is an int i for e_i or a triple ("k", i, s) for k_i^s; the
+letters of a type are e_0..e_n and k_0..k_n to the power +-1.
 """
 
 from __future__ import annotations
@@ -65,19 +73,23 @@ class LatticeModule:
         self.alpha_r_idx = self.idx[simple_root(t, t.r)]
         self.vacuum = (0,) * self.nroots
         self._moves = self._build_moves()
-        self._e0_vec = tuple(
+        self._e0_pairs = _sparse(
             pairing(self.theta, b) - (1 if p == self.theta_idx else 0)
             for p, b in enumerate(self.roots))
-        self._k_vec = {0: tuple(pairing(self.theta, b) for b in self.roots)}
+        self._k_pairs = {0: _sparse(pairing(self.theta, b) for b in self.roots)}
         for i in range(1, t.n + 1):
             ai = simple_root(t, i)
-            self._k_vec[i] = tuple(-pairing(ai, b) for b in self.roots)
+            self._k_pairs[i] = _sparse(-pairing(ai, b) for b in self.roots)
+        self.letters = frozenset(
+            [*range(t.n + 1)]
+            + [("k", i, s) for i in range(t.n + 1) for s in (1, -1)])
         self._e_cache = {}
 
     # -- move construction --------------------------------------------
 
     def _build_moves(self):
-        """The moves of each e_i, read off the convex order of the roots.
+        """The moves of each e_i, read off the convex order of the roots,
+        as (source, target or None) pairs in that order.
 
         e_i acts on the dual PBW product as a q-derivation: it turns one
         unit at beta into one at beta - alpha_i, or deletes it when
@@ -86,23 +98,20 @@ class LatticeModule:
         convex order, and the q-exponent of a move is the accumulated
         (c_target - c_source) over all earlier moves of the same e_i:
         the pass-through cost of the derivation reaching that factor of
-        the dual PBW product."""
+        the dual PBW product.  ``e_on_datum`` takes that sum as it goes."""
         where = {s: p for p, s in enumerate(self.simple)}
         moves = {}
         for i in range(1, self.t.n + 1):
             mv = []
-            vec = [0] * self.nroots
             for src, s in enumerate(self.simple):
                 if not s[i - 1]:
                     continue
                 if self.height[src] == 1:
-                    mv.append((src, None, tuple(vec)))
+                    mv.append((src, None))
                     continue
                 tgt = where.get(s[:i - 1] + (s[i - 1] - 1,) + s[i:])
                 if tgt is not None:
-                    mv.append((src, tgt, tuple(vec)))
-                    vec[tgt] += 1
-                    vec[src] -= 1
+                    mv.append((src, tgt))
             moves[i] = tuple(mv)
         return moves
 
@@ -125,49 +134,69 @@ class LatticeModule:
 
     def e_on_datum(self, i, c):
         """e_i applied to a basis datum, as a tuple of (LaurentPoly, datum)
-        pairs; for i = 0 the factor a is left to ``apply_e``."""
+        pairs; for i = 0 the factor a is left to the caller."""
         key = (i, c)
         hit = self._e_cache.get(key)
         if hit is not None:
             return hit
         out = []
         if i == 0:
-            e = sum(v * m for v, m in zip(self._e0_vec, c))
             d = list(c)
             d[self.theta_idx] += 1
+            e = sum([x * c[p] for p, x in self._e0_pairs])
             out.append((LaurentPoly.q_power(e), tuple(d)))
         else:
-            for dec, inc, vec in self._moves[i]:
-                m = c[dec]
-                if m == 0:
-                    continue
-                e = sum(v * mm for v, mm in zip(vec, c))
-                d = list(c)
-                d[dec] -= 1
-                if inc is not None:
-                    d[inc] += 1
-                out.append((q_integer(m).shift(e), tuple(d)))
+            # e is the running sum of c[tgt] - c[src] over the earlier
+            # moves, always over the input datum c
+            e = 0
+            for src, tgt in self._moves[i]:
+                m = c[src]
+                if m:
+                    d = list(c)
+                    d[src] -= 1
+                    if tgt is not None:
+                        d[tgt] += 1
+                    out.append((q_integer(m).shift(e), tuple(d)))
+                if tgt is not None:
+                    e += c[tgt] - m
         out = tuple(out)
         self._e_cache[key] = out
         return out
 
-    def apply_e(self, i, v: Element) -> Element:
-        terms = {}
-        get = terms.get
-        for c, coef in v.terms.items():
-            for mc, md in self.e_on_datum(i, c):
+    def _e_step(self, i, terms):
+        """e_i on a term map {datum: LaurentPoly}, as a new map without
+        zeros; the factor a of e_0 is left to the caller."""
+        out = {}
+        get = out.get
+        e_on_datum = self.e_on_datum
+        for c, coef in terms.items():
+            for mc, md in e_on_datum(i, c):
                 x = coef * mc
                 s = get(md)
-                terms[md] = x if s is None else s + x
-        return Element(terms, v.deg + (i == 0))
+                out[md] = x if s is None else s + x
+        return {d: p for d, p in out.items() if p}
+
+    def _k_step(self, i, s, terms):
+        """k_i^s, s = +-1, on a term map {datum: LaurentPoly}."""
+        pairs = self._k_pairs[i]
+        return {c: coef.shift(s * sum([x * c[p] for p, x in pairs]))
+                for c, coef in terms.items()}
+
+    def check_letters(self, letters):
+        """ValueError unless every letter is one of this type's."""
+        if not self.letters.issuperset(letters):
+            bad = next(x for x in letters if x not in self.letters)
+            raise ValueError(
+                f"{letter_str(bad)} is not a letter of {self.t}: the letters "
+                f"are e_0..e_{self.t.n} and k_0..k_{self.t.n} to the power +-1")
+
+    def apply_e(self, i, v: Element) -> Element:
+        self.check_letters((i,))
+        return Element._of(self._e_step(i, v.terms), v.deg + (i == 0))
 
     def apply_k(self, i, exponent, v: Element) -> Element:
-        if exponent not in (1, -1):
-            raise ValueError("k exponent must be +-1")
-        vec = self._k_vec[i]
-        terms = {c: coef.shift(exponent * sum(x * m for x, m in zip(vec, c)))
-                 for c, coef in v.terms.items()}
-        return v._like(terms)
+        self.check_letters((("k", i, exponent),))
+        return v._like(self._k_step(i, exponent, v.terms))
 
     # -- basis enumeration ------------------------------------------------
 
@@ -226,6 +255,18 @@ class LatticeModule:
     def datum_str(self, c):
         parts = [f"{root_str(self.roots[p])}:{m}" for p, m in enumerate(c) if m]
         return "{" + ", ".join(parts) + "}"
+
+
+def _sparse(values):
+    """The (position, value) pairs of the nonzero values."""
+    return tuple((p, x) for p, x in enumerate(values) if x)
+
+
+def letter_str(x):
+    """The text form of a letter: e2, k1, k1^-1."""
+    if isinstance(x, tuple) and len(x) == 3:
+        return f"k{x[1]}" + ("" if x[2] == 1 else f"^{x[2]}")
+    return f"e{x}"
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coeffring import Coefficient, Combination, q_binomial
-from .latticemod import Element, get_module, random_datum
+from .coeffring import Coefficient, Combination, _homogeneous, q_binomial
+from .latticemod import Element, get_module, letter_str, random_datum
 from .rootdata import AffineType, cartan_matrix
 
 # letters: an int i means e_i; ("k", i, s) means k_i^s with s = +-1.
@@ -21,9 +21,16 @@ from .rootdata import AffineType, cartan_matrix
 
 class OperatorExpr(Combination):
     """A combination of words; ``==`` compares free words only, and
-    operator equality goes via evaluation."""
+    operator equality goes via evaluation.
 
-    __slots__ = ()
+    Nothing mutates ``terms`` after construction: every constructor and
+    operation returns a fresh expression.  So ``evaluate`` compiles an
+    expression once, on first use, into a program kept in ``_program``:
+    for each word its letters in application order, its coefficient's
+    Laurent part and a-degree, and the distinct letters of all words.
+    The program does not depend on the type it is evaluated on."""
+
+    __slots__ = ("_program",)
 
     @staticmethod
     def identity():
@@ -43,14 +50,24 @@ class OperatorExpr(Combination):
                                     for w1, c1 in self.terms.items()
                                     for w2, c2 in other.terms.items())
 
+    def _compiled(self):
+        """(words, letters): each word as (letters in application order,
+        Laurent part of its coefficient, a-degree of the coefficient plus
+        the word's number of e_0 letters), and the set of all letters."""
+        try:
+            return self._program
+        except AttributeError:
+            words = []
+            for w, c in self.terms.items():
+                p, d = _homogeneous(c)
+                words.append((w[::-1], p, d + w.count(0)))
+            letters = frozenset(x for w in self.terms for x in w)
+            self._program = (tuple(words), letters)
+            return self._program
+
     @staticmethod
     def _label(w):
-        def lstr(x):
-            if isinstance(x, tuple):
-                return f"k{x[1]}" + ("" if x[2] == 1 else "^-1")
-            return f"e{x}"
-
-        return '.'.join(map(lstr, w)) or '1'
+        return '.'.join(map(letter_str, w)) or '1'
 
     @staticmethod
     def _sort_key(w):
@@ -65,22 +82,49 @@ def q_bracket(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
 def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
     """Apply the expression to a module element, letters right-to-left.
 
-    Each word's value has the a-degree of v plus its number of e_0
-    letters and its coefficient's degree; words whose values differ in
-    degree make the sum raise ValueError."""
+    Every letter must be one of t's (ValueError otherwise), checked
+    before any word runs.  Each word runs on a plain term map
+    {datum: LaurentPoly}, stopping once the map is empty, and its value
+    times the word's coefficient is added into one map; the result is
+    built as an ``Element`` at the end.  A word's value has the a-degree
+    of v plus its number of e_0 letters and its coefficient's degree;
+    two nonzero word values of different degrees raise ValueError."""
+    words, letters = x._compiled()
     mod = get_module(t)
-    out = Element.zero()
-    for w, c in x.terms.items():
-        u = v
-        for letter in reversed(w):
-            if u.is_zero():
+    mod.check_letters(letters)
+    e_step, k_step = mod._e_step, mod._k_step
+    out = {}
+    get = out.get
+    deg = None
+    for w, p, d in words:
+        u = v.terms
+        for letter in w:
+            if not u:
                 break
-            if isinstance(letter, tuple):
-                u = mod.apply_k(letter[1], letter[2], u)
+            if letter.__class__ is tuple:
+                u = k_step(letter[1], letter[2], u)
             else:
-                u = mod.apply_e(letter, u)
-        out = out + u.scale(c)
-    return out
+                u = e_step(letter, u)
+        if not u:
+            continue
+        d += v.deg
+        if not out:
+            deg = d
+        elif d != deg:
+            raise ValueError(f"sum of words of a-degrees {deg} and {d} "
+                             f"in {x} on {v}")
+        for c, val in u.items():
+            val = p * val
+            s = get(c)
+            if s is None:
+                out[c] = val
+            else:
+                s = s + val
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+    return Element._of(out, deg or 0)
 
 
 def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:

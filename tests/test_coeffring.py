@@ -34,6 +34,13 @@ def test_q_integer_eval_at_one():
         assert q_integer(m).eval_at_one() == m
 
 
+@pytest.mark.parametrize("m", [5, 62, 63, 64, 65, 300])
+def test_q_integer_inside_and_beyond_the_table(m):
+    # the small q-integers come from a fixed table, larger ones are built
+    assert q_integer(m) == lp({k: 1 for k in range(1 - m, m, 2)})
+    assert q_integer(m) * q_integer(2) == q_integer(m + 1) + q_integer(m - 1)
+
+
 def test_q_binomial_example():
     # [4 choose 2]_q
     assert q_binomial(4, 2) == lp({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
