@@ -353,23 +353,31 @@ def _build_q_integer(m):
     return _make(n, 1 - m, b, m)
 
 
-# [m]_q for the small m that multiplicities take, each built on first use
-# so that importing costs nothing.  The size is fixed: a table grown to the
-# largest m seen would keep O(m^2) digits for the life of the process
-# after one huge multiplicity.
-_Q_INTEGERS = [None] * 64
+# q^e [m]_q for the small m that multiplicities take and the small shifts
+# that move exponents take, 0 <= m < 64 and -64 <= e < 64, at position
+# 128 m + e + 64; each is built on first use so that importing costs
+# nothing.  The size is fixed: a table grown to the largest m seen would
+# keep O(m^2) digits for the life of the process after one huge
+# multiplicity.
+_Q_INTEGERS = [None] * (64 * 128)
 
 
-def q_integer(m: int) -> LaurentPoly:
-    """[m]_q = q^{m-1} + q^{m-3} + ... + q^{-(m-1)}; [0]_q = 0."""
-    if 0 <= m < len(_Q_INTEGERS):
-        p = _Q_INTEGERS[m]
+def q_integer(m: int, e: int = 0) -> LaurentPoly:
+    """q^e [m]_q, where [m]_q = q^{m-1} + q^{m-3} + ... + q^{-(m-1)} and
+    [0]_q = 0.
+
+    Values with 0 <= m < 64 and -64 <= e < 64 come from one fixed-size
+    table, so equal values are one shared object; the rest are built
+    on each call and never stored."""
+    if 0 <= m < 64 and -64 <= e < 64:
+        k = (m << 7) + e + 64
+        p = _Q_INTEGERS[k]
         if p is None:
-            p = _Q_INTEGERS[m] = _build_q_integer(m)
+            p = _Q_INTEGERS[k] = _build_q_integer(m).shift(e)
         return p
     if m < 0:
         raise ValueError("q_integer needs m >= 0")
-    return _build_q_integer(m)
+    return _build_q_integer(m).shift(e)
 
 
 def q_factorial(m: int) -> LaurentPoly:

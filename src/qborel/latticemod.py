@@ -22,6 +22,15 @@ stored as its (decremented index, incremented index or None) pair only:
 over the earlier moves of the same e_i, and the exponents of e_0 and of
 each k_i from precomputed sparse (position, pairing) pairs.
 
+``e_on_datum`` caches its result for every datum it meets, in one dict
+per node keyed by the datum itself.  Each distinct value is stored once:
+the data of the cache, keys and move targets alike, pass through one
+intern table of the module, so equal data reached along different paths
+share one tuple, and each move coefficient q^e [m]_q comes from the
+shared table of ``coeffring.q_integer``.  The cache and the intern table
+live exactly as long as the module, which ``get_module`` keeps for the
+life of the process.
+
 Every generator acts a-homogeneously, so an ``Element`` is a
 ``GradedCombination``: one a-degree, the number of e_0 letters applied,
 and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
@@ -38,7 +47,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffring import GradedCombination, LaurentPoly, q_integer
+from .coeffring import GradedCombination, q_integer
 from .rootdata import (AffineType, pairing, positive_roots_wr, root_str,
                        simple_root, theta, to_simple_coords)
 
@@ -83,7 +92,10 @@ class LatticeModule:
         self.letters = frozenset(
             [*range(t.n + 1)]
             + [("k", i, s) for i in range(t.n + 1) for s in (1, -1)])
-        self._e_cache = {}
+        # e_on_datum's cache, {node: {datum: moves}}, and the intern
+        # table {datum: datum} of every datum it holds
+        self._e_cache = {i: {} for i in range(t.n + 1)}
+        self._interned = {}
 
     # -- move construction --------------------------------------------
 
@@ -134,17 +146,30 @@ class LatticeModule:
 
     def e_on_datum(self, i, c):
         """e_i applied to a basis datum, as a tuple of (LaurentPoly, datum)
-        pairs; for i = 0 the factor a is left to the caller."""
-        key = (i, c)
-        hit = self._e_cache.get(key)
+        pairs; for i = 0 the factor a is left to the caller.
+
+        The result is cached in node i's dict under the datum.  On a miss
+        the datum is checked (``check_data``), and it and every datum the
+        moves produce are interned, so the cache holds one tuple per
+        distinct datum; the coefficients come from ``q_integer``'s table
+        when m < 64 and -64 <= e < 64."""
+        try:
+            cache = self._e_cache[i]
+        except KeyError:
+            raise ValueError(f"e{i} is not a letter of {self.t}: the e "
+                             f"letters are e_0..e_{self.t.n}") from None
+        hit = cache.get(c)
         if hit is not None:
             return hit
+        self.check_data((c,))
+        intern = self._interned.setdefault
         out = []
         if i == 0:
             d = list(c)
             d[self.theta_idx] += 1
+            d = tuple(d)
             e = sum([x * c[p] for p, x in self._e0_pairs])
-            out.append((LaurentPoly.q_power(e), tuple(d)))
+            out.append((q_integer(1, e), intern(d, d)))
         else:
             # e is the running sum of c[tgt] - c[src] over the earlier
             # moves, always over the input datum c
@@ -156,12 +181,23 @@ class LatticeModule:
                     d[src] -= 1
                     if tgt is not None:
                         d[tgt] += 1
-                    out.append((q_integer(m).shift(e), tuple(d)))
+                    d = tuple(d)
+                    out.append((q_integer(m, e), intern(d, d)))
                 if tgt is not None:
                     e += c[tgt] - m
         out = tuple(out)
-        self._e_cache[key] = out
+        cache[intern(c, c)] = out
         return out
+
+    def cache_info(self):
+        """What the e_on_datum cache holds: ``entries``, the number of
+        cached data of each node (a tuple indexed by node), ``moves``, the
+        number of stored (coefficient, datum) pairs, and ``data``, the
+        number of interned data."""
+        return {"entries": tuple(map(len, self._e_cache.values())),
+                "moves": sum(len(v) for cache in self._e_cache.values()
+                             for v in cache.values()),
+                "data": len(self._interned)}
 
     def _e_step(self, i, terms):
         """e_i on a term map {datum: LaurentPoly}, as a new map without
@@ -190,12 +226,24 @@ class LatticeModule:
                 f"{letter_str(bad)} is not a letter of {self.t}: the letters "
                 f"are e_0..e_{self.t.n} and k_0..k_{self.t.n} to the power +-1")
 
+    def check_data(self, data):
+        """ValueError unless every datum has one nonnegative entry per
+        positive root of this type."""
+        n = self.nroots
+        for c in data:
+            if len(c) != n or min(c) < 0:
+                raise ValueError(
+                    f"{c} is not a datum of {self.t}: a datum has {n} "
+                    f"nonnegative entries, one per positive root")
+
     def apply_e(self, i, v: Element) -> Element:
         self.check_letters((i,))
+        self.check_data(v.terms)
         return Element._of(self._e_step(i, v.terms), v.deg + (i == 0))
 
     def apply_k(self, i, exponent, v: Element) -> Element:
         self.check_letters((("k", i, exponent),))
+        self.check_data(v.terms)
         return v._like(self._k_step(i, exponent, v.terms))
 
     # -- basis enumeration ------------------------------------------------

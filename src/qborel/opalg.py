@@ -82,16 +82,18 @@ def q_bracket(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
 def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
     """Apply the expression to a module element, letters right-to-left.
 
-    Every letter must be one of t's (ValueError otherwise), checked
-    before any word runs.  Each word runs on a plain term map
-    {datum: LaurentPoly}, stopping once the map is empty, and its value
-    times the word's coefficient is added into one map; the result is
-    built as an ``Element`` at the end.  A word's value has the a-degree
-    of v plus its number of e_0 letters and its coefficient's degree;
-    two nonzero word values of different degrees raise ValueError."""
+    Every letter and every datum of v must be one of t's (ValueError
+    otherwise), checked before any word runs.  Each word runs on a plain
+    term map {datum: LaurentPoly}, stopping once the map is empty, and
+    its value times the word's coefficient is added into one map; the
+    result is built as an ``Element`` at the end.  A word's value has
+    the a-degree of v plus its number of e_0 letters and its
+    coefficient's degree; two nonzero word values of different degrees
+    raise ValueError."""
     words, letters = x._compiled()
     mod = get_module(t)
     mod.check_letters(letters)
+    mod.check_data(v.terms)
     e_step, k_step = mod._e_step, mod._k_step
     out = {}
     get = out.get

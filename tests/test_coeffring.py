@@ -41,6 +41,22 @@ def test_q_integer_inside_and_beyond_the_table(m):
     assert q_integer(m) * q_integer(2) == q_integer(m + 1) + q_integer(m - 1)
 
 
+@pytest.mark.parametrize("e", [-65, -64, 0, 63, 64])
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65])
+def test_shifted_q_integer(m, e):
+    assert q_integer(m, e) == q_integer(m).shift(e)
+    assert q_integer(m, e) == lp({e + k: 1 for k in range(1 - m, m, 2)})
+    # inside the table equal values are one object; outside it none is kept
+    inside = m < 64 and -64 <= e < 64
+    assert (q_integer(m, e) is q_integer(m, e)) == inside
+
+
+@pytest.mark.parametrize("e", [0, 5, -100])
+def test_shifted_q_integer_needs_m_nonnegative(e):
+    with pytest.raises(ValueError, match="m >= 0"):
+        q_integer(-1, e)
+
+
 def test_q_binomial_example():
     # [4 choose 2]_q
     assert q_binomial(4, 2) == lp({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})

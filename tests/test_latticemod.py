@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
-from qborel.latticemod import Element, get_module, random_datum
-from qborel.rootdata import AffineType, simple_root, theta, to_simple_coords
+from qborel.latticemod import Element, LatticeModule, get_module, random_datum
+from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
+                          k_commutation_expr, k_e_conjugation_expr,
+                          serre_expr)
+from qborel.rootdata import (AffineType, positive_roots_wr, simple_root, theta,
+                             to_simple_coords)
 
 
 def test_vacuum_and_weights():
@@ -187,6 +191,141 @@ def test_action_linearity(family, data):
     rhs = (mod.apply_e(i, Element.basis(c1)).scale(Coefficient.q_power(1))
            + mod.apply_e(i, Element.basis(c2)))
     assert lhs == rhs
+
+
+# -- data checked against the type -------------------------------------
+
+A3R2 = AffineType("A", 3, 2)   # four positive roots
+NOT_DATA_OF_A3R2 = [(OperatorExpr.e(0), (0, 0, 0, 0, 7)),
+                    (OperatorExpr.k(1), (-3, 0, 0, 0)),
+                    (OperatorExpr.e(1), (0, 1)),
+                    (OperatorExpr.e(1), (0, -1, 0, 0))]
+NOT_DATA_IDS = ["too-long", "negative-k", "too-short", "negative-e"]
+
+
+@pytest.mark.parametrize("x, c", NOT_DATA_OF_A3R2, ids=NOT_DATA_IDS)
+def test_evaluate_rejects_data_not_of_the_type(x, c):
+    with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+        evaluate(x, A3R2, Element.basis(c))
+    # checked before any letter runs, so the valid datum of the sum never
+    # reaches the cache of a fresh module
+    mod = LatticeModule(A3R2)
+    v = Element.basis((1, 0, 0, 0)) + Element.basis(c)
+    with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+        evaluate(x, A3R2, v)
+    with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+        mod.apply_e(1, v)
+    with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+        mod.apply_k(1, -1, v)
+    assert mod.cache_info() == {"entries": (0, 0, 0, 0), "moves": 0, "data": 0}
+
+
+def test_e_on_datum_rejects_bad_nodes_and_data():
+    mod = LatticeModule(A3R2)
+    for i in (-1, 4, 9):
+        with pytest.raises(ValueError, match=f"e{i} is not a letter of A3r2"):
+            mod.e_on_datum(i, mod.vacuum)
+    for _, c in NOT_DATA_OF_A3R2:
+        with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+            mod.e_on_datum(0, c)
+    assert mod.cache_info()["data"] == 0
+
+
+# -- what the e_on_datum cache shares ------------------------------------
+
+def _relation_exprs(t):
+    out = [central_element_expr(t)]
+    for i in range(t.n + 1):
+        for j in range(t.n + 1):
+            if i != j:
+                out.append(serre_expr(i, j, t))
+            out.append(k_e_conjugation_expr(i, j, t))
+            if i < j:
+                out.append(k_commutation_expr(i, j))
+    return out
+
+
+@pytest.fixture(scope="module")
+def swept_d5r5():
+    """A fresh D5r5 module after every relation on every datum of height
+    <= 6, and the cache as {node: {datum: moves}}."""
+    t = AffineType("D", 5, 5)
+    get_module.cache_clear()
+    mod = get_module(t)
+    for x in _relation_exprs(t):
+        for c in mod.enumerate_data(height=6):
+            assert evaluate(x, t, Element.basis(c)).is_zero()
+    return mod, {i: dict(mod._e_cache[i]) for i in range(t.n + 1)}
+
+
+def test_cached_data_are_interned(swept_d5r5):
+    mod, cache = swept_d5r5
+    interned = mod._interned
+    for entries in cache.values():
+        for c, moves in entries.items():
+            assert interned[c] is c
+            for _, d in moves:
+                assert interned[d] is d
+    # the Serre words reach equal data along different paths
+    info = mod.cache_info()
+    assert info["data"] < info["moves"] + sum(info["entries"])
+
+
+def test_cached_coefficients_come_from_the_table(swept_d5r5):
+    _, cache = swept_d5r5
+    shared = 0
+    for entries in cache.values():
+        for moves in entries.values():
+            for p, _ in moves:
+                # every coefficient is q^e [m]_q: m unit terms around q^e
+                exps = sorted(p.terms)
+                m, e = len(exps), (exps[0] + exps[-1]) // 2
+                assert p == q_integer(m, e)
+                if m < 64 and abs(e) < 64:
+                    assert p is q_integer(m, e)
+                    shared += 1
+    assert shared
+
+
+def test_cache_info_equals_a_recount(swept_d5r5):
+    mod, cache = swept_d5r5
+    moves = [mv for entries in cache.values() for mvs in entries.values()
+             for mv in mvs]
+    data = {id(c) for entries in cache.values() for c in entries}
+    data |= {id(d) for _, d in moves}
+    assert mod.cache_info() == {
+        "entries": tuple(len(cache[i]) for i in range(6)),
+        "moves": len(moves), "data": len(data)}
+
+
+@st.composite
+def words_on_data(draw):
+    """A type, a sum of up to three words of up to four letters, and a
+    datum with entries <= 4."""
+    t = draw(st.sampled_from([A3R2, AffineType("A", 4, 2),
+                              AffineType("D", 4, 4), AffineType("D", 5, 1)]))
+    letter = st.one_of(st.integers(0, t.n),
+                       st.tuples(st.just("k"), st.integers(0, t.n),
+                                 st.sampled_from((1, -1))))
+    x = OperatorExpr.zero()
+    e0 = draw(st.integers(0, 1))   # one a-degree for all words
+    for _ in range(draw(st.integers(1, 3))):
+        word = [w for w in draw(st.lists(letter, max_size=4)) if w != 0]
+        at = draw(st.integers(0, len(word)))
+        x = x + OperatorExpr.basis(tuple(word[:at] + [0] * e0 + word[at:]))
+    nroots = len(positive_roots_wr(t))
+    c = tuple(draw(st.lists(st.integers(0, 4), min_size=nroots,
+                            max_size=nroots)))
+    return t, x, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_on_data())
+def test_cache_hits_equal_misses(case):
+    t, x, c = case
+    get_module.cache_clear()
+    cold = evaluate(x, t, Element.basis(c))
+    assert evaluate(x, t, Element.basis(c)) == cold
 
 
 def golden_data(nroots):
