@@ -92,9 +92,11 @@ def cmd_lweight(args) -> int:
 
 def cmd_character(args) -> int:
     t = AffineType(args.family, args.n, args.r)
-    height = args.height if args.height is not None else 8
-    if args.bound:
-        height = None
+    # both caps apply when both are given; the default height only when
+    # neither is
+    height = args.height
+    if height is None and args.bound is None:
+        height = 8
     lines = []
     rep = character_identity_check(t, height, bound=args.bound)
     if args.fmt == "text":

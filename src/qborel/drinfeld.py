@@ -6,12 +6,12 @@ The level-raising step is the four-term combination
         = E_{d-a_i} e_i E_k - q^{-2} e_i E_{d-a_i} E_k
           - E_k E_{d-a_i} e_i + q^{-2} E_k e_i E_{d-a_i},
 
-applied with memoized lazy evaluation on basis data (materializing E_k
+applied with memoized lazy evaluation on basis labels (materializing E_k
 as a word expression would grow exponentially in k).  ``raise_level``
-is that step; ``CurrentEngine`` applies it on the lattice module and
-``microrec.StringEngine`` on the alpha_r-string.  The division by
-q + q^{-1} must be exact; a failure is a hard error and always means
-the base operator data is wrong.
+is that step and ``LevelEngine`` its one memo, which ``CurrentEngine``
+runs on the lattice module and ``microrec.StringEngine`` on the
+alpha_r-string.  The division by q + q^{-1} must be exact; a failure is
+a hard error and always means the base operator data is wrong.
 
 The central element acts trivially on every module here, so no
 C^{1/2} bookkeeping appears anywhere.
@@ -44,9 +44,6 @@ class EllWeight:
     psi: dict
     closed_form: dict = field(default_factory=dict)
 
-    def series(self, i):
-        return self.psi[i]
-
 
 QMQ = Coefficient.from_laurent(LaurentPoly({1: 1, -1: -1}))  # q - q^{-1}
 Q_INV2 = Coefficient.q_power(-2)  # q^{-2}
@@ -77,14 +74,58 @@ def raise_level(E1, e, Ek, v):
     return -four.exact_divide(_QPQ)
 
 
-class CurrentEngine:
+def psi_bracket(Ek, e, v):
+    """E_k e_i v - q^{-2} e_i E_k v; k_i and (q - q^{-1}) o^k turn it
+    into psi+_{i,k} v.  Ek and e apply E_{kd-a_i} and e_i."""
+    return Ek(e(v)) - e(Ek(v)).scale(Q_INV2)
+
+
+def vacuum_eigenvalue(w, vac, i, k):
+    """The scalar of w = psi+_{i,k} vac on the vacuum label vac;
+    NotEigenvector if w leaves the vacuum line."""
+    if w.terms.keys() - {vac}:
+        raise NotEigenvector(
+            f"psi+_{i},{k} does not preserve the vacuum line", w)
+    return w.coefficient(vac)
+
+
+class LevelEngine:
+    """The memo of E_{k delta - alpha_i} on basis labels.
+
+    A subclass gives ``_steps(node, k)``: callables applying
+    E_{d-a_node}, e_node and E_{(k-1)d-a_node} to a combination.  They
+    are built on a memo miss only and never stored, so no reference
+    cycle keeps the memo alive after its engine."""
+
+    def __init__(self):
+        self._memo = {}
+
+    def _level(self, node, k, v):
+        """E_{k delta - alpha_node} v, extended linearly from the memo."""
+        if k < 1:
+            raise ValueError("level must be >= 1")
+        memo = self._memo
+        out = v.zero()
+        for c, coeff in v.terms.items():
+            key = (node, k, c)
+            hit = memo.get(key)
+            if hit is None:
+                E1, e, below = self._steps(node, k)
+                b = v.basis(c)
+                hit = memo[key] = (E1(b) if k == 1
+                                   else raise_level(E1, e, below, b))
+            out = out + hit.scale(coeff, v.deg)
+        return out
+
+
+class CurrentEngine(LevelEngine):
     """Memoized computation of E_{k delta - alpha_i} on the lattice module."""
 
     def __init__(self, t: AffineType):
+        super().__init__()
         self.t = t
         self.mod = get_module(t)
         self._entries = {i: catalog_entry(t, i) for i in range(1, t.n + 1)}
-        self._cache = {}
 
     # -- level one ----------------------------------------------------
 
@@ -111,35 +152,19 @@ class CurrentEngine:
     # -- level k ------------------------------------------------------
 
     def E(self, i: int, k: int, v: Element) -> Element:
-        if k < 1:
-            raise ValueError("level must be >= 1")
         check_node(self.t, i)
-        out = Element.zero()
-        for c, coeff in v.terms.items():
-            out = out + self._E_on_datum(i, k, c).scale(coeff, v.deg)
-        return out
+        return self._level(i, k, v)
 
-    def _E_on_datum(self, i: int, k: int, c) -> Element:
-        key = (i, k, c)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        v = Element.basis(c)
-        if k == 1:
-            out = self.E1(i, v)
-        else:
-            out = raise_level(lambda u: self.E1(i, u),
-                              lambda u: self.mod.apply_e(i, u),
-                              lambda u: self.E(i, k - 1, u), v)
-        self._cache[key] = out
-        return out
+    def _steps(self, i, k):
+        return (lambda u: self.E1(i, u), lambda u: self.mod.apply_e(i, u),
+                lambda u: self.E(i, k - 1, u))
 
     # -- currents ------------------------------------------------------
 
     def psi_plus(self, i: int, k: int, v: Element) -> Element:
         o = o_sign(self.t, i)
-        w = (self.E(i, k, self.mod.apply_e(i, v))
-             - self.mod.apply_e(i, self.E(i, k, v)).scale(Q_INV2))
+        w = psi_bracket(lambda u: self.E(i, k, u),
+                        lambda u: self.mod.apply_e(i, u), v)
         w = self.mod.apply_k(i, 1, w)
         return w.scale(QMQ * (o ** k))
 
@@ -159,17 +184,9 @@ def ell_weight_of_vacuum(t: AffineType, K: int = 6) -> EllWeight:
     psi = {}
     form = {}
     for i in range(1, t.n + 1):
-        coeffs = [Coefficient.one()]
-        for k in range(1, K + 1):
-            w = eng.psi_plus(i, k, vac)
-            if w.is_zero():
-                coeffs.append(Coefficient.zero())
-            elif set(w.terms) == {vkey}:
-                coeffs.append(w.coefficient(vkey))
-            else:
-                raise NotEigenvector(
-                    f"psi+_{i},{k} does not preserve the vacuum line", w)
-        coeffs = tuple(coeffs)
+        coeffs = tuple([Coefficient.one()] + [
+            vacuum_eigenvalue(eng.psi_plus(i, k, vac), vkey, i, k)
+            for k in range(1, K + 1)])
         psi[i] = coeffs
         expected = [Coefficient.one(), -(Coefficient.a_power(1) * c_r(t))]
         expected += [Coefficient.zero()] * (K - 1)

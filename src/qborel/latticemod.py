@@ -227,14 +227,27 @@ class LatticeModule:
                 f"are e_0..e_{self.t.n} and k_0..k_{self.t.n} to the power +-1")
 
     def check_data(self, data):
-        """ValueError unless every datum has one nonnegative entry per
-        positive root of this type."""
+        """ValueError unless every datum has one nonnegative int entry per
+        positive root of this type.  ``bytes`` takes ints in 0..255 and
+        rejects floats, strs and negatives, so it passes a usual datum in
+        one builtin call; min and sum settle larger entries (a float or
+        str makes the sum a non-int or raises TypeError)."""
         n = self.nroots
         for c in data:
-            if len(c) != n or min(c) < 0:
-                raise ValueError(
-                    f"{c} is not a datum of {self.t}: a datum has {n} "
-                    f"nonnegative entries, one per positive root")
+            if len(c) == n:
+                try:
+                    bytes(c)
+                    continue
+                except (TypeError, ValueError):
+                    pass
+                try:
+                    if min(c) >= 0 and type(sum(c)) is int:
+                        continue
+                except TypeError:
+                    pass
+            raise ValueError(
+                f"{c} is not a datum of {self.t}: a datum has {n} "
+                f"nonnegative int entries, one per positive root")
 
     def apply_e(self, i, v: Element) -> Element:
         self.check_letters((i,))

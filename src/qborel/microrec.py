@@ -11,9 +11,11 @@ at rank one where everything closes unconditionally.
 
 Basis vectors are powers f^m of the node-r lowering generator, with
 e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
-only the alpha_r-pairing and is valid in every rank.  A string vector,
-like a module element, is a ``GradedCombination``: one a-degree and
-coefficients in ``LaurentPoly``.  The scalars that leave this module
+only the alpha_r-pairing and is valid in every rank.  ``StringEngine``
+is a ``drinfeld.LevelEngine`` that gives only the level-one scalars and
+e_r.  A string vector, like a module element, is a
+``GradedCombination``: one a-degree and coefficients in
+``LaurentPoly``.  The scalars that leave this module
 (``string_recurrence``, ``negative_ell_weight``) are full
 ``Coefficient``s.
 """
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from .coeffring import (Coefficient, GradedCombination, LaurentPoly,
                         q_integer)
-from .drinfeld import (QMQ, Q_INV2, DomainViolation, EllWeight,
-                       NotEigenvector, c_r, raise_level)
+from .drinfeld import (QMQ, DomainViolation, EllWeight, LevelEngine, c_r,
+                       psi_bracket, vacuum_eigenvalue)
 from .opalg import CheckReport
 from .rootdata import AffineType, o_sign
 from .rootvec import string_span_values
@@ -172,18 +174,16 @@ def base_scalars(t: AffineType, model: str):
     return (v1, v2) if model == "pos" else (v1, v1)
 
 
-class StringEngine:
-    """E_{k delta - alpha_r} on span{1, f, f^2}, by the four-term step."""
+class StringEngine(LevelEngine):
+    """E_{k delta - alpha_r} into span{1, f, f^2}.  Every level reaches E1,
+    which rejects f^2, on each power it is given, so f^m (m >= 2) raises
+    DomainViolation at every level, and so does f at k >= 2."""
 
     def __init__(self, t: AffineType, model: str):
+        super().__init__()
         self.t = t
         self.model = model
         self.E1_0, self.E1_1 = base_scalars(t, model)
-        self._cache = {}
-
-    def _assert_closed(self, v: StringElement):
-        if any(m > 2 for m in v.terms):
-            raise DomainViolation("left span{1, f, f^2}")
 
     def E1(self, v: StringElement) -> StringElement:
         out = StringElement.zero()
@@ -195,28 +195,10 @@ class StringEngine:
         return out
 
     def E(self, k: int, v: StringElement) -> StringElement:
-        if k < 1:
-            raise ValueError("level must be >= 1")
-        self._assert_closed(v)
-        out = StringElement.zero()
-        for m, c in v.terms.items():
-            out = out + self._E_power(k, m).scale(c, v.deg)
-        return out
+        return self._level(self.t.r, k, v)
 
-    def _E_power(self, k: int, m: int) -> StringElement:
-        key = (k, m)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        v = StringElement.basis(m)
-        if k == 1:
-            out = self.E1(v)
-        else:
-            out = raise_level(self.E1, _e_lower,
-                              lambda u: self.E(k - 1, u), v)
-        self._assert_closed(out)
-        self._cache[key] = out
-        return out
+    def _steps(self, r, k):
+        return self.E1, _e_lower, lambda u: self.E(k - 1, u)
 
 
 def string_recurrence(t: AffineType, model: str, K: int):
@@ -257,12 +239,9 @@ def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
     one = StringElement.basis(0)
     coeffs = [Coefficient.one()]
     for k in range(1, K + 1):
-        w = eng.E(k, _e_lower(one)) - _e_lower(eng.E(k, one)).scale(Q_INV2)
+        w = psi_bracket(lambda u: eng.E(k, u), _e_lower, one)
         # k_r is the identity on the vacuum (weight zero)
-        w = w.scale(QMQ * (o ** k))
-        if set(w.terms) - {0}:
-            raise NotEigenvector(f"psi+_{t.r},{k} not diagonal on vacuum", w)
-        coeffs.append(w.coefficient(0))
+        coeffs.append(vacuum_eigenvalue(w.scale(QMQ * (o ** k)), 0, t.r, k))
     geometric = -(Coefficient.a_power(1) * c_r(t))
     power = Coefficient.one()
     for k in range(1, K + 1):

@@ -172,3 +172,82 @@ def test_relations_with_height_and_bound_applies_both():
     code, out = run_cli(["relations", "--family", "A", "--n", "2", "--r", "1",
                          "--bound", "2,2", "--format", "text"])
     assert out.splitlines()[0] == "defining-relation sweep on A2r1, box 2,2"
+
+
+# full --format text output of the l-weight and string-recurrence jobs at
+# K = 4, captured byte for byte before the level engines were merged
+GOLDEN_TEXT = {
+    ("lweight", "pos", "A", 3, 2): (
+        'Psi_1(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_2(z) coefficients: 1, -q^-5*a + q^-3*a, 0, 0, 0  [polynomial]\n'
+        'Psi_3(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'c_r = q^-5 - q^-3\n'
+        'CHECK lweight-pos-A3r2-K4 PASS node 2 polynomial, others trivial\n'),
+    ("lweight", "neg", "A", 3, 2): (
+        'Psi_1(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_2(z) coefficients: 1, -q^-5*a + q^-3*a, q^-10*a^2 - 2*q^-8*a^2 + q^-6*a^2, -q^-15*a^3 + 3*q^-13*a^3 - 3*q^-11*a^3 + q^-9*a^3, q^-20*a^4 - 4*q^-18*a^4 + 6*q^-16*a^4 - 4*q^-14*a^4 + q^-12*a^4  [geometric]\n'
+        'Psi_3(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'c_r = q^-5 - q^-3\n'
+        'CHECK lweight-neg-A3r2-K4 PASS node 2 geometric, others trivial\n'),
+    ("recurrence", "pos", "A", 3, 2): (
+        'gamma_1 = q^-2*a\n'
+        'gamma_2 = 0\n'
+        'gamma_3 = 0\n'
+        'gamma_4 = 0\n'
+        'CHECK recurrence-pos-A3r2-K4 PASS gamma_k = 0 for k >= 2\n'),
+    ("recurrence", "neg", "A", 3, 2): (
+        'gamma_1 = q^-2*a\n'
+        'gamma_2 = q^-7*a^2 - q^-5*a^2\n'
+        'gamma_3 = q^-12*a^3 - 2*q^-10*a^3 + q^-8*a^3\n'
+        'gamma_4 = q^-17*a^4 - 3*q^-15*a^4 + 3*q^-13*a^4 - q^-11*a^4\n'
+        'CHECK recurrence-neg-A3r2-K4 PASS closed-form residuals all 0\n'),
+    ("lweight", "pos", "D", 4, 4): (
+        'Psi_1(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_2(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_3(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_4(z) coefficients: 1, q^-7*a - q^-5*a, 0, 0, 0  [polynomial]\n'
+        'c_r = -q^-7 + q^-5\n'
+        'CHECK lweight-pos-D4r4-K4 PASS node 4 polynomial, others trivial\n'),
+    ("lweight", "neg", "D", 4, 4): (
+        'Psi_1(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_2(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_3(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_4(z) coefficients: 1, q^-7*a - q^-5*a, q^-14*a^2 - 2*q^-12*a^2 + q^-10*a^2, q^-21*a^3 - 3*q^-19*a^3 + 3*q^-17*a^3 - q^-15*a^3, q^-28*a^4 - 4*q^-26*a^4 + 6*q^-24*a^4 - 4*q^-22*a^4 + q^-20*a^4  [geometric]\n'
+        'c_r = -q^-7 + q^-5\n'
+        'CHECK lweight-neg-D4r4-K4 PASS node 4 geometric, others trivial\n'),
+    ("recurrence", "pos", "D", 4, 4): (
+        'gamma_1 = q^-4*a\n'
+        'gamma_2 = 0\n'
+        'gamma_3 = 0\n'
+        'gamma_4 = 0\n'
+        'CHECK recurrence-pos-D4r4-K4 PASS gamma_k = 0 for k >= 2\n'),
+    ("recurrence", "neg", "D", 4, 4): (
+        'gamma_1 = q^-4*a\n'
+        'gamma_2 = q^-11*a^2 - q^-9*a^2\n'
+        'gamma_3 = q^-18*a^3 - 2*q^-16*a^3 + q^-14*a^3\n'
+        'gamma_4 = q^-25*a^4 - 3*q^-23*a^4 + 3*q^-21*a^4 - q^-19*a^4\n'
+        'CHECK recurrence-neg-D4r4-K4 PASS closed-form residuals all 0\n'),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_TEXT),
+                         ids=[f"{c}-{m}-{f}{n}r{r}" for c, m, f, n, r in GOLDEN_TEXT])
+def test_lweight_and_recurrence_text_golden(key):
+    command, model, family, n, r = key
+    code, out = run_cli([command, "--family", family, "--n", str(n),
+                         "--r", str(r), "--model", model, "--K", "4",
+                         "--format", "text"])
+    assert code == 0
+    assert out == GOLDEN_TEXT[key]
+
+
+def test_character_with_height_and_bound_applies_both():
+    # the box 5,5,5 alone covers 91 weights of A3r2; height <= 2 cuts it to 5
+    args = ["character", "--family", "A", "--n", "3", "--r", "2",
+            "--height", "2", "--bound", "5,5,5"]
+    line = "CHECK character-A3r2-h2-b5,5,5 PASS 5 weights\n"
+    code, out = run_cli(args)
+    assert code == 0
+    assert out == line
+    code, out = run_cli(args + ["--format", "text"])
+    assert out == "0,0,0;1\n0,1,0;1\n0,1,1;1\n0,2,0;1\n1,1,0;1\n" + line

@@ -80,3 +80,45 @@ def test_E_rejects_node_outside_range():
     for i in (0, 4, 9):
         with pytest.raises(ValueError, match="outside 1..3"):
             eng.E(i, 1, vac)
+
+
+@pytest.mark.parametrize("family, n, r", [("A", 3, 2), ("D", 4, 4)])
+def test_engines_hold_no_reference_cycle(family, n, r):
+    # the memo must be freed with its engine, without waiting for the
+    # cycle collector
+    import gc
+    import weakref
+    from qborel.microrec import StringElement, StringEngine
+    t = AffineType(family, n, r)
+    vac = Element.basis(get_module(t).vacuum)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        eng = CurrentEngine(t)
+        eng.psi_plus(t.r, 3, vac)
+        assert eng._memo
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+        eng = StringEngine(t, "neg")
+        eng.E(3, StringElement.basis(0))
+        assert eng._memo
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_vacuum_eigenvalue_reads_the_vacuum_line_only():
+    from qborel.drinfeld import NotEigenvector, vacuum_eigenvalue
+    t = AffineType("A", 3, 2)
+    mod = get_module(t)
+    vac = mod.vacuum
+    w = Element.basis(vac, Coefficient.q_power(3))
+    assert vacuum_eigenvalue(w, vac, 2, 1) == Coefficient.q_power(3)
+    assert vacuum_eigenvalue(Element.zero(), vac, 2, 1) == Coefficient.zero()
+    other = mod.e_on_datum(0, vac)[0][1]
+    with pytest.raises(NotEigenvector, match="psi\\+_2,1 does not preserve"):
+        vacuum_eigenvalue(w + Element.basis(other), vac, 2, 1)

@@ -199,8 +199,15 @@ A3R2 = AffineType("A", 3, 2)   # four positive roots
 NOT_DATA_OF_A3R2 = [(OperatorExpr.e(0), (0, 0, 0, 0, 7)),
                     (OperatorExpr.k(1), (-3, 0, 0, 0)),
                     (OperatorExpr.e(1), (0, 1)),
-                    (OperatorExpr.e(1), (0, -1, 0, 0))]
-NOT_DATA_IDS = ["too-long", "negative-k", "too-short", "negative-e"]
+                    (OperatorExpr.e(1), (0, -1, 0, 0)),
+                    (OperatorExpr.k(1), (0.5, 0, 0, 0)),
+                    (OperatorExpr.k(1), (0, "a", 0, 0)),
+                    (OperatorExpr.e(1), (1.0, 0, 0, 0)),
+                    (OperatorExpr.k(1), (300.0, 0, 0, 0)),
+                    (OperatorExpr.e(1), (0, -300, 0, 0))]
+NOT_DATA_IDS = ["too-long", "negative-k", "too-short", "negative-e",
+                "half-entry-k", "str-entry-k", "float-entry-e",
+                "large-float-k", "large-negative-e"]
 
 
 @pytest.mark.parametrize("x, c", NOT_DATA_OF_A3R2, ids=NOT_DATA_IDS)
@@ -208,9 +215,10 @@ def test_evaluate_rejects_data_not_of_the_type(x, c):
     with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
         evaluate(x, A3R2, Element.basis(c))
     # checked before any letter runs, so the valid datum of the sum never
-    # reaches the cache of a fresh module
+    # reaches the cache of a fresh module; it equals no bad datum, since
+    # (1.0, 0, 0, 0) == (1, 0, 0, 0) would merge the two terms
     mod = LatticeModule(A3R2)
-    v = Element.basis((1, 0, 0, 0)) + Element.basis(c)
+    v = Element.basis((0, 0, 0, 1)) + Element.basis(c)
     with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
         evaluate(x, A3R2, v)
     with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
@@ -218,6 +226,14 @@ def test_evaluate_rejects_data_not_of_the_type(x, c):
     with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
         mod.apply_k(1, -1, v)
     assert mod.cache_info() == {"entries": (0, 0, 0, 0), "moves": 0, "data": 0}
+
+
+def test_check_data_accepts_large_int_entries():
+    # entries beyond 255 take the min/sum route of check_data
+    mod = LatticeModule(A3R2)
+    mod.check_data([(0, 0, 0, 255), (0, 0, 0, 256), (2**70, 0, 1, 0)])
+    out = evaluate(OperatorExpr.k(1), A3R2, Element.basis((0, 0, 0, 300)))
+    assert set(out.terms) == {(0, 0, 0, 300)}
 
 
 def test_e_on_datum_rejects_bad_nodes_and_data():

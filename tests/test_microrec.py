@@ -88,6 +88,20 @@ def test_string_engine_rejects_overflow():
         eng.E(1, StringElement.basis(3))
 
 
+@pytest.mark.parametrize("model", ["pos", "neg"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_string_engine_rejects_powers_beyond_f(k, m, model):
+    from qborel.drinfeld import DomainViolation
+    eng = StringEngine(AffineType("A", 3, 2), model)
+    # a level already memoised on 1 still rejects f^m beside it
+    eng.E(k, StringElement.basis(0))
+    for v in (StringElement.basis(m),
+              StringElement.basis(0) + StringElement.basis(m)):
+        with pytest.raises(DomainViolation):
+            eng.E(k, v)
+
+
 def test_string_engine_rejects_level_zero():
     eng = StringEngine(AffineType("A", 2, 1), "neg")
     with pytest.raises(ValueError, match="level must be >= 1"):
