@@ -35,13 +35,17 @@ def _emit(args, lines, passed):
     return 0 if passed else 1
 
 
+def _height(args, default):
+    """The height cap: both caps apply when both are given; the default
+    height only when neither is."""
+    if args.height is None and args.bound is None:
+        return default
+    return args.height
+
+
 def cmd_relations(args) -> int:
     t = AffineType(args.family, args.n, args.r)
-    # both caps apply when both are given; the default height only when
-    # neither is
-    height = args.height
-    if height is None and args.bound is None:
-        height = 6
+    height = _height(args, 6)
     lines = []
     if args.fmt == "text":
         caps = [f"height <= {height}"] if height is not None else []
@@ -92,11 +96,7 @@ def cmd_lweight(args) -> int:
 
 def cmd_character(args) -> int:
     t = AffineType(args.family, args.n, args.r)
-    # both caps apply when both are given; the default height only when
-    # neither is
-    height = args.height
-    if height is None and args.bound is None:
-        height = 8
+    height = _height(args, 8)
     lines = []
     rep = character_identity_check(t, height, bound=args.bound)
     if args.fmt == "text":

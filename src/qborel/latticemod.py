@@ -228,18 +228,11 @@ class LatticeModule:
 
     def check_data(self, data):
         """ValueError unless every datum has one nonnegative int entry per
-        positive root of this type.  ``bytes`` takes ints in 0..255 and
-        rejects floats, strs and negatives, so it passes a usual datum in
-        one builtin call; min and sum settle larger entries (a float or
-        str makes the sum a non-int or raises TypeError)."""
+        positive root of this type.  A float or str entry makes the sum a
+        non-int or raises TypeError; a bool entry passes, as an int."""
         n = self.nroots
         for c in data:
             if len(c) == n:
-                try:
-                    bytes(c)
-                    continue
-                except (TypeError, ValueError):
-                    pass
                 try:
                     if min(c) >= 0 and type(sum(c)) is int:
                         continue

@@ -189,7 +189,7 @@ class StringEngine(LevelEngine):
         out = StringElement.zero()
         for m, c in v.terms.items():
             if m > 1:
-                raise DomainViolation("E_(delta-alpha_r) needed on f^2")
+                raise DomainViolation(f"E_(delta-alpha_r) needed on f^{m}")
             scalar = self.E1_1 if m else self.E1_0
             out = out + StringElement.basis(m + 1, scalar).scale(c, v.deg)
         return out

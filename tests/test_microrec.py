@@ -84,7 +84,7 @@ def test_negative_A1_unconditional_k20():
 def test_string_engine_rejects_overflow():
     from qborel.drinfeld import DomainViolation
     eng = StringEngine(AffineType("A", 2, 1), "neg")
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match=r"needed on f\^3$"):
         eng.E(1, StringElement.basis(3))
 
 
@@ -98,7 +98,7 @@ def test_string_engine_rejects_powers_beyond_f(k, m, model):
     eng.E(k, StringElement.basis(0))
     for v in (StringElement.basis(m),
               StringElement.basis(0) + StringElement.basis(m)):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(DomainViolation, match=rf"needed on f\^{m}$"):
             eng.E(k, v)
 
 
