@@ -1,19 +1,20 @@
-"""Exact arithmetic in the ring Z[q^{+-1}][a].
+"""Exact arithmetic with the a-homogeneous elements of Z[q^{+-1}][a].
 
 Two structures:
 
 * ``LaurentPoly`` -- integer Laurent polynomials in q, packed into one
   Python integer by Kronecker substitution.
 * ``Combination`` -- finite linear combinations of hashable labels with
-  nonzero coefficients in a ring.  ``Coefficient``, a polynomial in the
-  formal parameter ``a``, is the combination of its a-degrees over
-  ``LaurentPoly``, and operator words are combinations over
-  ``Coefficient``.  ``GradedCombination`` is a combination over
-  ``LaurentPoly`` that carries one a-degree for all its terms: module
-  elements on Lusztig data and vectors on the alpha_r-string are of
-  this kind, since every generator acts a-homogeneously, so their
-  arithmetic never builds a ``Coefficient``.  One core thus serves
-  every level of the coefficient tower.
+  nonzero coefficients in a ring.  ``GradedCombination`` is a
+  combination over ``LaurentPoly`` that carries one a-degree for all
+  its terms, since every generator acts a-homogeneously: e_0 carries
+  one factor of the formal parameter ``a``, and e_1..e_n and k_i none.
+  Module elements on Lusztig data and vectors on the alpha_r-string
+  are of this kind, and so is the scalar ``Coefficient``, a^d times a
+  Laurent polynomial, on one fixed label.  Operator words are
+  combinations over ``Coefficient``.  One core thus serves every level
+  of the coefficient tower, and one rule rejects a sum of two nonzero
+  values of different a-degrees with ValueError.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -403,10 +404,10 @@ class Combination:
 
     ``terms`` maps each label to its nonzero coefficient, an element of
     the class attribute ``ring``: ``Coefficient`` for operator words,
-    ``LaurentPoly`` for ``Coefficient`` itself, whose labels are
-    a-degrees, and for the ``GradedCombination`` of module elements and
-    string vectors.  A subclass names its labels: ``_label`` prints one,
-    and ``_sort_key`` orders them in the text form.
+    ``LaurentPoly`` for every ``GradedCombination``: module elements,
+    string vectors and ``Coefficient`` itself.  A subclass names its
+    labels: ``_label`` prints one, and ``_sort_key`` orders them in the
+    text form.
     """
 
     __slots__ = ("terms",)
@@ -481,10 +482,6 @@ class Combination:
         return self._like({k: v.exact_divide(den)
                            for k, v in self.terms.items()})
 
-    def bar(self):
-        """The bar involution q -> q^{-1} on every coefficient."""
-        return self._like({k: v.bar() for k, v in self.terms.items()})
-
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
@@ -524,112 +521,11 @@ def _accumulate(terms, pairs):
     return terms
 
 
-class Coefficient(Combination):
-    """An element of Z[q^{+-1}][a]: a polynomial in a over LaurentPoly,
-    the combination of its a-degrees."""
-
-    __slots__ = ()
-    ring = LaurentPoly
-
-    @property
-    def a_terms(self):
-        """The map a-degree -> nonzero LaurentPoly (the map ``terms``)."""
-        return self.terms
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def one():
-        return Coefficient._of({0: LaurentPoly.one()})
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly, a_degree: int = 0):
-        return Coefficient._of({a_degree: p} if p.n else {})
-
-    @staticmethod
-    def from_int(c: int):
-        return Coefficient.from_laurent(LaurentPoly.from_int(c))
-
-    @staticmethod
-    def q_power(k: int):
-        return Coefficient._of({0: LaurentPoly.q_power(k)})
-
-    @staticmethod
-    def a_power(d: int):
-        return Coefficient._of({d: LaurentPoly.one()})
-
-    # -- ring structure -----------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, Coefficient):
-            if isinstance(other, int):
-                if not other:
-                    return Coefficient._of({})
-                return Coefficient._of(
-                    {d: p * other for d, p in self.terms.items()})
-            if not isinstance(other, LaurentPoly):
-                return NotImplemented
-            other = Coefficient.from_laurent(other)
-        mine, theirs = self.terms, other.terms
-        # Z[q^{+-1}] has no zero divisors, so a product of one a-degree
-        # with anything needs no zero filter
-        if len(theirs) == 1:
-            (d2, p2), = theirs.items()
-            return Coefficient._of({d1 + d2: p1 * p2
-                                    for d1, p1 in mine.items()})
-        return Coefficient.collect((d1 + d2, p1 * p2)
-                                   for d1, p1 in mine.items()
-                                   for d2, p2 in theirs.items())
-
-    __rmul__ = __mul__
-    __pow__ = _power
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Coefficient.from_int(other)
-        elif isinstance(other, LaurentPoly):
-            other = Coefficient.from_laurent(other)
-        return isinstance(other, Coefficient) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- text form ----------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for d in sorted(self.terms):
-            p = self.terms[d].terms
-            for k in sorted(p):
-                chunks.append((p[k], k, d))
-        out = []
-        for c, k, d in chunks:
-            parts = []
-            if abs(c) != 1 or (k == 0 and d == 0):
-                parts.append(str(abs(c)))
-            if k != 0:
-                parts.append(f"q^{k}")
-            if d != 0:
-                parts.append("a" if d == 1 else f"a^{d}")
-            mono = "*".join(parts)
-            if not out:
-                out.append(("-" if c < 0 else "") + mono)
-            else:
-                out.append(("- " if c < 0 else "+ ") + mono)
-        return " ".join(out)
-
-    __repr__ = __str__
-
-
-# a plain Combination, and OperatorExpr, is over Coefficient
-Combination.ring = Coefficient
+_ZERO = LaurentPoly.zero()
 
 
 def _homogeneous(coeff):
     """(p, d) with coeff = a^d p, for an int, a LaurentPoly or a
-    Coefficient of at most one a-degree; ValueError on any other
     Coefficient."""
     if isinstance(coeff, LaurentPoly):
         return coeff, 0
@@ -637,13 +533,7 @@ def _homogeneous(coeff):
         return LaurentPoly.from_int(coeff), 0
     if not isinstance(coeff, Coefficient):
         raise TypeError(f"cannot scale by a {type(coeff).__name__}")
-    terms = coeff.terms
-    if len(terms) == 1:
-        (d, p), = terms.items()
-        return p, d
-    if not terms:
-        return LaurentPoly.zero(), 0
-    raise ValueError(f"{coeff} is not a power of a times a Laurent polynomial")
+    return coeff.terms.get((), _ZERO), coeff.deg
 
 
 class GradedCombination(Combination):
@@ -678,7 +568,7 @@ class GradedCombination(Combination):
 
     @classmethod
     def basis(cls, key, coeff=None):
-        """coeff is an int, a LaurentPoly or a Coefficient of one a-degree."""
+        """coeff is an int, a LaurentPoly or a Coefficient."""
         if coeff is None:
             return cls._of({key: LaurentPoly.one()})
         p, d = _homogeneous(coeff)
@@ -709,7 +599,102 @@ class GradedCombination(Combination):
 
     def coefficient(self, key):
         p = self.terms.get(key)
-        return Coefficient.zero() if p is None else Coefficient._of({self.deg: p})
+        return (Coefficient.zero() if p is None
+                else Coefficient.from_laurent(p, self.deg))
+
+
+class Coefficient(GradedCombination):
+    """An element a^deg * p of Z[q^{+-1}][a], p a LaurentPoly: the graded
+    combination of the one label (), the empty monomial.
+
+    Every scalar of the library has this form, since every generator
+    acts a-homogeneously; as for any ``GradedCombination``, zero has no
+    degree and a sum of two nonzero values of different degrees raises
+    ValueError."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(labels):
+        """Reject every label but (), the a-degrees of the removed
+        dict-of-degrees form among them."""
+        if set(labels) - {()}:
+            raise ValueError("a Coefficient has the one label (); "
+                             "build a^d p with from_laurent(p, d)")
+
+    def __init__(self, terms=None, deg=0):
+        GradedCombination.__init__(self, terms, deg)
+        self._check(self.terms)
+
+    @classmethod
+    def basis(cls, key, coeff=None):
+        cls._check((key,))
+        return super().basis(key, coeff)
+
+    @property
+    def a_terms(self):
+        """The map a-degree -> nonzero LaurentPoly: {deg: p}, or {} at zero."""
+        return {self.deg: p for p in self.terms.values()}
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def one():
+        return Coefficient._of({(): LaurentPoly.one()})
+
+    @staticmethod
+    def from_laurent(p: LaurentPoly, a_degree: int = 0):
+        return Coefficient._of({(): p} if p.n else {}, a_degree)
+
+    @staticmethod
+    def from_int(c: int):
+        return Coefficient.from_laurent(LaurentPoly.from_int(c))
+
+    @staticmethod
+    def q_power(k: int):
+        return Coefficient._of({(): LaurentPoly.q_power(k)})
+
+    @staticmethod
+    def a_power(d: int):
+        return Coefficient._of({(): LaurentPoly.one()}, d)
+
+    # -- ring structure -----------------------------------------------
+
+    # a product is the first factor scaled by the second
+    __mul__ = __rmul__ = GradedCombination.scale
+    __pow__ = _power
+
+    def __eq__(self, other):
+        if isinstance(other, (int, LaurentPoly)):
+            other = Coefficient.from_laurent(*_homogeneous(other))
+        return GradedCombination.__eq__(self, other)
+
+    def __hash__(self):
+        return hash(frozenset(self.a_terms.items()))
+
+    # -- text form ----------------------------------------------------
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        d = self.deg
+        a = "a" if d == 1 else f"a^{d}" if d else ""
+        p = self.terms[()].terms
+        out = []
+        for k in sorted(p):
+            c = p[k]
+            mono = "*".join(filter(None, (
+                str(abs(c)) if abs(c) != 1 or not (k or d) else "",
+                f"q^{k}" if k else "", a)))
+            sign = "-" if c < 0 else "+"
+            out.append(f"{sign} {mono}" if out else mono if c > 0 else f"-{mono}")
+        return " ".join(out)
+
+    __repr__ = __str__
+
+
+# a plain Combination, and OperatorExpr, is over Coefficient
+Combination.ring = Coefficient
 
 
 _MONO_RE = re.compile(
@@ -720,7 +705,8 @@ _MONO_RE = re.compile(
 
 
 def parse_coefficient(text: str) -> Coefficient:
-    """Parse the canonical text form produced by Coefficient.__str__."""
+    """Parse the canonical text form produced by Coefficient.__str__;
+    ValueError on text that is not of that form, or has two a-degrees."""
     text = text.strip()
     if text == "0":
         return Coefficient.zero()
@@ -743,5 +729,5 @@ def parse_coefficient(text: str) -> Coefficient:
         k = int(m.group("q")) if m.group("q") is not None else 0
         has_a = "a" in mono
         d = int(m.group("a")) if m.group("a") is not None else (1 if has_a else 0)
-        out = out + Coefficient({d: LaurentPoly.q_power(k, c)})
+        out = out + Coefficient.from_laurent(LaurentPoly.q_power(k, c), d)
     return out

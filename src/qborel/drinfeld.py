@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .coeffring import Coefficient, LaurentPoly, q_integer
 from .latticemod import Element, get_module
 from .opalg import evaluate
-from .rootdata import AffineType, o_sign
+from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import catalog_entry, check_node
 
 
@@ -52,13 +52,10 @@ _QPQ = q_integer(2)  # q + q^{-1}
 
 def c_r(t: AffineType) -> Coefficient:
     """The spectral-parameter shift scalar between the constructed module
-    and the prefundamental representation."""
-    n = t.n
-    if t.family == "A":
-        sign = (-1) ** (n + 1) * o_sign(t, t.r)
-        return QMQ * Coefficient.from_laurent(LaurentPoly.q_power(-(n + 1), sign))
-    return QMQ * Coefficient.from_laurent(
-        LaurentPoly.q_power(-2 * (n - 1), o_sign(t, t.r)))
+    and the prefundamental representation: (-1)^h o(r) (q - q^{-1}) q^{-h},
+    h the dual Coxeter number."""
+    h = dual_coxeter(t)
+    return QMQ * LaurentPoly.q_power(-h, (-1) ** h * o_sign(t, t.r))
 
 
 def raise_level(E1, e, Ek, v):

@@ -27,7 +27,7 @@ from .coeffring import (Coefficient, GradedCombination, LaurentPoly,
 from .drinfeld import (QMQ, DomainViolation, EllWeight, LevelEngine, c_r,
                        psi_bracket, vacuum_eigenvalue)
 from .opalg import CheckReport
-from .rootdata import AffineType, o_sign
+from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import string_span_values
 
 
@@ -98,7 +98,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
     # the four raising-model expansion lines, on probes u = f^m:
     # coefficients in terms of s = t = -2m and e_1'(u) = q^{-m+1}[m]f^{m-1}
     def ap(d):  # a^3 q^d
-        return Coefficient({3: LaurentPoly.q_power(d)})
+        return Coefficient.from_laurent(LaurentPoly.q_power(d), 3)
 
     def eprime(m):
         return Coefficient.from_laurent(LaurentPoly.q_power(-m + 1) * q_integer(m))
@@ -216,17 +216,12 @@ def string_recurrence(t: AffineType, model: str, K: int):
 
 
 def negative_closed_form(t: AffineType, k: int) -> Coefficient:
-    """The lowering-model scalar gamma_k in closed form."""
-    n = t.n
-    qmq_pow = QMQ ** (k - 1)
-    a_k = Coefficient.a_power(k)
-    if t.family == "A":
-        sign = (-1) ** (k * n - 1)
-        return (Coefficient.from_laurent(
-            LaurentPoly.q_power(-k * (n + 1) + 2, sign)) * qmq_pow * a_k)
-    sign = (-1) ** (k - 1)
-    return (Coefficient.from_laurent(
-        LaurentPoly.q_power(-2 * k * (n - 1) + 2, sign)) * qmq_pow * a_k)
+    """The lowering-model scalar gamma_k in closed form:
+    (-1)^{k(h+1)+1} q^{-kh+2} (q - q^{-1})^{k-1} a^k, h the dual Coxeter
+    number."""
+    h = dual_coxeter(t)
+    return QMQ ** (k - 1) * Coefficient.from_laurent(
+        LaurentPoly.q_power(2 - k * h, (-1) ** (k * (h + 1) + 1)), k)
 
 
 def negative_ell_weight(t: AffineType, K: int) -> EllWeight:

@@ -106,6 +106,12 @@ def marks(t: AffineType) -> tuple:
     return to_simple_coords(t, theta(t))
 
 
+def dual_coxeter(t: AffineType) -> int:
+    """The dual Coxeter number h^v = 1 + a_1 + ... + a_n (simply laced,
+    so marks and comarks agree): n + 1 for A_n, 2n - 2 for D_n."""
+    return 1 + sum(marks(t))
+
+
 def cartan_matrix(t: AffineType):
     """The affine Cartan matrix a_{ij}, 0 <= i,j <= n (alpha_0 via -theta)."""
     n = t.n

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .coeffring import Coefficient, LaurentPoly
 from .latticemod import Element, get_module
 from .opalg import CheckReport, OperatorExpr, evaluate, q_bracket
-from .rootdata import AffineType
+from .rootdata import AffineType, dual_coxeter
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,12 @@ def string_coefficient(t: AffineType, v: Element, m: int) -> Coefficient:
 
 
 def string_span_values(t: AffineType):
-    """The two scalars (E.1 against f_r, E.f_r against f_r^2)."""
-    n = t.n
-    a = Coefficient.a_power(1)
-    if t.family == "A":
-        g1 = Coefficient.from_laurent(LaurentPoly.q_power(-(n - 1), (-1) ** (n - 1)))
-        return g1 * a, g1 * Coefficient.q_power(2) * a
-    return (Coefficient.q_power(-2 * n + 4) * a,
-            Coefficient.q_power(-2 * n + 6) * a)
+    """The two scalars (E.1 against f_r, E.f_r against f_r^2):
+    (-1)^h q^{-(h-2)} a and (-1)^h q^{-(h-4)} a, h the dual Coxeter
+    number."""
+    h = dual_coxeter(t)
+    return tuple(Coefficient.from_laurent(LaurentPoly.q_power(e, (-1) ** h), 1)
+                 for e in (2 - h, 4 - h))
 
 
 def verified_domain_check(t: AffineType) -> CheckReport:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from qborel.cli import main
+from qborel.coeffring import parse_coefficient
 
 
 def run_cli(argv):
@@ -239,6 +240,25 @@ def test_lweight_and_recurrence_text_golden(key):
                          "--format", "text"])
     assert code == 0
     assert out == GOLDEN_TEXT[key]
+
+
+def golden_coefficients():
+    """Every coefficient printed in GOLDEN_TEXT: the Psi_i lists, c_r and
+    every gamma_k."""
+    for text in GOLDEN_TEXT.values():
+        for line in text.splitlines():
+            if line.startswith("Psi_"):
+                yield from line.split(": ")[1].split("  [")[0].split(", ")
+            elif line.startswith(("c_r = ", "gamma_")):
+                yield line.split(" = ")[1]
+
+
+def test_golden_coefficients_parse_back():
+    printed = list(golden_coefficients())
+    # 2 (3 + 4 nodes) * 5 values, 4 c_r and 4 * 4 gamma_k
+    assert len(printed) == 70 + 4 + 16
+    for text in printed:
+        assert str(parse_coefficient(text)) == text
 
 
 def test_character_with_height_and_bound_applies_both():

@@ -102,10 +102,20 @@ def test_bar_involution():
 def test_coefficient_ring_ops():
     a = Coefficient.a_power(1)
     q = Coefficient.q_power(1)
-    c = q * a + Coefficient.one()
-    assert str(c) == "1 + q^1*a"
+    # a Coefficient is a^d p: a sum of two a-degrees does not exist
+    with pytest.raises(ValueError):
+        q * a + Coefficient.one()
+    with pytest.raises(ValueError):
+        Coefficient.one() + Coefficient.a_power(1)
+    c = q * a + 2 * a
+    assert str(c) == "2*a + q^1*a"
+    assert c.a_terms == {1: lp({0: 2, 1: 1})}
     assert c - c == Coefficient.zero()
+    # zero has no degree
+    assert (c - c) + Coefficient.one() == Coefficient.one() == 1
     assert (a ** 3) * (a ** 2) == Coefficient.a_power(5)
+    assert Coefficient.from_laurent(lp({2: 3}), 4) == (
+        Coefficient.from_int(3) * q ** 2 * a ** 4)
 
 
 def test_coefficient_str_canonical():
@@ -116,32 +126,38 @@ def test_coefficient_str_canonical():
 
 
 def test_parse_roundtrip_fixed():
-    for s in ["q^-3*a - q^-1*a", "1 + q^1*a", "-q^-5*a + q^3*a", "2*q^4*a^2", "0"]:
+    for s in ["q^-3*a - q^-1*a", "2 + q^1", "-q^-5*a + q^3*a", "2*q^4*a^2", "0"]:
         assert str(parse_coefficient(s)) == s
+    # text with two a-degrees is no Coefficient
+    for s in ["1 + q^1*a", "q^-1*a^2 - a^3"]:
+        with pytest.raises(ValueError):
+            parse_coefficient(s)
 
 
-coeff_strategy = st.dictionaries(
-    st.tuples(st.integers(-5, 5), st.integers(0, 4)),
-    st.integers(-9, 9).filter(bool), max_size=6)
-
-
-@given(coeff_strategy)
-def test_parse_roundtrip_random(d):
-    c = Coefficient.zero()
-    for (qe, ad), n in d.items():
-        c = c + Coefficient({ad: LaurentPoly({qe: n})})
-    assert parse_coefficient(str(c)) == c
+# a^d p with one a-degree d and p a small Laurent polynomial
+coeff_strategy = st.builds(
+    Coefficient.from_laurent,
+    st.dictionaries(st.integers(-5, 5), st.integers(-9, 9).filter(bool),
+                    max_size=6).map(LaurentPoly),
+    st.integers(0, 4))
 
 
 @given(coeff_strategy, coeff_strategy)
-def test_ring_commutativity(d1, d2):
-    def mk(d):
-        c = Coefficient.zero()
-        for (qe, ad), n in d.items():
-            c = c + Coefficient({ad: LaurentPoly({qe: n})})
-        return c
-    x, y = mk(d1), mk(d2)
+def test_parse_roundtrip_random(c, other):
+    assert parse_coefficient(str(c)) == c
+    if c and other and other.deg != c.deg:
+        with pytest.raises(ValueError):
+            parse_coefficient(f"{c} + {other}")
+
+
+@given(coeff_strategy, coeff_strategy)
+def test_ring_commutativity(x, y):
     assert x * y == y * x
+    if x and y and x.deg != y.deg:
+        with pytest.raises(ValueError):
+            x + y
+    # y's Laurent part at x's a-degree
+    y = Coefficient.from_laurent(sum(y.a_terms.values(), lp({})), x.deg)
     assert x + y == y + x
     assert (x + y) * x == x * x + y * x
 

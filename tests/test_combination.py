@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import (Coefficient, Combination, GradedCombination,
-                              LaurentPoly)
+                              LaurentPoly, parse_coefficient)
 from qborel.latticemod import Element
 from qborel.microrec import StringElement
 from qborel.opalg import OperatorExpr
@@ -19,15 +19,17 @@ def laurents():
 
 
 def coeffs():
-    """Small Coefficients, zero included, so that sums cancel often."""
-    return st.dictionaries(st.integers(0, 1), laurents(), max_size=2).map(
-        Coefficient)
+    """Small Coefficients a^d p, zero included, so that sums cancel often.
+    Every value drawn for one example has the same a-degree d, so that
+    any two of them can be added."""
+    return st.builds(Coefficient.from_laurent, laurents(),
+                     st.shared(st.integers(0, 2), key="a-degree"))
 
 
 # labels and coefficients of each kind: words over Coefficient,
-# Coefficient itself as the combination of its a-degrees over LaurentPoly,
-# and the graded core at a-degree 0 over LaurentPoly
-KINDS = {Combination: (LABELS, coeffs()), Coefficient: ((0, 1, 2), laurents()),
+# Coefficient itself as the graded combination of its one label () over
+# LaurentPoly, and the graded core at a-degree 0 over LaurentPoly
+KINDS = {Combination: (LABELS, coeffs()), Coefficient: (((),), laurents()),
          GradedCombination: (LABELS, laurents())}
 
 
@@ -102,19 +104,28 @@ def test_graded_combination_carries_one_degree(data):
 
 
 def test_graded_combination_rejects_non_homogeneous_coefficients():
-    two_degrees = Coefficient.one() + Coefficient.a_power(1)
+    # no Coefficient has two a-degrees, so none can reach the graded core
+    with pytest.raises(ValueError):
+        Coefficient.one() + Coefficient.a_power(1)
+    with pytest.raises(ValueError):
+        parse_coefficient("1 + q^1*a")
+    # nor can the removed map of a-degrees, or a label other than (), build one
+    with pytest.raises(ValueError):
+        Coefficient({0: LaurentPoly.one(), 1: LaurentPoly.one()})
+    with pytest.raises(ValueError):
+        Coefficient.basis(1)
+    with pytest.raises(ValueError):
+        Coefficient.collect([(3, LaurentPoly.one())])
     x = GradedCombination.basis("x")
-    with pytest.raises(ValueError):
-        x.scale(two_degrees)
-    with pytest.raises(ValueError):
-        GradedCombination.basis("x", two_degrees)
+    with pytest.raises(TypeError):
+        x.scale("a")
     assert x.scale(Coefficient.zero()).is_zero()
     assert x.scale(3).coefficient("x") == Coefficient.from_int(3)
 
 
 @pytest.mark.parametrize("cls, key", [(Element, (0, 1)), (OperatorExpr, (1,)),
                                       (StringElement, 2), (Combination, "x"),
-                                      (Coefficient, 1)])
+                                      (Coefficient, ())])
 def test_basis_with_zero_coefficient_is_zero(cls, key):
     assert cls.basis(key, cls.ring.zero()).is_zero()
     assert str(cls.basis(key, cls.ring.zero())) == "0"

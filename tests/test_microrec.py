@@ -6,7 +6,8 @@ from qborel.microrec import (StringElement, StringEngine, base_scalars,
                              negative_closed_form, negative_ell_weight,
                              rank_one_apply, rank_one_serre_check,
                              string_recurrence)
-from qborel.rootdata import AffineType, o_sign
+from qborel.rootdata import AffineType, dual_coxeter, o_sign
+from qborel.rootvec import string_span_values
 
 
 def test_rank_one_suite():
@@ -121,3 +122,58 @@ def test_string_jobs_reject_nonpositive_K(K):
 def test_rank_one_rejects_negative_height():
     with pytest.raises(ValueError, match="M must be >= 0"):
         rank_one_serre_check(-1)
+
+
+# -- the closed forms in the dual Coxeter number ---------------------------
+#
+# The per-family formulas that the h^v forms replaced, kept as the
+# reference: A_n has h^v = n + 1 and D_n has h^v = 2n - 2.
+
+QMQ = Coefficient.from_laurent(LaurentPoly({1: 1, -1: -1}))
+
+
+def family_c_r(t):
+    n = t.n
+    if t.family == "A":
+        sign = (-1) ** (n + 1) * o_sign(t, t.r)
+        return QMQ * Coefficient.from_laurent(LaurentPoly.q_power(-(n + 1), sign))
+    return QMQ * Coefficient.from_laurent(
+        LaurentPoly.q_power(-2 * (n - 1), o_sign(t, t.r)))
+
+
+def family_string_span_values(t):
+    n = t.n
+    a = Coefficient.a_power(1)
+    if t.family == "A":
+        g1 = Coefficient.from_laurent(LaurentPoly.q_power(-(n - 1), (-1) ** (n - 1)))
+        return g1 * a, g1 * Coefficient.q_power(2) * a
+    return (Coefficient.q_power(-2 * n + 4) * a,
+            Coefficient.q_power(-2 * n + 6) * a)
+
+
+def family_negative_closed_form(t, k):
+    n = t.n
+    qmq_pow = QMQ ** (k - 1)
+    a_k = Coefficient.a_power(k)
+    if t.family == "A":
+        sign = (-1) ** (k * n - 1)
+        return (Coefficient.from_laurent(
+            LaurentPoly.q_power(-k * (n + 1) + 2, sign)) * qmq_pow * a_k)
+    sign = (-1) ** (k - 1)
+    return (Coefficient.from_laurent(
+        LaurentPoly.q_power(-2 * k * (n - 1) + 2, sign)) * qmq_pow * a_k)
+
+
+CLOSED_FORM_TYPES = ([AffineType("A", n, r) for n in range(1, 10)
+                      for r in range(1, n + 1)]
+                     + [AffineType("D", n, r) for n in range(4, 10)
+                        for r in (1, n - 1, n)])
+
+
+@pytest.mark.parametrize("t", CLOSED_FORM_TYPES, ids=str)
+def test_closed_forms_in_the_dual_coxeter_number(t):
+    assert dual_coxeter(t) == (t.n + 1 if t.family == "A" else 2 * t.n - 2)
+    assert c_r(t) == family_c_r(t)
+    assert string_span_values(t) == family_string_span_values(t)
+    for k in range(1, 9):
+        assert negative_closed_form(t, k) == family_negative_closed_form(t, k)
