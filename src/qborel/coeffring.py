@@ -34,6 +34,13 @@ norms replace their bounds and, if that is still not enough, the
 operands are repacked at a wider width.  The bound is tracked, never
 assumed.
 
+A power ``p ** k`` is one big-integer power, at the width of the bound
+``m^k``.  An exact division is one ``divmod`` of the packed integers at
+a common width: a remainder proves that no quotient exists, and a whole
+integer quotient is accepted when its decoded digits times the
+divisor's cannot carry, ``||quot||_1 * m(den) < 2^(b-1)``.  Otherwise
+the digits are divided by long division, which decides either way.
+
 Everything is exact; there is no field of fractions.  The only division
 offered is the method ``exact_divide``, which raises ``NotDivisible``
 when the quotient does not exist in the ring.  A failed division always
@@ -70,11 +77,15 @@ def _offset(size: int, b: int) -> int:
     return int.from_bytes((bytes(b // 8 - 1) + b"\x80") * size, "little")
 
 
-def _digits(n: int, b: int) -> list:
-    """The signed base-2^b digits of n, lowest first, without top zeros."""
+def _digits(n: int, b: int, spare: int = 0) -> list:
+    """The signed base-2^b digits of n, lowest first, without top zeros.
+
+    n must be the packed value of a polynomial whose coefficients are
+    below 2^(b-1) in size, or ``spare`` must add one top digit: any n
+    then fits, whatever its digits."""
     if not n:
         return []
-    size = n.bit_length() // b + 1
+    size = n.bit_length() // b + 1 + spare
     h = _offset(size, b)
     raw = ((n + h) ^ h).to_bytes(size * b // 8, "little")
     if b == 64:
@@ -173,20 +184,6 @@ def _sum(p, q):
     return _make((pn << (b * (lo - qlo))) + qn, qlo, b, m)
 
 
-def _power(x, k):
-    """x ** k by square-and-multiply, for a LaurentPoly or Coefficient x."""
-    if k < 0:
-        raise ValueError(f"{type(x).__name__} power needs k >= 0")
-    out, base = type(x).one(), x
-    while k:
-        if k & 1:
-            out = out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return out
-
-
 class LaurentPoly:
     """An integer Laurent polynomial in q (packed; see the module doc)."""
 
@@ -269,7 +266,18 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    __pow__ = _power
+    def __pow__(self, k):
+        """self ** k as one big-integer power, at the width of the bound
+        m^k of the result."""
+        if k < 0:
+            raise ValueError("LaurentPoly power needs k >= 0")
+        if not k:
+            return _make(1, 0, 64, 1)
+        if not self.n:
+            return self
+        m = self.m ** k
+        b = max(self.b, _width_for(m))
+        return _make(_at(self, b) ** k, self.lo * k, b, m)
 
     def shift(self, e):
         """self * q^e; only the lowest exponent moves."""
@@ -316,9 +324,24 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        # Both packed values start at a nonzero digit, so this is long
-        # division of honest polynomials with nonzero constant terms,
-        # from the top.
+        # Both packed values start at a nonzero digit, so the quotient, if
+        # there is one, is an honest polynomial quot with a nonzero
+        # constant term, and self.n = den.n * quot(X) at X = 2^b exactly.
+        # A remainder thus proves there is none.  A whole integer quotient
+        # is quot(X) once its digits, times den's, cannot carry.
+        b = max(self.b, den.b)
+        qn, rest = divmod(_at(self, b), _at(den, b))
+        if rest:
+            raise NotDivisible(f"{self} is not divisible by {den}")
+        quot = _digits(qn, b, 1)
+        m = sum(map(abs, quot))
+        if not (m * den.m) >> (b - 1):
+            return _from_digits(quot, self.lo - den.lo)
+        return self._long_divide(den)
+
+    def _long_divide(self, den):
+        """Exact quotient self/den by long division of the digits, from
+        the top."""
         num = _digits(self.n, self.b)
         dd = _digits(den.n, den.b)
         top, lead = len(dd) - 1, dd[-1]
@@ -521,7 +544,9 @@ def _accumulate(terms, pairs):
     return terms
 
 
+# shared constants: nothing mutates a LaurentPoly
 _ZERO = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
 
 
 def _homogeneous(coeff):
@@ -570,7 +595,7 @@ class GradedCombination(Combination):
     def basis(cls, key, coeff=None):
         """coeff is an int, a LaurentPoly or a Coefficient."""
         if coeff is None:
-            return cls._of({key: LaurentPoly.one()})
+            return cls._of({key: _ONE})
         p, d = _homogeneous(coeff)
         return cls._of({key: p} if p else {}, d)
 
@@ -662,7 +687,10 @@ class Coefficient(GradedCombination):
 
     # a product is the first factor scaled by the second
     __mul__ = __rmul__ = GradedCombination.scale
-    __pow__ = _power
+
+    def __pow__(self, k):
+        return Coefficient.from_laurent(
+            self.terms.get((), _ZERO) ** k, self.deg * k)
 
     def __eq__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -700,7 +728,7 @@ Combination.ring = Coefficient
 _MONO_RE = re.compile(
     r"^(?P<int>-?\d+)?"
     r"(?:\*?q\^(?P<q>-?\d+))?"
-    r"(?:\*?a(?:\^(?P<a>\d+))?)?$"
+    r"(?:\*?a(?:\^(?P<a>-?\d+))?)?$"
 )
 
 

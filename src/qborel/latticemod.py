@@ -37,7 +37,13 @@ and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
 each move, and ``apply_e(0, .)`` raises the degree by one.  The
 generators act on plain term maps {datum: LaurentPoly} (``_e_step``,
 ``_k_step``); ``apply_e`` and ``apply_k`` wrap them for elements, and
-``opalg.evaluate`` runs whole words on the maps.
+``opalg.evaluate`` runs whole words on the maps.  Both steps are one
+pass over the map.  ``_e_step`` calls ``e_on_datum`` once per term; the
+targets of one datum's moves are distinct, so a one-term map is a
+single comprehension, and a map of several terms is filtered for zeros
+only when two targets met.  ``_k_step`` reads each exponent as the
+difference of two sums of datum entries, picked by two itemgetters per
+node that are built once from the sparse pairings.
 
 A letter is an int i for e_i or a triple ("k", i, s) for k_i^s; the
 letters of a type are e_0..e_n and k_0..k_n to the power +-1.
@@ -46,6 +52,7 @@ letters of a type are e_0..e_n and k_0..k_n to the power +-1.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .coeffring import GradedCombination, q_integer
 from .rootdata import (AffineType, pairing, positive_roots_wr, root_str,
@@ -89,6 +96,8 @@ class LatticeModule:
         for i in range(1, t.n + 1):
             ai = simple_root(t, i)
             self._k_pairs[i] = _sparse(-pairing(ai, b) for b in self.roots)
+        self._k_getters = {i: _exponent_getters(pairs)
+                           for i, pairs in self._k_pairs.items()}
         self.letters = frozenset(
             [*range(t.n + 1)]
             + [("k", i, s) for i in range(t.n + 1) for s in (1, -1)])
@@ -201,21 +210,36 @@ class LatticeModule:
 
     def _e_step(self, i, terms):
         """e_i on a term map {datum: LaurentPoly}, as a new map without
-        zeros; the factor a of e_0 is left to the caller."""
+        zeros; the factor a of e_0 is left to the caller.
+
+        The moves of e_i on one datum have distinct sources, hence
+        distinct targets, and Z[q^{+-1}] has no zero divisors: so the map
+        of one term needs no sum and no zero filter, and a map of several
+        needs the filter only where two targets met."""
+        e_on_datum = self.e_on_datum
+        if len(terms) == 1:
+            (c, coef), = terms.items()
+            return {md: coef * mc for mc, md in e_on_datum(i, c)}
         out = {}
         get = out.get
-        e_on_datum = self.e_on_datum
+        met = False
         for c, coef in terms.items():
             for mc, md in e_on_datum(i, c):
                 x = coef * mc
                 s = get(md)
-                out[md] = x if s is None else s + x
-        return {d: p for d, p in out.items() if p}
+                if s is None:
+                    out[md] = x
+                else:
+                    out[md] = s + x
+                    met = True
+        if met:
+            return {d: p for d, p in out.items() if p}
+        return out
 
     def _k_step(self, i, s, terms):
         """k_i^s, s = +-1, on a term map {datum: LaurentPoly}."""
-        pairs = self._k_pairs[i]
-        return {c: coef.shift(s * sum([x * c[p] for p, x in pairs]))
+        plus, minus = self._k_getters[i]
+        return {c: coef.shift(s * (sum(plus(c)) - sum(minus(c))))
                 for c, coef in terms.items()}
 
     def check_letters(self, letters):
@@ -314,6 +338,18 @@ class LatticeModule:
 def _sparse(values):
     """The (position, value) pairs of the nonzero values."""
     return tuple((p, x) for p, x in enumerate(values) if x)
+
+
+def _exponent_getters(pairs):
+    """(plus, minus), two itemgetters with sum(plus(c)) - sum(minus(c))
+    the sum of x * c[p] over the (position, value) pairs: plus holds each
+    p x times for x > 0, minus -x times for x < 0.  Both also hold
+    position 0 equally often, enough that each picks two entries at
+    least and so returns a tuple."""
+    plus = [p for p, x in pairs for _ in range(x)]
+    minus = [p for p, x in pairs for _ in range(-x)]
+    pad = [0] * max(0, 2 - min(len(plus), len(minus)))
+    return itemgetter(*plus, *pad), itemgetter(*minus, *pad)
 
 
 def letter_str(x):

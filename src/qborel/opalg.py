@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .coeffring import Coefficient, Combination, _homogeneous, q_binomial
 from .latticemod import Element, get_module, letter_str, random_datum
-from .rootdata import AffineType, cartan_matrix
+from .rootdata import AffineType, cartan_entry
 
 # letters: an int i means e_i; ("k", i, s) means k_i^s with s = +-1.
 
@@ -52,15 +52,17 @@ class OperatorExpr(Combination):
 
     def _compiled(self):
         """(words, letters): each word as (letters in application order,
-        Laurent part of its coefficient, a-degree of the coefficient plus
-        the word's number of e_0 letters), and the set of all letters."""
+        Laurent part of its coefficient, or None for 1, a-degree of the
+        coefficient plus the word's number of e_0 letters), and the set
+        of all letters."""
         try:
             return self._program
         except AttributeError:
             words = []
             for w, c in self.terms.items():
                 p, d = _homogeneous(c)
-                words.append((w[::-1], p, d + w.count(0)))
+                words.append((w[::-1], None if p == 1 else p,
+                              d + w.count(0)))
             letters = frozenset(x for w in self.terms for x in w)
             self._program = (tuple(words), letters)
             return self._program
@@ -96,7 +98,6 @@ def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
     mod.check_data(v.terms)
     e_step, k_step = mod._e_step, mod._k_step
     out = {}
-    get = out.get
     deg = None
     for w, p, d in words:
         u = v.terms
@@ -111,12 +112,21 @@ def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
             continue
         d += v.deg
         if not out:
+            # the word's value starts the sum; a nonempty word's map is
+            # its own, the empty word's is v.terms
             deg = d
-        elif d != deg:
+            if p is not None:
+                out = {c: p * val for c, val in u.items()}
+            else:
+                out = u if w else dict(u)
+            continue
+        if d != deg:
             raise ValueError(f"sum of words of a-degrees {deg} and {d} "
                              f"in {x} on {v}")
+        get = out.get
         for c, val in u.items():
-            val = p * val
+            if p is not None:
+                val = p * val
             s = get(c)
             if s is None:
                 out[c] = val
@@ -134,7 +144,7 @@ def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     sum_m (-1)^m [1-a_ij choose m]_q e_i^{1-a_ij-m} e_j e_i^m."""
     if i == j:
         raise ValueError("need i != j")
-    aij = cartan_matrix(t)[i][j]
+    aij = cartan_entry(t, i, j)
     N = 1 - aij
     out = OperatorExpr.zero()
     for m in range(N + 1):
@@ -146,7 +156,7 @@ def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
 
 def k_e_conjugation_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     """k_i e_j k_i^{-1} - q^{a_ij} e_j (zero in the algebra)."""
-    aij = cartan_matrix(t)[i][j]
+    aij = cartan_entry(t, i, j)
     return (OperatorExpr.k(i) * OperatorExpr.e(j) * OperatorExpr.k(i, -1)
             - OperatorExpr.e(j).scale(Coefficient.q_power(aij)))
 

@@ -112,10 +112,25 @@ def dual_coxeter(t: AffineType) -> int:
     return 1 + sum(marks(t))
 
 
+def _affine_simple_root(t: AffineType, i: int):
+    """alpha_i for i in {0,...,n}, with alpha_0 represented by -theta."""
+    if not 0 <= i <= t.n:
+        raise ValueError(f"node {i} is not a node of {t}: the nodes are "
+                         f"0..{t.n}")
+    if i == 0:
+        return tuple(-x for x in theta(t))
+    return simple_root(t, i)
+
+
+def cartan_entry(t: AffineType, i: int, j: int) -> int:
+    """The affine Cartan matrix entry a_{ij} = (alpha_i, alpha_j),
+    0 <= i,j <= n."""
+    return pairing(_affine_simple_root(t, i), _affine_simple_root(t, j))
+
+
 def cartan_matrix(t: AffineType):
     """The affine Cartan matrix a_{ij}, 0 <= i,j <= n (alpha_0 via -theta)."""
-    n = t.n
-    alphas = [tuple(-x for x in theta(t))] + [simple_root(t, i) for i in range(1, n + 1)]
+    alphas = [_affine_simple_root(t, i) for i in range(t.n + 1)]
     return tuple(tuple(pairing(a, b) for b in alphas) for a in alphas)
 
 
@@ -248,7 +263,7 @@ def root_str(v) -> str:
 # ---------------------------------------------------------------------
 
 def _commute(t: AffineType, x: int, y: int) -> bool:
-    return cartan_matrix(t)[x][y] == 0
+    return cartan_entry(t, x, y) == 0
 
 
 def braid_equivalent(t: AffineType, w1, w2) -> bool:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import (Coefficient, LaurentPoly, NotDivisible,
                               parse_coefficient, q_binomial, q_factorial,
@@ -279,3 +279,77 @@ def test_shift_is_multiplication_by_a_q_power(d, e):
     assert p.shift(e) == p * LaurentPoly.q_power(e)
     assert dict(p.shift(e).terms) == {k + e: c for k, c in d.items()}
     assert p.shift(e).shift(-e) == p
+
+
+# -- packed division and powers -------------------------------------------
+
+@given(big_terms, big_terms.filter(bool))
+def test_exact_divide_agrees_with_long_division(d1, d2):
+    x, y = lp(d1), lp(d2)
+    for num in (x * y, x * y + LaurentPoly.q_power(min(d1, default=0) + 1),
+                x):
+        try:
+            expected = num._long_divide(y) if num else LaurentPoly.zero()
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                num.exact_divide(y)
+        else:
+            assert num.exact_divide(y) == expected
+
+
+def _count_long_divisions(monkeypatch):
+    seen = []
+    long_divide = LaurentPoly._long_divide
+
+    def counted(self, den):
+        seen.append(den)
+        return long_divide(self, den)
+
+    monkeypatch.setattr(LaurentPoly, "_long_divide", counted)
+    return seen
+
+
+def test_exact_divide_falls_back_when_digits_may_carry(monkeypatch):
+    # (1 - 2q) sum_{k<62} 2^k q^k = 1 - 2^62 q^62 packs at width 64, but
+    # the quotient's norm times 3 passes 2^63: its digits could carry
+    seen = _count_long_divisions(monkeypatch)
+    den = lp({0: 1, 1: -2})
+    quot = lp({k: 2 ** k for k in range(62)})
+    num = lp({0: 1, 62: -(2 ** 62)})
+    assert num == den * quot and num.b == 64
+    assert num.exact_divide(den) == quot
+    assert len(seen) == 1
+
+
+def test_exact_divide_rejects_a_whole_integer_quotient_that_carries(
+        monkeypatch):
+    # 1 - X^65 is a multiple of 1 - 2X at X = 2^64, since 2^65 = 1 modulo
+    # 2^65 - 1, but 1 - q^65 has no root at q = 1/2
+    seen = _count_long_divisions(monkeypatch)
+    num, den = lp({0: 1, 65: -1}), lp({0: 1, 1: -2})
+    assert not num.n % den.n
+    with pytest.raises(NotDivisible):
+        num.exact_divide(den)
+    assert len(seen) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(-20, 20), big_int.filter(bool),
+                       max_size=4), st.integers(0, 12))
+def test_power_is_the_repeated_product(d, k):
+    x = lp(d)
+    product = LaurentPoly.one()
+    for _ in range(k):
+        product = product * x
+    assert x ** k == product
+    assert Coefficient.from_laurent(x, 2) ** k == Coefficient.from_laurent(
+        x ** k, 2 * k)
+
+
+def test_negative_a_degrees_roundtrip_through_text():
+    for c in (Coefficient.a_power(-1),
+              Coefficient.from_laurent(lp({2: 1}), -3),
+              Coefficient.from_laurent(lp({-1: 2, 3: -1}), -12)):
+        assert parse_coefficient(str(c)) == c
+    assert str(Coefficient.a_power(-1)) == "a^-1"
+    assert parse_coefficient("q^2*a^-3").a_terms == {-3: lp({2: 1})}

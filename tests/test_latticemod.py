@@ -533,3 +533,111 @@ MOVE_GOLDEN = {
     ("D5r5", 5, 1): {},
     ("D5r5", 5, 2): {(0, 2, 5, 5, 2, 1, 2, 5, 5, 2): "1"},
 }
+
+
+# -- the one-pass word steps -------------------------------------------------
+
+def types_up_to(nmax):
+    out = [AffineType("A", n, r) for n in range(1, nmax + 1)
+           for r in range(1, n + 1)]
+    return out + [AffineType("D", n, r) for n in range(4, nmax + 1)
+                  for r in (1, n - 1, n)]
+
+
+def test_moves_of_each_e_i_have_distinct_sources():
+    # so the moves of e_i on one datum have distinct targets, which the
+    # one-term path of _e_step relies on
+    for t in types_up_to(8):
+        mod = LatticeModule(t)
+        for i, moves in mod._moves.items():
+            sources = [src for src, _ in moves]
+            assert len(set(sources)) == len(sources), (t, i)
+
+
+def _e_step_reference(mod, i, terms):
+    out = {}
+    for c, coef in terms.items():
+        for mc, md in mod.e_on_datum(i, c):
+            out[md] = out.get(md, LaurentPoly.zero()) + coef * mc
+    return {d: p for d, p in out.items() if p}
+
+
+def _cancelling_map(mod, i, c):
+    """A two-term map on c and another datum whose e_i images cancel at a
+    common target, or None if there is no such datum."""
+    for mc, md in mod.e_on_datum(i, c):
+        for src, tgt in (mod._moves[i] if i else ()):
+            other = list(md)
+            other[src] += 1
+            if tgt is not None:
+                other[tgt] -= 1
+            other = tuple(other)
+            if min(other) < 0 or other == c:
+                continue
+            for mo, mdo in mod.e_on_datum(i, other):
+                if mdo == md:
+                    return {c: mo, other: -mc}
+    return None
+
+
+@st.composite
+def term_maps(draw):
+    """A type, a node and a term map of one term, of several, or of two
+    whose images cancel at one target."""
+    t = draw(st.sampled_from([A3R2, AffineType("A", 4, 2),
+                              AffineType("D", 4, 4), AffineType("D", 5, 1)]))
+    mod = get_module(t)
+    i = draw(st.integers(0, t.n))
+    datum = st.lists(st.integers(0, 3), min_size=mod.nroots,
+                     max_size=mod.nroots).map(tuple)
+    coef = st.builds(LaurentPoly.q_power, st.integers(-3, 3),
+                     st.integers(-3, 3).filter(bool))
+    kind = draw(st.sampled_from(["one", "several", "cancel"]))
+    if kind == "cancel":
+        terms = _cancelling_map(mod, i, draw(datum))
+        if terms is not None:
+            return mod, i, terms
+    size = (1, 1) if kind == "one" else (2, 5)
+    return mod, i, draw(st.dictionaries(datum, coef, min_size=size[0],
+                                        max_size=size[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps())
+def test_e_step_is_the_sum_of_the_moves(case):
+    mod, i, terms = case
+    out = mod._e_step(i, terms)
+    assert out == _e_step_reference(mod, i, terms)
+    assert all(out.values())
+
+
+def test_e_step_drops_a_cancelled_target():
+    mod = get_module(AffineType("A", 4, 2))
+    rng = random.Random(5)
+    cancelled = 0
+    for _ in range(50):
+        c = tuple(rng.randint(0, 3) for _ in range(mod.nroots))
+        i = rng.randint(1, 4)
+        terms = _cancelling_map(mod, i, c)
+        if terms is None:
+            continue
+        out = mod._e_step(i, terms)
+        assert out == _e_step_reference(mod, i, terms)
+        targets = {md for d in terms for _, md in mod.e_on_datum(i, d)}
+        cancelled += len(targets) - len(out)
+    assert cancelled
+
+
+def test_k_step_is_the_pairing_sum():
+    for t in types_up_to(6):
+        mod = get_module(t)
+        rng = random.Random(str(t))
+        terms = {tuple(rng.randint(0, 9) for _ in range(mod.nroots)):
+                 LaurentPoly.q_power(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(20)}
+        for i in range(t.n + 1):
+            for s in (1, -1):
+                pairs = mod._k_pairs[i]
+                expected = {c: coef.shift(s * sum(x * c[p] for p, x in pairs))
+                            for c, coef in terms.items()}
+                assert mod._k_step(i, s, terms) == expected, (t, i, s)

@@ -435,3 +435,20 @@ def test_evaluation_is_a_homomorphism(case):
     assert evaluate(x * y, t, v) == evaluate(x, t, evaluate(y, t, v))
     assert evaluate(u + w, t, v) == evaluate(u, t, v) + evaluate(w, t, v)
     assert evaluate(u - u, t, v).is_zero()
+
+
+@pytest.mark.parametrize("t", TYPES, ids=str)
+def test_evaluate_leaves_its_input_unchanged(t):
+    # the identity word of the central element is the empty word, whose
+    # term map is the input's own
+    mod = get_module(t)
+    v = Element({mod.vacuum: LaurentPoly.q_power(1, 2),
+                 mod.enumerate_data(height=2)[-1]: LaurentPoly.one()}, 1)
+    before = dict(v.terms)
+    central = central_element_expr(t)
+    one = OperatorExpr.identity()
+    for x in (central, one - OperatorExpr.k(0), one.scale(-1) + central):
+        evaluate(x, t, v)
+        assert v.terms == before and v.deg == 1
+    assert evaluate(central, t, v).is_zero()
+    assert evaluate(OperatorExpr.identity(), t, v) == v

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.rootdata import (AffineType, NotReduced, braid_equivalent,
-                             braid_equivalent_bfs, cartan_matrix, convex_order,
-                             index_matrix, marks, o_sign, pairing,
-                             positive_roots_wr, reading_words, reduced_word_wr,
-                             simple_root, theta, to_simple_coords)
+                             braid_equivalent_bfs, cartan_entry, cartan_matrix,
+                             convex_order, index_matrix, marks, o_sign,
+                             pairing, positive_roots_wr, reading_words,
+                             reduced_word_wr, simple_root, theta,
+                             to_simple_coords)
 
 
 def all_types(nmax=6):
@@ -189,3 +190,15 @@ def test_reading_words_reduced_and_equivalent():
         assert row == reduced_word_wr(t)
         convex_order(t, col)  # must not raise
         assert braid_equivalent(t, row, col)
+
+
+def test_cartan_entry_is_the_matrix_entry():
+    for t in all_types():
+        cm = cartan_matrix(t)
+        for i in range(t.n + 1):
+            for j in range(t.n + 1):
+                assert cartan_entry(t, i, j) == cm[i][j]
+    t = AffineType("A", 3, 2)
+    for i, j in [(4, 0), (0, -1)]:
+        with pytest.raises(ValueError, match=r"is not a node of A3r2"):
+            cartan_entry(t, i, j)
