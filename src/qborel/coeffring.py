@@ -35,7 +35,8 @@ operands are repacked at a wider width.  The bound is tracked, never
 assumed.
 
 A power ``p ** k`` is one big-integer power, at the width of the bound
-``m^k``.  An exact division is one ``divmod`` of the packed integers at
+``m^k``, taken from the exact norm when the tracked bound would widen
+the operand.  An exact division is one ``divmod`` of the packed integers at
 a common width: a remainder proves that no quotient exists, and a whole
 integer quotient is accepted when its decoded digits times the
 divisor's cannot carry, ``||quot||_1 * m(den) < 2^(b-1)``.  Otherwise
@@ -137,7 +138,8 @@ def _from_digits(digits, lo):
 
 
 def _at(p, b):
-    """p's packed integer at width b >= p.b."""
+    """p's packed integer at width b, which must hold p's digits:
+    b >= p.b, or ||p||_1 < 2^(b-1)."""
     if p.b == b or p.n.bit_length() < p.b:   # a monomial packs alike at any width
         return p.n
     return _pack(_digits(p.n, p.b), b)
@@ -246,10 +248,11 @@ class LaurentPoly:
         return _make(-self.n, self.lo, self.b, self.m)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                other = LaurentPoly.from_int(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         m = self.m * other.m
         if not m:
             return _make(0, 0, 64, 0)
@@ -268,7 +271,10 @@ class LaurentPoly:
 
     def __pow__(self, k):
         """self ** k as one big-integer power, at the width of the bound
-        m^k of the result."""
+        m^k of the result.  When that bound would widen the operand, the
+        power of the exact norm replaces it and sets the width, which may
+        then be narrower than the operand's: after a cancellation the
+        tracked bound can be far above the norm."""
         if k < 0:
             raise ValueError("LaurentPoly power needs k >= 0")
         if not k:
@@ -276,7 +282,12 @@ class LaurentPoly:
         if not self.n:
             return self
         m = self.m ** k
-        b = max(self.b, _width_for(m))
+        b = _width_for(m)
+        if b <= self.b:
+            b = self.b
+        else:
+            m = _norm(self) ** k
+            b = _width_for(m)
         return _make(_at(self, b) ** k, self.lo * k, b, m)
 
     def shift(self, e):

@@ -37,13 +37,17 @@ and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
 each move, and ``apply_e(0, .)`` raises the degree by one.  The
 generators act on plain term maps {datum: LaurentPoly} (``_e_step``,
 ``_k_step``); ``apply_e`` and ``apply_k`` wrap them for elements, and
-``opalg.evaluate`` runs whole words on the maps.  Both steps are one
-pass over the map.  ``_e_step`` calls ``e_on_datum`` once per term; the
-targets of one datum's moves are distinct, so a one-term map is a
-single comprehension, and a map of several terms is filtered for zeros
-only when two targets met.  ``_k_step`` reads each exponent as the
-difference of two sums of datum entries, picked by two itemgetters per
-node that are built once from the sparse pairings.
+``_run_word`` applies a whole word to a map, for ``opalg.evaluate``.
+Both steps are one pass over the map.  ``_e_step`` calls
+``e_on_datum`` once per term; the targets of one datum's moves are
+distinct, so a one-term map is a single comprehension, and a map of
+several terms is filtered for zeros only when two targets met.
+``_k_step`` reads each exponent as the difference of two sums of datum
+entries, picked by two itemgetters per node that are built once from
+the sparse pairings.  Almost every step of a relation check acts on a
+map of one term, which ``_run_word`` walks as one (datum, coefficient)
+pair until an e-letter gives two or more terms; ``e_on_datum`` stays
+the per-term call on every route.
 
 A letter is an int i for e_i or a triple ("k", i, s) for k_i^s; the
 letters of a type are e_0..e_n and k_0..k_n to the power +-1.
@@ -54,7 +58,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .coeffring import GradedCombination, q_integer
+from .coeffring import _ONE, GradedCombination, q_integer
 from .rootdata import (AffineType, pairing, positive_roots_wr, root_str,
                        simple_root, theta, to_simple_coords)
 
@@ -241,6 +245,49 @@ class LatticeModule:
         plus, minus = self._k_getters[i]
         return {c: coef.shift(s * (sum(plus(c)) - sum(minus(c))))
                 for c, coef in terms.items()}
+
+    def _run_word(self, word, terms):
+        """The letters of word, in application order, applied to a term
+        map, as a new map without zeros; for the empty word or the empty
+        map, terms itself.
+
+        A one-term map is walked as one (datum, coefficient) pair, and a
+        map is built only once an e-step gives two or more terms: the
+        moves of one datum have distinct targets and Z[q^{+-1}] has no
+        zero divisors, so that map needs no zero filter.  From then on,
+        and for a map of several terms from the start, the word runs
+        letter by letter through ``_e_step`` and ``_k_step``."""
+        rest = word
+        if len(terms) == 1 and word:
+            (c, coef), = terms.items()
+            getters, e_on_datum = self._k_getters, self.e_on_datum
+            for pos, letter in enumerate(word, 1):
+                if letter.__class__ is tuple:
+                    plus, minus = getters[letter[1]]
+                    e = sum(plus(c)) - sum(minus(c))
+                    coef = coef.shift(letter[2] * e)
+                    continue
+                moves = e_on_datum(letter, c)
+                if len(moves) == 1:
+                    (mc, c), = moves
+                    coef = mc if coef is _ONE else coef * mc
+                elif not moves:
+                    return {}
+                else:
+                    terms = {md: coef * mc for mc, md in moves}
+                    rest = word[pos:]
+                    break
+            else:
+                return {c: coef}
+        e_step, k_step = self._e_step, self._k_step
+        for letter in rest:
+            if not terms:
+                break
+            if letter.__class__ is tuple:
+                terms = k_step(letter[1], letter[2], terms)
+            else:
+                terms = e_step(letter, terms)
+        return terms
 
     def check_letters(self, letters):
         """ValueError unless every letter is one of this type's."""

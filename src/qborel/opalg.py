@@ -85,40 +85,36 @@ def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
     """Apply the expression to a module element, letters right-to-left.
 
     Every letter and every datum of v must be one of t's (ValueError
-    otherwise), checked before any word runs.  Each word runs on a plain
-    term map {datum: LaurentPoly}, stopping once the map is empty, and
-    its value times the word's coefficient is added into one map; the
-    result is built as an ``Element`` at the end.  A word's value has
-    the a-degree of v plus its number of e_0 letters and its
-    coefficient's degree; two nonzero word values of different degrees
-    raise ValueError."""
+    otherwise), checked once, before any word runs.  Each word runs on
+    the plain term map {datum: LaurentPoly} of v through
+    ``LatticeModule._run_word``, which walks a basis vector as one
+    (datum, coefficient) pair until a step branches, and its value
+    times the word's coefficient is added into one map; the result is
+    built as an ``Element`` at the end, and v is never mutated.  A
+    word's value has the a-degree of v plus its number of e_0 letters
+    and its coefficient's degree; two nonzero word values of different
+    degrees raise ValueError."""
     words, letters = x._compiled()
     mod = get_module(t)
     mod.check_letters(letters)
-    mod.check_data(v.terms)
-    e_step, k_step = mod._e_step, mod._k_step
+    terms = v.terms
+    mod.check_data(terms)
+    run_word = mod._run_word
     out = {}
     deg = None
     for w, p, d in words:
-        u = v.terms
-        for letter in w:
-            if not u:
-                break
-            if letter.__class__ is tuple:
-                u = k_step(letter[1], letter[2], u)
-            else:
-                u = e_step(letter, u)
+        u = run_word(w, terms)
         if not u:
             continue
         d += v.deg
         if not out:
-            # the word's value starts the sum; a nonempty word's map is
-            # its own, the empty word's is v.terms
+            # the word's value starts the sum; its map is its own unless
+            # it is v's, as for the empty word
             deg = d
             if p is not None:
                 out = {c: p * val for c, val in u.items()}
             else:
-                out = u if w else dict(u)
+                out = dict(u) if u is terms else u
             continue
         if d != deg:
             raise ValueError(f"sum of words of a-degrees {deg} and {d} "

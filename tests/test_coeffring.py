@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -249,7 +251,6 @@ def test_equal_values_at_different_widths(d):
 
 
 def test_binomial_power_coefficients():
-    import math
     p = lp({0: 1, 1: 1}) ** 200
     assert dict(p.terms) == {j: math.comb(200, j) for j in range(201)}
     assert p.eval_at_one() == 2 ** 200
@@ -353,3 +354,16 @@ def test_negative_a_degrees_roundtrip_through_text():
         assert parse_coefficient(str(c)) == c
     assert str(Coefficient.a_power(-1)) == "a^-1"
     assert parse_coefficient("q^2*a^-3").a_terms == {-3: lp({2: 1})}
+
+
+def test_power_after_a_cancellation_runs_at_the_norm_width():
+    # the tracked bound of x is about 2^602, its norm 2: the power must
+    # not run at the width of the bound's 12th power
+    q = lp({1: 1})
+    huge = lp({0: 2 ** 600, 7: -(2 ** 599)})
+    x = (LaurentPoly.one() + q + huge) - huge
+    assert x.m > 2 ** 600
+    y = x ** 12
+    assert y == (LaurentPoly.one() + q) ** 12
+    assert y.b == 64
+    assert dict(y.terms) == {k: math.comb(12, k) for k in range(13)}

@@ -641,3 +641,105 @@ def test_k_step_is_the_pairing_sum():
                 expected = {c: coef.shift(s * sum(x * c[p] for p, x in pairs))
                             for c, coef in terms.items()}
                 assert mod._k_step(i, s, terms) == expected, (t, i, s)
+
+
+# -- whole words on term maps ----------------------------------------------
+
+def _chain(mod, word, terms):
+    """The word's letters applied one by one through _e_step/_k_step."""
+    for letter in word:
+        if isinstance(letter, tuple):
+            terms = mod._k_step(letter[1], letter[2], terms)
+        else:
+            terms = mod._e_step(letter, terms)
+    return terms
+
+
+@st.composite
+def word_cases(draw):
+    """A type, a word of length 0..5 over its letters, and a term map of
+    one term (coefficient the shared 1 or another) or of several."""
+    t = draw(st.sampled_from([A3R2, AffineType("A", 4, 2),
+                              AffineType("D", 4, 4), AffineType("D", 5, 1)]))
+    mod = get_module(t)
+    letter = st.one_of(st.integers(0, t.n),
+                       st.tuples(st.just("k"), st.integers(0, t.n),
+                                 st.sampled_from([1, -1])))
+    word = tuple(draw(st.lists(letter, max_size=5)))
+    datum = st.lists(st.integers(0, 3), min_size=mod.nroots,
+                     max_size=mod.nroots).map(tuple)
+    coef = st.builds(LaurentPoly.q_power, st.integers(-3, 3),
+                     st.integers(-3, 3).filter(bool))
+    kind = draw(st.sampled_from(["one", "other", "several"]))
+    if kind == "one":
+        terms = Element.basis(draw(datum)).terms
+    elif kind == "other":
+        terms = {draw(datum): draw(coef)}
+    else:
+        terms = draw(st.dictionaries(datum, coef, min_size=2, max_size=5))
+    return mod, word, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_cases())
+def test_run_word_is_the_letter_by_letter_chain(case):
+    mod, word, terms = case
+    before = dict(terms)
+    out = mod._run_word(word, terms)
+    assert out == _chain(mod, word, terms)
+    assert all(out.values())
+    assert terms == before
+    if not word:
+        assert out is terms
+
+
+def test_run_word_stops_when_a_word_dies_midway():
+    mod = get_module(AffineType("A", 4, 2))
+    # on the vacuum, e_0 adds one unit at theta; e_1 moves it and a second
+    # e_1 finds nothing to move, and so does e_3 after k_1
+    for word in [(0, 1, 1, 2), (0, ("k", 1, 1), 3, 3, 0)]:
+        for terms in (Element.basis(mod.vacuum).terms,
+                      {mod.vacuum: LaurentPoly.q_power(1, 2)}):
+            assert _chain(mod, word[:2], terms)
+            assert not _chain(mod, word[:3], terms)
+            assert mod._run_word(word, terms) == {}
+
+
+def test_run_word_whose_first_e_step_branches():
+    mod = get_module(AffineType("D", 5, 1))
+    rng = random.Random(7)
+    found = 0
+    for _ in range(40):
+        c = tuple(rng.randint(0, 3) for _ in range(mod.nroots))
+        i = rng.randint(1, 5)
+        if len(mod.e_on_datum(i, c)) < 2:
+            continue
+        word = (("k", 0, 1), i, ("k", i, -1), rng.randint(0, 5), 0)
+        for terms in (Element.basis(c).terms, {c: LaurentPoly.q_power(-2, 3)}):
+            out = mod._run_word(word, terms)
+            assert out == _chain(mod, word, terms) and all(out.values())
+        found += 1
+    assert found
+
+
+def test_run_word_of_k_letters_only():
+    mod = get_module(AffineType("D", 4, 4))
+    rng = random.Random(3)
+    word = tuple(("k", rng.randint(0, 4), rng.choice((1, -1)))
+                 for _ in range(6))
+    for _ in range(10):
+        c = tuple(rng.randint(0, 5) for _ in range(mod.nroots))
+        e = sum(s * sum(x * c[p] for p, x in mod._k_pairs[i])
+                for _, i, s in word)
+        for coef in (Element.basis(c).terms[c], LaurentPoly.q_power(2, -3)):
+            out = mod._run_word(word, {c: coef})
+            assert out == {c: coef.shift(e)} == _chain(mod, word, {c: coef})
+
+
+def test_run_word_of_the_empty_word_or_map_is_its_input():
+    mod = get_module(A3R2)
+    for terms in ({mod.vacuum: LaurentPoly.q_power(1, 2)},
+                  {mod.vacuum: LaurentPoly.one(), (1, 0, 2, 1): LaurentPoly.one()}):
+        assert mod._run_word((), terms) is terms
+    empty = {}
+    assert mod._run_word((0, ("k", 1, 1)), empty) == {}

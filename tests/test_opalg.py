@@ -440,15 +440,37 @@ def test_evaluation_is_a_homomorphism(case):
 @pytest.mark.parametrize("t", TYPES, ids=str)
 def test_evaluate_leaves_its_input_unchanged(t):
     # the identity word of the central element is the empty word, whose
-    # term map is the input's own
+    # term map is the input's own; a basis vector's one term carries the
+    # shared coefficient 1, which the one-term walk must not hand back
     mod = get_module(t)
-    v = Element({mod.vacuum: LaurentPoly.q_power(1, 2),
-                 mod.enumerate_data(height=2)[-1]: LaurentPoly.one()}, 1)
-    before = dict(v.terms)
+    datum = mod.enumerate_data(height=2)[-1]
     central = central_element_expr(t)
     one = OperatorExpr.identity()
-    for x in (central, one - OperatorExpr.k(0), one.scale(-1) + central):
-        evaluate(x, t, v)
-        assert v.terms == before and v.deg == 1
-    assert evaluate(central, t, v).is_zero()
-    assert evaluate(OperatorExpr.identity(), t, v) == v
+    for v in (Element({mod.vacuum: LaurentPoly.q_power(1, 2),
+                       datum: LaurentPoly.one()}, 1),
+              Element.basis(datum)):
+        before, deg = dict(v.terms), v.deg
+        for x in (central, one - OperatorExpr.k(0), one.scale(-1) + central,
+                  one + OperatorExpr.k(1),
+                  OperatorExpr.e(0) * OperatorExpr.k(2)):
+            out = evaluate(x, t, v)
+            assert v.terms == before and v.deg == deg
+            assert out.terms is not v.terms
+        assert evaluate(central, t, v).is_zero()
+        assert evaluate(one, t, v) == v
+
+
+def test_bad_letters_and_data_raise_on_every_call():
+    # the letters and data are checked on each call, also once the
+    # program is compiled and the e_on_datum cache holds the data
+    t = AffineType("A", 3, 2)
+    good = Element.basis((1, 0, 2, 1))
+    x = OperatorExpr.e(1) * OperatorExpr.e(0) + OperatorExpr.e(7)
+    y = OperatorExpr.e(1) * OperatorExpr.e(0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="e7 is not a letter of A3r2"):
+            evaluate(x, t, good)
+        evaluate(y, t, good)
+        for bad in [(1, 0, 2), (1, -1, 2, 1), (1, 0.5, 2, 1)]:
+            with pytest.raises(ValueError, match="is not a datum of A3r2"):
+                evaluate(y, t, Element.basis(bad))
