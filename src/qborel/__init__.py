@@ -6,8 +6,8 @@ from .coeffring import (Coefficient, Combination, GradedCombination,
                         q_binomial, q_factorial, q_integer)
 from .rootdata import (AffineType, NotReduced, braid_equivalent, cartan_matrix,
                        convex_order, index_matrix, marks, o_sign, pairing,
-                       positive_roots_wr, reading_words, reduced_word_wr,
-                       root_str, simple_root, theta, to_simple_coords)
+                       positive_roots, positive_roots_wr, reading_words,
+                       reduced_word_wr, root_str, simple_root, theta)
 from .latticemod import Element, LatticeModule, get_module
 from .opalg import (CheckReport, OperatorExpr, central_element_expr,
                     check_identity_on_basis, evaluate, k_commutation_expr,

@@ -22,12 +22,12 @@ from __future__ import annotations
 from operator import add, neg
 
 from .opalg import CheckReport
-from .rootdata import AffineType, positive_roots_wr, to_simple_coords
+from .rootdata import AffineType, positive_roots_wr
 
 
 def positive_roots_simple(t: AffineType):
-    """The inversion-set roots in simple-root coordinates."""
-    return [tuple(to_simple_coords(t, b)) for b in positive_roots_wr(t)]
+    """The inversion-set roots in simple-root coordinates, as a list."""
+    return list(positive_roots_wr(t))
 
 
 def module_character(t: AffineType, bound=None, height=None):

@@ -118,11 +118,12 @@ def cmd_braid(args) -> int:
     ok4 = braid_equivalent(t, row, col)
     if args.fmt == "text":
         lines.append(f"reduced word: {word}")
-        lines.append("convex order: " + ", ".join(root_str(b) for b in betas))
+        lines.append("convex order: "
+                     + ", ".join(root_str(t, b) for b in betas))
         lines.append(f"row reading: {row}")
         lines.append(f"col reading: {col}")
-    reports = [CheckReport(f"braid-{t}-first-root", ok1, root_str(betas[0])),
-               CheckReport(f"braid-{t}-last-root", ok2, root_str(betas[-1])),
+    reports = [CheckReport(f"braid-{t}-first-root", ok1, root_str(t, betas[0])),
+               CheckReport(f"braid-{t}-last-root", ok2, root_str(t, betas[-1])),
                CheckReport(f"braid-{t}-inversion-set", ok3,
                            f"{len(betas)} roots"),
                CheckReport(f"braid-{t}-readings-equivalent", ok4)]

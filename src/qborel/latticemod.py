@@ -1,9 +1,9 @@
 """The combinatorial module U(n,r)_a on multiplicity data.
 
 A basis label ("datum") is a multiplicity function on the root list
-``positive_roots_wr(t)``, stored as a plain tuple of nonnegative ints
-aligned with that list.  The Chevalley generators act by closed
-combinatorial formulas:
+``positive_roots_wr(t)``, whose roots are in simple-root coordinates,
+stored as a plain tuple of nonnegative ints aligned with that list.  The
+Chevalley generators act by closed combinatorial formulas:
 
 * ``e_i`` (i in I) moves one unit from a root beta to beta - alpha_i
   (deleting it when beta = alpha_r), with coefficient
@@ -20,7 +20,8 @@ All exponents here are linear functionals of the datum.  A move is
 stored as its (decremented index, incremented index or None) pair only:
 ``e_on_datum`` reads the exponent of each move of e_i as a running sum
 over the earlier moves of the same e_i, and the exponents of e_0 and of
-each k_i from precomputed sparse (position, pairing) pairs.
+each k_i from precomputed sparse (position, pairing) pairs, built from
+each root's pairings with the simple roots.
 
 ``e_on_datum`` caches its result for every datum it meets, in one dict
 per node keyed by the datum itself.  Each distinct value is stored once:
@@ -56,11 +57,11 @@ letters of a type are e_0..e_n and k_0..k_n to the power +-1.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .coeffring import _ONE, GradedCombination, q_integer
-from .rootdata import (AffineType, pairing, positive_roots_wr, root_str,
-                       simple_root, theta, to_simple_coords)
+from .rootdata import (AffineType, positive_roots_wr, root_str,
+                       simple_pairings, simple_root, theta)
 
 
 class Element(GradedCombination):
@@ -81,25 +82,24 @@ class LatticeModule:
         self.roots = positive_roots_wr(t)
         self.nroots = len(self.roots)
         self.idx = {b: p for p, b in enumerate(self.roots)}
-        self.simple = [to_simple_coords(t, b) for b in self.roots]
         # (node, coordinate) pairs of each root's nonzero coordinates
-        self.supports = [[(j, x) for j, x in enumerate(s) if x]
-                         for s in self.simple]
-        self.height = [sum(s) for s in self.simple]
+        self.supports = [[(j, x) for j, x in enumerate(b) if x]
+                         for b in self.roots]
+        self.height = [sum(b) for b in self.roots]
         self.theta = theta(t)
         self.theta_idx = self.idx[self.theta]
-        # alpha_r itself is always a stored root label (for D r = n-1 the
-        # eps_n sign flip makes alpha_{n-1} = eps_{n-1} - eps_n literal)
         self.alpha_r_idx = self.idx[simple_root(t, t.r)]
         self.vacuum = (0,) * self.nroots
         self._moves = self._build_moves()
+        # ((alpha_1, beta), ..., (alpha_n, beta)) of each root beta
+        pairings = [simple_pairings(t, b) for b in self.roots]
+        theta_pairs = [sum(map(mul, self.theta, pv)) for pv in pairings]
         self._e0_pairs = _sparse(
-            pairing(self.theta, b) - (1 if p == self.theta_idx else 0)
-            for p, b in enumerate(self.roots))
-        self._k_pairs = {0: _sparse(pairing(self.theta, b) for b in self.roots)}
+            x - (1 if p == self.theta_idx else 0)
+            for p, x in enumerate(theta_pairs))
+        self._k_pairs = {0: _sparse(theta_pairs)}
         for i in range(1, t.n + 1):
-            ai = simple_root(t, i)
-            self._k_pairs[i] = _sparse(-pairing(ai, b) for b in self.roots)
+            self._k_pairs[i] = _sparse(-pv[i - 1] for pv in pairings)
         self._k_getters = {i: _exponent_getters(pairs)
                            for i, pairs in self._k_pairs.items()}
         self.letters = frozenset(
@@ -124,17 +124,16 @@ class LatticeModule:
         (c_target - c_source) over all earlier moves of the same e_i:
         the pass-through cost of the derivation reaching that factor of
         the dual PBW product.  ``e_on_datum`` takes that sum as it goes."""
-        where = {s: p for p, s in enumerate(self.simple)}
         moves = {}
         for i in range(1, self.t.n + 1):
             mv = []
-            for src, s in enumerate(self.simple):
-                if not s[i - 1]:
+            for src, b in enumerate(self.roots):
+                if not b[i - 1]:
                     continue
                 if self.height[src] == 1:
                     mv.append((src, None))
                     continue
-                tgt = where.get(s[:i - 1] + (s[i - 1] - 1,) + s[i:])
+                tgt = self.idx.get(b[:i - 1] + (b[i - 1] - 1,) + b[i:])
                 if tgt is not None:
                     mv.append((src, tgt))
             moves[i] = tuple(mv)
@@ -378,7 +377,8 @@ class LatticeModule:
         return out
 
     def datum_str(self, c):
-        parts = [f"{root_str(self.roots[p])}:{m}" for p, m in enumerate(c) if m]
+        parts = [f"{root_str(self.t, self.roots[p])}:{m}"
+                 for p, m in enumerate(c) if m]
         return "{" + ", ".join(parts) + "}"
 
 

@@ -4,16 +4,20 @@ Supported setups: family A with rank n >= 1 and any node r in {1,...,n};
 family D with rank n >= 4 and r in {1, n-1, n} (the three nodes whose
 fundamental coweight translation admits the combinatorics used here).
 
-Roots are stored in epsilon-coordinates: integer vectors of length n+1
-(family A; root-lattice vectors sum to zero) or length n (family D).
-The node-0 direction is represented through the highest root theta via
-(alpha_0, x) = -(theta, x), which is all the algebra ever needs.
+Every root is stored in simple-root coordinates, a tuple of n ints.  The
+finite Cartan matrix is the one per-family input: the chain 1 - 2 - ...
+- n, with node n joined to n-2 instead of n-1 in family D.  The form,
+the positive roots, theta and the simple reflections are all read off
+it.  The node-0 direction is represented through the highest root theta
+via (alpha_0, x) = -(theta, x), which is all the algebra ever needs.
+Epsilon-coordinates are only the print form of ``root_str``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 
 
 class NotReduced(ValueError):
@@ -27,6 +31,8 @@ class AffineType:
     r: int
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.r) is not int:
+            raise ValueError(f"bad type {self}")
         if self.family == "A":
             if self.n < 1 or not 1 <= self.r <= self.n:
                 raise ValueError(f"bad type {self}")
@@ -36,74 +42,68 @@ class AffineType:
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
-    @property
-    def eps_dim(self):
-        return self.n + 1 if self.family == "A" else self.n
-
     def __str__(self):
         return f"{self.family}{self.n}r{self.r}"
 
 
 # ---------------------------------------------------------------------
-# simple roots, theta, pairing
+# the Cartan matrix, the form and the positive roots
 # ---------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _finite_cartan(t: AffineType):
+    """The finite Cartan matrix, rows and columns indexed by 1..n."""
+    n = t.n
+    cm = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        j = i - 2 if t.family == "D" and i == n - 1 else i - 1
+        cm[i][j] = cm[j][i] = -1
+    return tuple(map(tuple, cm))
+
+
 def simple_root(t: AffineType, i: int):
-    """alpha_i in epsilon-coordinates, for i in {1,...,n}."""
-    n, d = t.n, t.eps_dim
-    v = [0] * d
-    if t.family == "A" or i < n:
-        v[i - 1], v[i] = 1, -1
-    else:  # family D, i == n: alpha_n = eps_{n-1} + eps_n
-        v[n - 2], v[n - 1] = 1, 1
+    """alpha_i, for i in {1,...,n}."""
+    v = [0] * t.n
+    v[i - 1] = 1
     return tuple(v)
+
+
+def simple_pairings(t: AffineType, v) -> tuple:
+    """((alpha_1, v), ..., (alpha_n, v))."""
+    return tuple(sum(map(mul, row, v)) for row in _finite_cartan(t))
+
+
+def pairing(t: AffineType, x, y) -> int:
+    """The symmetric form (x, y) of the root lattice."""
+    return sum(map(mul, x, simple_pairings(t, y)))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(t: AffineType) -> tuple:
+    """Every positive root, by height: beta + alpha_i is a root exactly
+    when (beta, alpha_i) = -1, the form being simply laced.  Each root
+    carries its simple_pairings, which adding alpha_i raises by row i."""
+    cm = _finite_cartan(t)
+    roots = [(simple_root(t, i), cm[i - 1]) for i in range(1, t.n + 1)]
+    seen = {beta for beta, _ in roots}
+    for beta, pv in roots:  # the list grows as the loop walks it
+        for i, x in enumerate(pv):
+            if x == -1:
+                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if gamma not in seen:
+                    seen.add(gamma)
+                    roots.append((gamma, tuple(map(add, pv, cm[i]))))
+    return tuple(beta for beta, _ in roots)
 
 
 def theta(t: AffineType):
-    """The highest root: eps_1 - eps_{n+1} (A) or eps_1 + eps_2 (D)."""
-    v = [0] * t.eps_dim
-    if t.family == "A":
-        v[0], v[t.n] = 1, -1
-    else:
-        v[0], v[1] = 1, 1
-    return tuple(v)
-
-
-def pairing(x, y) -> int:
-    """The symmetric form as an epsilon-coordinate dot product.
-
-    For family A this is only valid when at least one argument lies in
-    the root lattice (coordinates summing to zero), where the 1/(n+1)
-    correction term of the ambient form drops out.
-    """
-    if len(x) != len(y):
-        raise ValueError("incompatible lattices")
-    return sum(a * b for a, b in zip(x, y))
-
-
-def to_simple_coords(t: AffineType, v) -> tuple:
-    """Write a root-lattice vector in the basis alpha_1..alpha_n."""
-    n = t.n
-    if t.family == "A":
-        if sum(v) != 0:
-            raise ValueError("not in the root lattice")
-        return tuple(sum(v[:i]) for i in range(1, n + 1))
-    c = [0] * (n + 1)  # 1-indexed
-    for i in range(1, n - 1):
-        c[i] = c[i - 1] + v[i - 1] if i > 1 else v[0]
-    # remaining two coordinates from the fork relations
-    s = v[n - 2] + (c[n - 2] if n >= 3 else 0)
-    d = v[n - 1]
-    if (s - d) % 2 or (s + d) % 2:
-        raise ValueError("not in the root lattice")
-    c[n - 1] = (s - d) // 2
-    c[n] = (s + d) // 2
-    return tuple(c[1:])
+    """The highest root, the last of ``positive_roots``."""
+    return positive_roots(t)[-1]
 
 
 def marks(t: AffineType) -> tuple:
     """The marks a_1..a_n with theta = sum a_i alpha_i."""
-    return to_simple_coords(t, theta(t))
+    return theta(t)
 
 
 def dual_coxeter(t: AffineType) -> int:
@@ -112,26 +112,22 @@ def dual_coxeter(t: AffineType) -> int:
     return 1 + sum(marks(t))
 
 
-def _affine_simple_root(t: AffineType, i: int):
-    """alpha_i for i in {0,...,n}, with alpha_0 represented by -theta."""
-    if not 0 <= i <= t.n:
-        raise ValueError(f"node {i} is not a node of {t}: the nodes are "
-                         f"0..{t.n}")
-    if i == 0:
-        return tuple(-x for x in theta(t))
-    return simple_root(t, i)
-
-
 def cartan_entry(t: AffineType, i: int, j: int) -> int:
     """The affine Cartan matrix entry a_{ij} = (alpha_i, alpha_j),
     0 <= i,j <= n."""
-    return pairing(_affine_simple_root(t, i), _affine_simple_root(t, j))
+    for k in (i, j):
+        if not 0 <= k <= t.n:
+            raise ValueError(f"node {k} is not a node of {t}: the nodes are "
+                             f"0..{t.n}")
+    return cartan_matrix(t)[i][j]
 
 
+@lru_cache(maxsize=None)
 def cartan_matrix(t: AffineType):
     """The affine Cartan matrix a_{ij}, 0 <= i,j <= n (alpha_0 via -theta)."""
-    alphas = [_affine_simple_root(t, i) for i in range(t.n + 1)]
-    return tuple(tuple(pairing(a, b) for b in alphas) for a in alphas)
+    row0 = tuple(-x for x in simple_pairings(t, theta(t)))
+    return ((2,) + row0,) + tuple(
+        (x,) + row for x, row in zip(row0, _finite_cartan(t)))
 
 
 def o_sign(t: AffineType, i: int) -> int:
@@ -156,100 +152,61 @@ def _swap(i, j):
 
 
 def reduced_word_wr(t: AffineType) -> tuple:
-    """The explicit reduced word for w_r used throughout."""
-    n, r = t.n, t.r
-    if t.family == "A":
-        word = []
-        for s in range(r, 0, -1):
-            word.extend(range(s, s + n - r + 1))
-        return tuple(word)
-    if r == 1:
-        return tuple(range(1, n + 1)) + tuple(range(n - 2, 0, -1))
-    # r == n: blocks k = 1..n-1
-    word = []
-    for k in range(1, n):
-        if n % 2 == 0 and k == n - 1:
-            word.append(n)
-        elif k % 2 == 1:
-            word.append(n)
-            word.extend(range(n - 2, k - 1, -1))
-        else:
-            word.extend(range(n - 1, k - 1, -1))
-    word = tuple(word)
-    if r == n - 1:
-        word = _swap(n - 1, n)(word)
-    return word
-
-
-def _reflect(t: AffineType, i: int, v):
-    """Apply the simple reflection s_i to an epsilon-coordinate vector."""
-    n = t.n
-    v = list(v)
-    if t.family == "A" or i < n:
-        v[i - 1], v[i] = v[i], v[i - 1]
-    else:
-        v[n - 2], v[n - 1] = -v[n - 1], -v[n - 2]
-    return tuple(v)
-
-
-def _is_positive_root(v) -> bool:
-    for x in v:
-        if x:
-            return x > 0
-    return False
+    """The explicit reduced word for w_r used throughout: the row
+    reading of ``index_matrix``."""
+    return tuple(x for row in index_matrix(t) for x in row)
 
 
 def convex_order(t: AffineType, word) -> tuple:
-    """The beta-sequence beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}).
+    """The beta-sequence beta_k = w_{k-1}(alpha_{i_k}), w_{k-1} the prefix
+    s_{i_1}...s_{i_{k-1}}.  The images w(alpha_j) of the simple roots are
+    updated one letter at a time from row i of the Cartan matrix:
+    w s_i(alpha_j) = w(alpha_j) - a_ij w(alpha_i).
 
     Raises NotReduced unless the betas are distinct positive roots.
     """
+    cm = _finite_cartan(t)
+    images = [simple_root(t, j) for j in range(1, t.n + 1)]
     betas = []
-    for k in range(len(word)):
-        v = simple_root(t, word[k])
-        for j in range(k - 1, -1, -1):
-            v = _reflect(t, word[j], v)
-        if not _is_positive_root(v) or v in betas:
+    for k, i in enumerate(word):
+        if not 1 <= i <= t.n:
+            raise ValueError(f"letter {i} of word {word} is not a node of "
+                             f"{t}: the letters are 1..{t.n}")
+        v = images[i - 1]
+        if min(v) < 0 or v in betas:
             raise NotReduced(f"word {word} fails at position {k}")
         betas.append(v)
+        images = [tuple(x - a * y for x, y in zip(w, v)) if a else w
+                  for w, a in zip(images, cm[i - 1])]
     return tuple(betas)
 
 
 @lru_cache(maxsize=None)
 def positive_roots_wr(t: AffineType) -> tuple:
-    """Delta^+(w_r), listed in the convex order of reduced_word_wr."""
+    """Delta^+(w_r), the positive roots with a nonzero alpha_r-coefficient
+    (which is 1, r being minuscule), listed in the convex order of
+    reduced_word_wr."""
     betas = convex_order(t, reduced_word_wr(t))
-    n, r = t.n, t.r
-    if t.family == "A":
-        expected = {_eps_pair(t, i, j, -1) for i in range(1, r + 1)
-                    for j in range(r + 1, n + 2)}
-    elif r == 1:
-        expected = {_eps_pair(t, 1, i, s) for i in range(2, n + 1) for s in (-1, 1)}
-    elif r == n:
-        expected = {_eps_pair(t, i, j, 1) for i in range(1, n)
-                    for j in range(i + 1, n + 1)}
-    else:  # r == n-1: flip the sign of eps_n in the r = n labels
-        expected = set()
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                v = list(_eps_pair(t, i, j, 1))
-                v[n - 1] = -v[n - 1]
-                expected.add(tuple(v))
-    if set(betas) != expected:
+    if set(betas) != {b for b in positive_roots(t) if b[t.r - 1]}:
         raise AssertionError(f"beta-sequence of {t} does not enumerate the set")
     return betas
 
 
-def _eps_pair(t: AffineType, i, j, sign):
-    v = [0] * t.eps_dim
-    v[i - 1] = 1
-    v[j - 1] += sign
-    return tuple(v)
-
-
-def root_str(v) -> str:
+def root_str(t: AffineType, v) -> str:
+    """A root-lattice vector printed in epsilon-coordinates, through the
+    images alpha_i = e_i - e_{i+1}, and alpha_n = e_{n-1} + e_n in
+    family D."""
+    n = t.n
+    eps = [0] * (n + 1)  # e_1 .. e_{n+1}
+    for i, x in enumerate(v):  # x alpha_{i+1}
+        if t.family == "D" and i == n - 1:
+            eps[n - 2] += x
+            eps[n - 1] += x
+        else:
+            eps[i] += x
+            eps[i + 1] -= x
     parts = []
-    for idx, x in enumerate(v, start=1):
+    for idx, x in enumerate(eps, start=1):
         if x == 0:
             continue
         parts.append(("+" if x > 0 else "-") if abs(x) == 1 else f"{x:+d}*")
@@ -319,20 +276,20 @@ def braid_equivalent_bfs(t: AffineType, w1, w2, cap=200000) -> bool:
 # ---------------------------------------------------------------------
 
 def index_matrix(t: AffineType):
-    """The index matrix whose row reading gives reduced_word_wr.
+    """The index matrix whose row reading is reduced_word_wr.
 
     Family A: an r x (n+1-r) array with first row (r, r+1, ..., n) and
     each later row one less than the row above.  Family D (r = n): the
     upper-triangular array with diagonal (n, n-1, n, n-1, ...) and entry
     n-1-v+u at position (u, v) above it; r = n-1 swaps the letters
-    n-1 <-> n; r = 1 has no matrix (single-row convention, see
+    n-1 <-> n; r = 1 is the single row (1, 2, ..., n, n-2, ..., 1) (see
     reading_words).
     """
     n, r = t.n, t.r
     if t.family == "A":
         return tuple(tuple(r - u + v for v in range(n - r + 1)) for u in range(r))
     if r == 1:
-        return (reduced_word_wr(t),)
+        return (tuple(range(1, n + 1)) + tuple(range(n - 2, 0, -1)),)
     rows = []
     for u in range(1, n):
         row = [n if u % 2 == 1 else n - 1]

@@ -1,7 +1,8 @@
 """Level-one affine root vectors E_{delta - alpha_i} as operator words.
 
 Both constructed operators come from one path: the letters p_1 ... p_k
-that carry alpha_0 to delta - alpha_r one adjacent simple root at a time.
+that carry alpha_0 to delta - alpha_r one adjacent simple root at a time,
+read off the stored root order for every family (``_path``).
 
 * ``leading_E`` -- the leading word e_{p_k} ... e_{p_1} e_0 with its
   scalar (-q^{-1})^k, valid as the full operator on the alpha_r-string
@@ -22,11 +23,12 @@ Operator comparisons are evaluation-based; see opalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, sub
 
 from .coeffring import Coefficient, LaurentPoly
 from .latticemod import Element, get_module
 from .opalg import CheckReport, OperatorExpr, evaluate, q_bracket
-from .rootdata import AffineType, dual_coxeter
+from .rootdata import AffineType, dual_coxeter, positive_roots_wr, theta
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,19 @@ def check_node(t: AffineType, i: int):
 def _path(t: AffineType):
     """The letters p_1 ... p_k of the path from alpha_0 to delta - alpha_r:
     alpha_{p_j} pairs to -1 with the running sum alpha_0 + alpha_{p_1}
-    + ... + alpha_{p_{j-1}}, and the whole sum is delta - alpha_r."""
-    n, r = t.n, t.r
-    if t.family == "A":
-        return tuple(range(1, r)) + tuple(range(n, r, -1))
-    middle = tuple(range(2, n - 1))
-    if r == 1:
-        return middle + (n,) + tuple(range(n - 1, 1, -1))
-    # r = n takes the fork through n - 1, and r = n - 1 through n
-    return middle + (2 * n - 1 - r,) + tuple(range(1, n - 1))
+    + ... + alpha_{p_{j-1}}, and the whole sum is delta - alpha_r.
+
+    Read off the stored root order: from theta, each step goes to the
+    earliest root of positive_roots_wr one simple root lower, and records
+    that simple root, until it reaches alpha_r."""
+    roots = positive_roots_wr(t)
+    v, path = theta(t), []
+    while sum(v) > 1:
+        b = next(b for b in roots
+                 if sum(b) == sum(v) - 1 and all(map(ge, v, b)))
+        path.append(1 + list(map(sub, v, b)).index(1))
+        v = b
+    return tuple(path)
 
 
 def leading_E(t: AffineType, i: int) -> OperatorExpr:

@@ -271,3 +271,65 @@ def test_character_with_height_and_bound_applies_both():
     assert out == line
     code, out = run_cli(args + ["--format", "text"])
     assert out == "0,0,0;1\n0,1,0;1\n0,1,1;1\n0,2,0;1\n1,1,0;1\n" + line
+
+
+# full braid --format text output, captured byte for byte before the root
+# data were derived from the Cartan matrix: the convex order line prints
+# every root of the module in its epsilon form
+BRAID_GOLDEN = {
+    ('A', 1, 1): (
+        'reduced word: (1,)\n'
+        'convex order: e1-e2\n'
+        'row reading: (1,)\n'
+        'col reading: (1,)\n'
+        'CHECK braid-A1r1-first-root PASS e1-e2\n'
+        'CHECK braid-A1r1-last-root PASS e1-e2\n'
+        'CHECK braid-A1r1-inversion-set PASS 1 roots\n'
+        'CHECK braid-A1r1-readings-equivalent PASS\n'),
+    ('A', 4, 2): (
+        'reduced word: (2, 3, 4, 1, 2, 3)\n'
+        'convex order: e2-e3, e2-e4, e2-e5, e1-e3, e1-e4, e1-e5\n'
+        'row reading: (2, 3, 4, 1, 2, 3)\n'
+        'col reading: (2, 1, 3, 2, 4, 3)\n'
+        'CHECK braid-A4r2-first-root PASS e2-e3\n'
+        'CHECK braid-A4r2-last-root PASS e1-e5\n'
+        'CHECK braid-A4r2-inversion-set PASS 6 roots\n'
+        'CHECK braid-A4r2-readings-equivalent PASS\n'),
+    ('D', 5, 1): (
+        'reduced word: (1, 2, 3, 4, 5, 3, 2, 1)\n'
+        'convex order: e1-e2, e1-e3, e1-e4, e1-e5, e1+e5, e1+e4, e1+e3, e1+e2\n'
+        'row reading: (1, 2, 3, 4, 5, 3, 2, 1)\n'
+        'col reading: (1, 2, 3, 5, 4, 3, 2, 1)\n'
+        'CHECK braid-D5r1-first-root PASS e1-e2\n'
+        'CHECK braid-D5r1-last-root PASS e1+e2\n'
+        'CHECK braid-D5r1-inversion-set PASS 8 roots\n'
+        'CHECK braid-D5r1-readings-equivalent PASS\n'),
+    ('D', 6, 5): (
+        'reduced word: (5, 4, 3, 2, 1, 6, 4, 3, 2, 5, 4, 3, 6, 4, 5)\n'
+        'convex order: e5-e6, e4-e6, e3-e6, e2-e6, e1-e6, e4+e5, e3+e5, e2+e5, e1+e5, e3+e4, e2+e4, e1+e4, e2+e3, e1+e3, e1+e2\n'
+        'row reading: (5, 4, 3, 2, 1, 6, 4, 3, 2, 5, 4, 3, 6, 4, 5)\n'
+        'col reading: (5, 4, 6, 3, 4, 5, 2, 3, 4, 6, 1, 2, 3, 4, 5)\n'
+        'CHECK braid-D6r5-first-root PASS e5-e6\n'
+        'CHECK braid-D6r5-last-root PASS e1+e2\n'
+        'CHECK braid-D6r5-inversion-set PASS 15 roots\n'
+        'CHECK braid-D6r5-readings-equivalent PASS\n'),
+    ('D', 7, 7): (
+        'reduced word: (7, 5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 7, 5, 4, 3, 6, 5, 4, 7, 5, 6)\n'
+        'convex order: e6+e7, e5+e7, e4+e7, e3+e7, e2+e7, e1+e7, e5+e6, e4+e6, e3+e6, e2+e6, e1+e6, e4+e5, e3+e5, e2+e5, e1+e5, e3+e4, e2+e4, e1+e4, e2+e3, e1+e3, e1+e2\n'
+        'row reading: (7, 5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 7, 5, 4, 3, 6, 5, 4, 7, 5, 6)\n'
+        'col reading: (7, 5, 6, 4, 5, 7, 3, 4, 5, 6, 2, 3, 4, 5, 7, 1, 2, 3, 4, 5, 6)\n'
+        'CHECK braid-D7r7-first-root PASS e6+e7\n'
+        'CHECK braid-D7r7-last-root PASS e1+e2\n'
+        'CHECK braid-D7r7-inversion-set PASS 21 roots\n'
+        'CHECK braid-D7r7-readings-equivalent PASS\n'),
+}
+
+
+@pytest.mark.parametrize("key", list(BRAID_GOLDEN),
+                         ids=[f"{f}{n}r{r}" for f, n, r in BRAID_GOLDEN])
+def test_braid_text_golden(key):
+    family, n, r = key
+    code, out = run_cli(["braid", "--family", family, "--n", str(n),
+                         "--r", str(r), "--format", "text"])
+    assert code == 0
+    assert out == BRAID_GOLDEN[key]

@@ -9,8 +9,7 @@ from qborel.latticemod import Element, LatticeModule, get_module, random_datum
 from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
                           k_commutation_expr, k_e_conjugation_expr,
                           serre_expr)
-from qborel.rootdata import (AffineType, positive_roots_wr, simple_root, theta,
-                             to_simple_coords)
+from qborel.rootdata import AffineType, positive_roots_wr, simple_root, theta
 
 
 def test_vacuum_and_weights():
@@ -71,8 +70,8 @@ def test_ei_shifts_weight():
             c = random_datum(t, rng, max_entry=3)
             w = mod.wt(c)
             for i in range(0, t.n + 1):
-                shift = (tuple(-x for x in to_simple_coords(t, theta(t)))
-                         if i == 0 else to_simple_coords(t, simple_root(t, i)))
+                shift = (tuple(-x for x in theta(t))
+                         if i == 0 else simple_root(t, i))
                 for d in mod.apply_e(i, Element.basis(c)).support():
                     assert mod.wt(d) == tuple(x + s for x, s in zip(w, shift))
 
@@ -127,7 +126,7 @@ def brute_force_data(mod, height=None, box=None):
     rank = mod.t.n
     out = []
     for c in iproduct(*(range(cap + 1) for _ in range(mod.nroots))):
-        depth = [sum(m * s[j] for m, s in zip(c, mod.simple))
+        depth = [sum(m * s[j] for m, s in zip(c, mod.roots))
                  for j in range(rank)]
         if height is not None and sum(depth) > height:
             continue

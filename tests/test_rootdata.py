@@ -1,12 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qborel import rootdata
 from qborel.rootdata import (AffineType, NotReduced, braid_equivalent,
                              braid_equivalent_bfs, cartan_entry, cartan_matrix,
                              convex_order, index_matrix, marks, o_sign,
-                             pairing, positive_roots_wr, reading_words,
-                             reduced_word_wr, simple_root, theta,
-                             to_simple_coords)
+                             pairing, positive_roots, positive_roots_wr,
+                             reading_words, reduced_word_wr, root_str,
+                             simple_root, theta)
 
 
 def all_types(nmax=6):
@@ -29,6 +32,15 @@ def test_type_validation():
         AffineType("A", 3, 4)
     with pytest.raises(ValueError):
         AffineType("B", 2, 1)
+
+
+@pytest.mark.parametrize("args", [("A", 3, True), ("A", 3, 2.0),
+                                  ("A", 3.0, 2), ("D", True, 1)],
+                         ids=["bool-node", "float-node", "float-rank",
+                              "bool-rank"])
+def test_type_rejects_non_int_rank_and_node(args):
+    with pytest.raises(ValueError, match="bad type"):
+        AffineType(*args)
 
 
 def test_cartan_matrices_small():
@@ -60,20 +72,50 @@ def test_theta_marks():
     assert marks(AffineType("D", 6, 1)) == (1, 2, 2, 2, 1, 1)
 
 
-def test_to_simple_coords_roundtrip():
+def test_positive_roots_from_the_matrix():
+    # n(n+1)/2 roots for A_n and n(n-1) for D_n, and theta the unique
+    # root of greatest height
+    for t in all_types(12):
+        roots = positive_roots(t)
+        n = t.n
+        assert len(set(roots)) == len(roots) == (
+            n * (n + 1) // 2 if t.family == "A" else n * (n - 1))
+        top = max(map(sum, roots))
+        assert [b for b in roots if sum(b) == top] == [theta(t)]
+
+
+def _parse_eps(text):
+    """The epsilon-coordinates {index: coefficient} of a root_str text."""
+    out = {}
+    for sign, mult, idx in re.findall(r"([+-]?)(?:(\d+)\*)?e(\d+)", text):
+        out[int(idx)] = (-1 if sign == "-" else 1) * int(mult or 1)
+    return out
+
+
+def test_root_str_keeps_the_form():
+    # the printed epsilon forms of the roots of u_r have dot product
+    # (beta, gamma)
     for t in all_types():
-        for i in range(1, t.n + 1):
-            c = to_simple_coords(t, simple_root(t, i))
-            assert c == tuple(1 if j == i else 0 for j in range(1, t.n + 1))
-        for b in positive_roots_wr(t):
-            c = to_simple_coords(t, b)
-            assert all(x >= 0 for x in c) and sum(c) > 0
-            # reconstruct in epsilon coordinates
-            v = [0] * t.eps_dim
-            for i, m in enumerate(c, start=1):
-                for p, x in enumerate(simple_root(t, i)):
-                    v[p] += m * x
-            assert tuple(v) == b
+        roots = positive_roots_wr(t)
+        eps = [_parse_eps(root_str(t, b)) for b in roots]
+        for b, x in zip(roots, eps):
+            for c, y in zip(roots, eps):
+                dot = sum(m * y.get(i, 0) for i, m in x.items())
+                assert dot == pairing(t, b, c)
+
+
+@pytest.mark.parametrize("t", [AffineType("A", 4, 2), AffineType("D", 5, 1),
+                               AffineType("D", 5, 5)], ids=str)
+def test_positive_roots_wr_rejects_a_word_of_another_element(t, monkeypatch):
+    # dropping the last letter keeps the word reduced but loses theta
+    word = reduced_word_wr(t)
+    monkeypatch.setattr(rootdata, "reduced_word_wr", lambda _: word[:-1])
+    positive_roots_wr.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="does not enumerate"):
+            positive_roots_wr(t)
+    finally:
+        positive_roots_wr.cache_clear()
 
 
 def test_o_sign_alternates_on_edges():
@@ -107,6 +149,12 @@ def test_convex_order_rejects_non_reduced():
         convex_order(t, (1, 2, 1, 2, 1, 2))
 
 
+@pytest.mark.parametrize("word", [(0,), (2, 0), (4,), (1, -1)], ids=str)
+def test_convex_order_rejects_letters_outside_the_nodes(word):
+    with pytest.raises(ValueError, match=r"is not a node of A3r2"):
+        convex_order(AffineType("A", 3, 2), word)
+
+
 def test_convexity_property():
     # if beta_i + beta_j is again in the list, it sits between them
     for t in all_types():
@@ -135,13 +183,13 @@ def test_alpha_r_multiplicity_one():
     # every root of the inversion set contains alpha_r exactly once
     for t in all_types():
         for b in positive_roots_wr(t):
-            assert to_simple_coords(t, b)[t.r - 1] == 1
+            assert b[t.r - 1] == 1
 
 
 def test_pairing_root_lengths():
-    for t in all_types():
-        for b in positive_roots_wr(t):
-            assert pairing(b, b) == 2
+    for t in all_types(12):
+        for b in positive_roots(t):
+            assert pairing(t, b, b) == 2
 
 
 def test_braid_projection_vs_bfs():

@@ -3,8 +3,9 @@ import pytest
 from qborel.coeffring import Coefficient, LaurentPoly
 from qborel.latticemod import Element
 from qborel.opalg import evaluate
-from qborel.rootdata import AffineType
-from qborel.rootvec import (Unsupported, alpha_r_string, bracket_E,
+from qborel.rootdata import (AffineType, dual_coxeter, positive_roots_wr,
+                             simple_root, theta)
+from qborel.rootvec import (Unsupported, _path, alpha_r_string, bracket_E,
                             catalog_entry, hardcoded_full_E, leading_E,
                             string_coefficient, string_span_values,
                             verified_domain_check)
@@ -159,3 +160,33 @@ def test_verified_domain_sweep():
     for n in (4, 5, 6):
         for r in (1, n - 1, n):
             assert verified_domain_check(AffineType("D", n, r)).passed
+
+
+# the paths of the per-family rule the stored-order search replaced
+PATH_GOLDEN = {AffineType("A", 4, 2): (1, 4, 3),
+               AffineType("D", 5, 1): (2, 3, 5, 4, 3, 2),
+               AffineType("D", 6, 5): (2, 3, 4, 6, 1, 2, 3, 4),
+               AffineType("D", 6, 6): (2, 3, 4, 5, 1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("t", list(PATH_GOLDEN), ids=str)
+def test_path_golden(t):
+    assert _path(t) == PATH_GOLDEN[t]
+
+
+def test_path_walks_down_the_roots():
+    # h^v - 2 letters, each partial difference theta - alpha_{p_1} - ...
+    # - alpha_{p_j} a root of the module, the last one alpha_r
+    types = [AffineType("A", n, r) for n in range(1, 13)
+             for r in range(1, n + 1)]
+    types += [AffineType("D", n, r) for n in range(4, 13)
+              for r in (1, n - 1, n)]
+    for t in types:
+        path = _path(t)
+        assert len(path) == dual_coxeter(t) - 2
+        roots = set(positive_roots_wr(t))
+        v = theta(t)
+        for p in path:
+            v = tuple(x - (j == p) for j, x in enumerate(v, start=1))
+            assert v in roots
+        assert v == simple_root(t, t.r)
