@@ -12,10 +12,9 @@ from .latticemod import Element, LatticeModule, get_module
 from .opalg import (CheckReport, OperatorExpr, central_element_expr,
                     check_identity_on_basis, evaluate, k_commutation_expr,
                     k_e_conjugation_expr, q_bracket, serre_expr)
-from .rootvec import (CatalogEntry, Unsupported, alpha_r_string, bracket_E,
-                      catalog_entry, hardcoded_full_E, leading_E,
-                      string_coefficient, string_span_values,
-                      verified_domain_check)
+from .rootvec import (Unsupported, alpha_r_string, bracket_E,
+                      hardcoded_full_E, leading_E, string_coefficient,
+                      string_span_values, verified_domain_check)
 from .drinfeld import (CurrentEngine, DomainViolation, EllWeight,
                        NotEigenvector, c_r, ell_weight_of_vacuum)
 from .microrec import (StringElement, StringEngine, base_scalars,

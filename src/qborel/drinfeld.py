@@ -10,8 +10,10 @@ applied with memoized lazy evaluation on basis labels (materializing E_k
 as a word expression would grow exponentially in k).  ``raise_level``
 is that step and ``LevelEngine`` its one memo, which ``CurrentEngine``
 runs on the lattice module and ``microrec.StringEngine`` on the
-alpha_r-string.  The division by q + q^{-1} must be exact; a failure is
-a hard error and always means the base operator data is wrong.
+alpha_r-string.  On the lattice module E_{d-a_r} is, in every family,
+the q-bracket along ``rootvec._path`` applied letter by letter.  The
+division by q + q^{-1} must be exact; a failure is a hard error and
+always means the base operator data is wrong.
 
 The central element acts trivially on every module here, so no
 C^{1/2} bookkeeping appears anywhere.
@@ -23,13 +25,12 @@ from dataclasses import dataclass, field
 
 from .coeffring import Coefficient, LaurentPoly, q_integer
 from .latticemod import Element, get_module
-from .opalg import evaluate
 from .rootdata import AffineType, dual_coxeter, o_sign
-from .rootvec import catalog_entry, check_node
+from .rootvec import _path, check_node
 
 
 class DomainViolation(RuntimeError):
-    """A leading-word operator was needed outside its verified span."""
+    """A level-one operator was needed outside the span it is known on."""
 
 
 class NotEigenvector(RuntimeError):
@@ -122,29 +123,36 @@ class CurrentEngine(LevelEngine):
         super().__init__()
         self.t = t
         self.mod = get_module(t)
-        self._entries = {i: catalog_entry(t, i) for i in range(1, t.n + 1)}
+        self._path = _path(t)
 
     # -- level one ----------------------------------------------------
 
-    def _string_power(self, c):
-        """m if the datum is m units at alpha_r, else None."""
-        p = self.mod.alpha_r_idx
-        if all(x == 0 for i, x in enumerate(c) if i != p):
-            return c[p]
-        return None
-
     def E1(self, i: int, v: Element) -> Element:
-        entry = self._entries[i]
-        if entry.full is not None:
-            return evaluate(entry.full, self.t, v)
-        # leading-only (or zero) operator: restrict to the verified span
-        for c in v.terms:
-            m = self._string_power(c)
-            if m is None or m > 2:
-                raise DomainViolation(
-                    f"E_(delta-alpha_{i}) needed outside the alpha_r-string "
-                    f"span at {self.mod.datum_str(c)}")
-        return evaluate(entry.leading, self.t, v)
+        """E_{delta - alpha_i} v: zero for i != r, and for i = r the
+        q-bracket of ``rootvec.bracket_E``, never expanded into words."""
+        check_node(self.t, i)
+        self.mod.check_data(v.terms)
+        if i != self.t.r:
+            return Element.zero()
+        return Element._of(self._bracket(len(self._path), v.terms), v.deg + 1)
+
+    def _bracket(self, j, terms):
+        """u_j on a term map {datum: LaurentPoly}, as a new map without
+        zeros, the factor a of e_0 left to the caller: u_0 = e_0 and
+        u_j(w) = u_{j-1}(e_{p_j} w) - q^{-1} e_{p_j} u_{j-1}(w) along
+        the path p.  An empty map returns at once, so on the
+        alpha_r-string span, which every e_{p_j} kills (no path letter
+        is r), u_k costs about 2k e-steps."""
+        if not terms:
+            return terms
+        step = self.mod._e_step
+        if not j:
+            return step(0, terms)
+        p = self._path[j - 1]
+        head = Element._of(self._bracket(j - 1, step(p, terms)))
+        tail = step(p, self._bracket(j - 1, terms))
+        return (head + Element._of({c: -x.shift(-1)
+                                    for c, x in tail.items()})).terms
 
     # -- level k ------------------------------------------------------
 

@@ -167,7 +167,7 @@ def base_scalars(t: AffineType, model: str):
 
     Raising model: the lattice-module scalars of
     ``rootvec.string_span_values``, which ``verified_domain_check``
-    confirms by evaluating the catalog operator.  Lowering model: quoted
+    confirms by evaluating ``bracket_E``.  Lowering model: quoted
     input data, the raising model's first scalar twice.
     """
     v1, v2 = string_span_values(t)

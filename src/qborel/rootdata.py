@@ -62,7 +62,11 @@ def _finite_cartan(t: AffineType):
 
 
 def simple_root(t: AffineType, i: int):
-    """alpha_i, for i in {1,...,n}."""
+    """alpha_i, for i in {1,...,n}; ValueError naming the type for any
+    other i."""
+    if not 1 <= i <= t.n:
+        raise ValueError(f"alpha_{i} is not a simple root of {t}: the "
+                         f"nodes are 1..{t.n}")
     v = [0] * t.n
     v[i - 1] = 1
     return tuple(v)

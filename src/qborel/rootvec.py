@@ -4,38 +4,32 @@ Both constructed operators come from one path: the letters p_1 ... p_k
 that carry alpha_0 to delta - alpha_r one adjacent simple root at a time,
 read off the stored root order for every family (``_path``).
 
-* ``leading_E`` -- the leading word e_{p_k} ... e_{p_1} e_0 with its
-  scalar (-q^{-1})^k, valid as the full operator on the alpha_r-string
-  span (every other word of the bracket ends in a letter other than e_0
-  and e_r, so it kills that span);
 * ``bracket_E`` -- the complete operator, the left-normed q-bracket
   [...[[e_0, e_{p_1}]_q, e_{p_2}]_q ...]_q (Beck's iterated brackets;
   no braid automorphism is ever applied);
+* ``leading_E`` -- its leading word e_{p_k} ... e_{p_1} e_0 with its
+  scalar (-q^{-1})^k, equal to the bracket on the alpha_r-string span
+  (every other word of the bracket ends in a letter other than e_0
+  and e_r, so it kills that span);
 * ``hardcoded_full_E`` -- transcribed small-rank expressions used as
   independent cross-checks.
 
-The catalog uses ``bracket_E`` in family A; family D keeps the leading
-word on its verified span.
+``bracket_E`` and ``leading_E`` are free-word references for checks
+and tests: ``drinfeld.CurrentEngine`` applies the same bracket letter by
+letter on the lattice module, in every family, without expanding its
+2^k words.
 
 Operator comparisons are evaluation-based; see opalg.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge, sub
 
 from .coeffring import Coefficient, LaurentPoly
 from .latticemod import Element, get_module
 from .opalg import CheckReport, OperatorExpr, evaluate, q_bracket
 from .rootdata import AffineType, dual_coxeter, positive_roots_wr, theta
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    leading: OperatorExpr
-    full: OperatorExpr | None
-    provenance: str  # "leading-only" | "bracket" | "hardcoded" | "zero"
 
 
 def check_node(t: AffineType, i: int):
@@ -91,41 +85,30 @@ class Unsupported(ValueError):
     pass
 
 
-def hardcoded_full_E(t: AffineType) -> CatalogEntry:
-    """Transcribed small-rank expressions (full words for A_3; leading
-    words plus the tail-class marker for the small D cases).  Tail
-    coefficients are never invented; only their vanishing on the
-    alpha_r-string is used downstream."""
+def hardcoded_full_E(t: AffineType) -> OperatorExpr:
+    """Transcribed small-rank expressions: the full words for A_3, and
+    for the small D cases the leading word only, which equals the
+    complete operator on the alpha_r-string span and nowhere else.
+    Tail coefficients are never invented."""
     qp = Coefficient.q_power
     e = OperatorExpr.basis
     key = (t.family, t.n, t.r)
     if key == ("A", 3, 1):
-        full = (e((0, 3, 2)) + e((3, 0, 2), qp(-1) * -1)
+        return (e((0, 3, 2)) + e((3, 0, 2), qp(-1) * -1)
                 + e((2, 0, 3), qp(-1) * -1) + e((2, 3, 0), qp(-2)))
-    elif key == ("A", 3, 2):
-        full = (e((0, 1, 3)) + e((1, 0, 3), qp(-1) * -1)
+    if key == ("A", 3, 2):
+        return (e((0, 1, 3)) + e((1, 0, 3), qp(-1) * -1)
                 + e((3, 0, 1), qp(-1) * -1) + e((3, 1, 0), qp(-2)))
-    elif key == ("A", 3, 3):
-        full = (e((0, 1, 2)) + e((1, 0, 2), qp(-1) * -1)
+    if key == ("A", 3, 3):
+        return (e((0, 1, 2)) + e((1, 0, 2), qp(-1) * -1)
                 + e((2, 0, 1), qp(-1) * -1) + e((2, 1, 0), qp(-2)))
-    elif key == ("D", 4, 1):
-        return CatalogEntry(e((2, 3, 4, 2, 0), qp(-4)), None, "hardcoded")
-    elif key == ("D", 4, 4):
-        return CatalogEntry(e((2, 1, 3, 2, 0), qp(-4)), None, "hardcoded")
-    elif key == ("D", 5, 5):
-        return CatalogEntry(e((3, 2, 1, 4, 3, 2, 0), qp(-6)), None, "hardcoded")
-    else:
-        raise Unsupported(f"no hard-coded expression for {t}")
-    return CatalogEntry(leading_E(t, t.r), full, "hardcoded")
-
-
-def catalog_entry(t: AffineType, i: int) -> CatalogEntry:
-    check_node(t, i)
-    if i != t.r:
-        return CatalogEntry(OperatorExpr.zero(), None, "zero")
-    if t.family == "A":
-        return CatalogEntry(leading_E(t, i), bracket_E(t), "bracket")
-    return CatalogEntry(leading_E(t, i), None, "leading-only")
+    if key == ("D", 4, 1):
+        return e((2, 3, 4, 2, 0), qp(-4))
+    if key == ("D", 4, 4):
+        return e((2, 1, 3, 2, 0), qp(-4))
+    if key == ("D", 5, 5):
+        return e((3, 2, 1, 4, 3, 2, 0), qp(-6))
+    raise Unsupported(f"no hard-coded expression for {t}")
 
 
 # ---------------------------------------------------------------------
@@ -165,24 +148,20 @@ def string_span_values(t: AffineType):
 
 
 def verified_domain_check(t: AffineType) -> CheckReport:
-    """Evaluate the catalog operator for i = r on the alpha_r-string and
-    compare against the known scalars; for family A additionally check
-    that the full and leading operators agree on that span."""
-    entry = catalog_entry(t, t.r)
+    """Evaluate ``bracket_E`` on the alpha_r-string: against the known
+    scalars on 1 and f_r, and against ``leading_E`` on the first three
+    string vectors."""
+    full, lead = bracket_E(t), leading_E(t, t.r)
     v1, v2 = string_span_values(t)
-    op = entry.full if entry.full is not None else entry.leading
     fails = []
-    out0 = evaluate(op, t, alpha_r_string(t, 0))
-    if string_coefficient(t, out0, 1) != v1:
-        fails.append(f"E.1 = {out0}, expected {v1} * f_r")
-    out1 = evaluate(op, t, alpha_r_string(t, 1))
-    if string_coefficient(t, out1, 2) != v2:
-        fails.append(f"E.f_r = {out1}, expected {v2} * f_r^2")
-    if entry.full is not None:
-        for m in range(3):
-            v = alpha_r_string(t, m)
-            if evaluate(entry.full, t, v) != evaluate(entry.leading, t, v):
-                fails.append(f"full/leading disagree on string vector {m}")
+    outs = [evaluate(full, t, alpha_r_string(t, m)) for m in range(3)]
+    if string_coefficient(t, outs[0], 1) != v1:
+        fails.append(f"E.1 = {outs[0]}, expected {v1} * f_r")
+    if string_coefficient(t, outs[1], 2) != v2:
+        fails.append(f"E.f_r = {outs[1]}, expected {v2} * f_r^2")
+    for m, out in enumerate(outs):
+        if out != evaluate(lead, t, alpha_r_string(t, m)):
+            fails.append(f"full/leading disagree on string vector {m}")
     name = f"root-vector-domain-{t}"
     if fails:
         return CheckReport(name, False, "; ".join(fails))

@@ -33,8 +33,8 @@ from qborel.opalg import (central_element_expr, evaluate, k_commutation_expr,
 from qborel.rootdata import (AffineType, braid_equivalent, convex_order,
                              positive_roots_wr, reading_words, reduced_word_wr,
                              simple_root, theta)
-from qborel.rootvec import (alpha_r_string, bracket_E, catalog_entry,
-                            hardcoded_full_E, string_span_values,
+from qborel.rootvec import (alpha_r_string, bracket_E, hardcoded_full_E,
+                            leading_E, string_span_values,
                             verified_domain_check)
 
 
@@ -127,7 +127,7 @@ def test_criterion3_D4_exact():
 def test_criterion4_full_E_A3_vs_transcript(r):
     t = AffineType("A", 3, r)
     full = bracket_E(t)
-    hard = hardcoded_full_E(t).full
+    hard = hardcoded_full_E(t)
     mod = get_module(t)
     for c in mod.enumerate_data(height=6):
         v = Element.basis(c)
@@ -137,10 +137,10 @@ def test_criterion4_full_E_A3_vs_transcript(r):
 @pytest.mark.parametrize("t", [AffineType("A", n, r) for n in range(2, 8)
                                for r in range(1, n + 1)], ids=str)
 def test_criterion4_full_vs_leading_on_string(t):
-    entry = catalog_entry(t, t.r)
+    full, lead = bracket_E(t), leading_E(t, t.r)
     for m in range(3):
         v = alpha_r_string(t, m)
-        assert evaluate(entry.full, t, v) == evaluate(entry.leading, t, v)
+        assert evaluate(full, t, v) == evaluate(lead, t, v)
 
 
 @pytest.mark.parametrize("t", TYPES_6 + [AffineType("A", 7, r)

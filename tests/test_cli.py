@@ -65,6 +65,24 @@ def test_braid_command():
     assert "readings-equivalent PASS" in out
 
 
+@pytest.mark.parametrize("family, n, r", [("A", 3, 2), ("A", 4, 2),
+                                          ("D", 5, 1), ("D", 5, 5)])
+def test_braid_inversion_set_of_another_element_fails(family, n, r,
+                                                       monkeypatch):
+    # dropping the last letter keeps the word reduced, but its inversion
+    # set misses theta, a root of Delta^+(w_r)
+    from qborel import cli
+    from qborel.rootdata import AffineType, reduced_word_wr, root_str, theta
+    t = AffineType(family, n, r)
+    word = reduced_word_wr(t)
+    monkeypatch.setattr(cli, "reduced_word_wr", lambda _: word[:-1])
+    code, out = run_cli(["braid", "--family", family, "--n", str(n),
+                         "--r", str(r)])
+    assert code == 1
+    assert (f"CHECK braid-{t}-inversion-set FAIL {len(word) - 1} roots; "
+            f"not in both: {root_str(t, theta(t))}\n") in out
+
+
 def test_rank1_and_recurrence():
     code, out = run_cli(["rank1"])
     assert code == 0
@@ -228,6 +246,23 @@ GOLDEN_TEXT = {
         'gamma_3 = q^-18*a^3 - 2*q^-16*a^3 + q^-14*a^3\n'
         'gamma_4 = q^-25*a^4 - 3*q^-23*a^4 + 3*q^-21*a^4 - q^-19*a^4\n'
         'CHECK recurrence-neg-D4r4-K4 PASS closed-form residuals all 0\n'),
+    ("lweight", "pos", "D", 5, 1): (
+        'Psi_1(z) coefficients: 1, q^-9*a - q^-7*a, 0, 0, 0  [polynomial]\n'
+        'Psi_2(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_3(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_4(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_5(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'c_r = -q^-9 + q^-7\n'
+        'CHECK lweight-pos-D5r1-K4 PASS node 1 polynomial, others trivial\n'),
+    ("lweight", "pos", "D", 6, 5): (
+        'Psi_1(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_2(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_3(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_4(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'Psi_5(z) coefficients: 1, q^-11*a - q^-9*a, 0, 0, 0  [polynomial]\n'
+        'Psi_6(z) coefficients: 1, 0, 0, 0, 0  [trivial]\n'
+        'c_r = -q^-11 + q^-9\n'
+        'CHECK lweight-pos-D6r5-K4 PASS node 5 polynomial, others trivial\n'),
 }
 
 
@@ -255,8 +290,8 @@ def golden_coefficients():
 
 def test_golden_coefficients_parse_back():
     printed = list(golden_coefficients())
-    # 2 (3 + 4 nodes) * 5 values, 4 c_r and 4 * 4 gamma_k
-    assert len(printed) == 70 + 4 + 16
+    # (2 (3 + 4) + 5 + 6 nodes) * 5 values, 6 c_r and 4 * 4 gamma_k
+    assert len(printed) == 125 + 6 + 16
     for text in printed:
         assert str(parse_coefficient(text)) == text
 

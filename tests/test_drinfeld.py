@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from qborel.coeffring import Coefficient, LaurentPoly, parse_coefficient
-from qborel.drinfeld import (CurrentEngine, DomainViolation, c_r,
-                             ell_weight_of_vacuum)
-from qborel.latticemod import Element, get_module
+from qborel.drinfeld import CurrentEngine, c_r, ell_weight_of_vacuum
+from qborel.latticemod import Element, get_module, random_datum
+from qborel.opalg import evaluate
 from qborel.rootdata import AffineType, o_sign
+from qborel.rootvec import bracket_E
 
 
 def test_c_r_values():
@@ -55,16 +58,26 @@ def test_x_minus_on_vacuum():
     assert eng.x_minus_on_vacuum(1, 1).is_zero()
 
 
-def test_leading_only_domain_guard():
-    # family D uses a leading-word operator valid only on the
-    # alpha_r-string span; asking for it elsewhere must be an error
-    t = AffineType("D", 4, 4)
+@pytest.mark.parametrize(
+    "t", [AffineType("A", n, r) for n in range(2, 7) for r in range(1, n + 1)]
+    + [AffineType("D", n, r) for n in range(4, 7) for r in (1, n - 1, n)],
+    ids=str)
+def test_E1_is_the_bracket(t):
+    # one route in every family: E1 at node r is bracket_E applied letter
+    # by letter, and zero at every other node, on all data of height <= 2
+    # and on two seeded 0/1 data
     eng = CurrentEngine(t)
     mod = get_module(t)
-    c = [0] * mod.nroots
-    c[mod.theta_idx] = 1
-    with pytest.raises(DomainViolation):
-        eng.E1(4, Element.basis(tuple(c)))
+    rng = random.Random(7)
+    data = mod.enumerate_data(height=2)
+    data += [random_datum(t, rng, max_entry=1) for _ in range(2)]
+    x = bracket_E(t)
+    for c in data:
+        v = Element.basis(c)
+        assert eng.E1(t.r, v) == evaluate(x, t, v), c
+        for i in range(1, t.n + 1):
+            if i != t.r:
+                assert eng.E1(i, v).is_zero(), (i, c)
 
 
 def test_E_level_requires_positive_k():
@@ -80,6 +93,8 @@ def test_E_rejects_node_outside_range():
     for i in (0, 4, 9):
         with pytest.raises(ValueError, match="outside 1..3"):
             eng.E(i, 1, vac)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            eng.E1(i, vac)
 
 
 @pytest.mark.parametrize("family, n, r", [("A", 3, 2), ("D", 4, 4)])

@@ -141,6 +141,15 @@ def test_convex_order_endpoints():
         assert betas[-1] == theta(t)
 
 
+@pytest.mark.parametrize("t", [AffineType("A", 3, 2), AffineType("D", 5, 1)],
+                         ids=str)
+def test_simple_root_rejects_nodes_outside_1_to_n(t):
+    for i in (-1, 0, t.n + 1):
+        with pytest.raises(ValueError,
+                           match=rf"alpha_{i} is not a simple root of {t}"):
+            simple_root(t, i)
+
+
 def test_convex_order_rejects_non_reduced():
     t = AffineType("A", 3, 2)
     with pytest.raises(NotReduced):

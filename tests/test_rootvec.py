@@ -6,9 +6,8 @@ from qborel.opalg import evaluate
 from qborel.rootdata import (AffineType, dual_coxeter, positive_roots_wr,
                              simple_root, theta)
 from qborel.rootvec import (Unsupported, _path, alpha_r_string, bracket_E,
-                            catalog_entry, hardcoded_full_E, leading_E,
-                            string_coefficient, string_span_values,
-                            verified_domain_check)
+                            hardcoded_full_E, leading_E, string_coefficient,
+                            string_span_values, verified_domain_check)
 
 
 def test_full_E_word_structure_family_A():
@@ -45,7 +44,7 @@ def test_full_vs_hardcoded_A3():
     for r in (1, 2, 3):
         t = AffineType("A", 3, r)
         full = bracket_E(t)
-        hard = hardcoded_full_E(t).full
+        hard = hardcoded_full_E(t)
         mod = get_module(t)
         for c in mod.enumerate_data(height=5):
             v = Element.basis(c)
@@ -55,17 +54,16 @@ def test_full_vs_hardcoded_A3():
 def test_hardcoded_leading_words_D():
     for key in [("D", 4, 1), ("D", 4, 4), ("D", 5, 5)]:
         t = AffineType(*key)
-        entry = hardcoded_full_E(t)
-        assert entry.leading == leading_E(t, t.r)
+        assert hardcoded_full_E(t) == leading_E(t, t.r)
     with pytest.raises(Unsupported):
         hardcoded_full_E(AffineType("D", 6, 6))
 
 
-def test_catalog_zero_off_node():
+def test_leading_E_zero_off_node():
     t = AffineType("A", 3, 2)
-    assert catalog_entry(t, 1).provenance == "zero"
-    assert catalog_entry(t, 1).leading.is_zero()
-    assert catalog_entry(t, 2).provenance == "bracket"
+    assert leading_E(t, 1).is_zero()
+    assert not leading_E(t, 2).is_zero()
+    assert not bracket_E(t).is_zero()
 
 
 def test_node_outside_range_is_rejected():
@@ -73,8 +71,6 @@ def test_node_outside_range_is_rejected():
     for i in (0, 4, 9):
         with pytest.raises(ValueError, match="outside 1..3"):
             leading_E(t, i)
-        with pytest.raises(ValueError, match="outside 1..3"):
-            catalog_entry(t, i)
 
 
 @pytest.mark.parametrize("t", [AffineType("D", n, r) for n in range(4, 8)
@@ -95,7 +91,7 @@ def test_complete_operator_golden_values(t):
     # middle nodes with n > 3, where the bracket's free words differ from
     # those of the rank recursion it replaced; the first datum is on the
     # alpha_r-string, the other two are off it, of height >= 4
-    x = catalog_entry(t, t.r).full
+    x = bracket_E(t)
     for c, want in FULL_E_GOLDEN[str(t)].items():
         got = evaluate(x, t, Element.basis(c))
         assert {d: str(got.coefficient(d)) for d in got.terms} == want, c
@@ -131,12 +127,11 @@ def test_string_span_values_on_string():
               AffineType("D", 4, 4), AffineType("D", 5, 4),
               AffineType("D", 6, 1)]:
         v1, v2 = string_span_values(t)
-        entry = catalog_entry(t, t.r)
-        op = entry.full if entry.full is not None else entry.leading
-        assert string_coefficient(
-            t, evaluate(op, t, alpha_r_string(t, 0)), 1) == v1
-        assert string_coefficient(
-            t, evaluate(op, t, alpha_r_string(t, 1)), 2) == v2
+        for op in (bracket_E(t), leading_E(t, t.r)):
+            assert string_coefficient(
+                t, evaluate(op, t, alpha_r_string(t, 0)), 1) == v1
+            assert string_coefficient(
+                t, evaluate(op, t, alpha_r_string(t, 1)), 2) == v2
 
 
 def test_string_span_value_shape():
