@@ -12,7 +12,7 @@ import argparse
 import sys
 import traceback
 
-from .chars import character_identity_check, dump_csv, module_character
+from .chars import character_identity_check
 from .coeffring import Coefficient
 from .drinfeld import c_r, ell_weight_of_vacuum
 from .microrec import (negative_closed_form, negative_ell_weight,
@@ -97,13 +97,9 @@ def cmd_lweight(args) -> int:
 def cmd_character(args) -> int:
     t = AffineType(args.family, args.n, args.r)
     height = _height(args, 8)
-    lines = []
     rep = character_identity_check(t, height, bound=args.bound)
-    if args.fmt == "text":
-        lines.append(dump_csv(module_character(t, bound=args.bound,
-                                               height=height)))
-    lines.append(rep.line())
-    return _emit(args, lines, rep.passed)
+    lines = rep.lines if args.fmt == "text" else []
+    return _emit(args, lines + [rep.line()], rep.passed)
 
 
 def cmd_braid(args) -> int:

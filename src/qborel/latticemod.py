@@ -50,6 +50,10 @@ map of one term, which ``_run_word`` walks as one (datum, coefficient)
 pair until an e-letter gives two or more terms; ``e_on_datum`` stays
 the per-term call on every route.
 
+``walk_data`` is the one recursion over the data within the caps: it
+packs each depth vector in one integer and calls a leaf at every datum,
+the last root's in one loop; ``enumerate_data`` records the data.
+
 A letter is an int i for e_i or a triple ("k", i, s) for k_i^s; the
 letters of a type are e_0..e_n and k_0..k_n to the power +-1.
 """
@@ -327,6 +331,17 @@ class LatticeModule:
     def enumerate_data(self, height=None, box=None):
         """All data within a total-height cap and/or a simple-root box,
         in lexicographic order of the datum tuple."""
+        out = []
+        self.walk_data(lambda code, datum: out.append(tuple(datum)),
+                       height=height, box=box)
+        return out
+
+    def walk_data(self, leaf, height=None, box=None):
+        """Call leaf(code, datum) at every datum (the walk's own list)
+        within a height cap and/or a simple-root box, in lexicographic
+        order, and return s: code is the depth vector sum c_beta beta,
+        coordinate j in the s bits from s*j up, s the bit length of the
+        height cap, which bounds every coordinate."""
         if height is None and box is None:
             raise ValueError("need a height cap or a box")
         if height is not None and height < 0:
@@ -340,41 +355,47 @@ class LatticeModule:
                 raise ValueError("box bound entries must be nonnegative")
         # the height is the total of the used depths, so a height cap
         # alone bounds each node by itself and a box alone bounds the
-        # height by its total: both caps always apply
-        room = list(box) if box is not None else [height] * self.t.n
+        # height by its total: both caps always apply, and only box
+        # nodes below the height cap can bind
         if height is None:
             height = sum(box)
-        supports, heights = self.supports, self.height
+        room = list(box) if box is not None else [height] * self.t.n
+        binds = [[(j, x) for j, x in support if room[j] < height]
+                 for support in self.supports]
+        s = height.bit_length()
+        codes = [sum(x << s * j for j, x in sup) for sup in self.supports]
+        heights = self.height
         # below the least height of roots p, p+1, ... only zeros fit; past
-        # the last root nothing does
+        # the last root nothing does, so its multiplicities are all leaves
         lowest = [min(heights[p:]) for p in range(self.nroots)] + [height + 1]
         datum = [0] * self.nroots
-        out = []
 
-        def rec(p, left):
-            if left < lowest[p]:
-                out.append(tuple(datum))
-                return
+        def rec(p, left, code):
             # the largest multiplicity of root p that fits the remaining
-            # height and the remaining room at every node of its support
-            support, h = supports[p], heights[p]
+            # height and the remaining room at its binding nodes
+            h, step, bind = heights[p], codes[p], binds[p]
+            below = lowest[p + 1]
             top = left // h
-            for j, x in support:
+            for j, x in bind:
                 k = room[j] // x
                 if k < top:
                     top = k
             for m in range(top + 1):
                 datum[p] = m
-                rec(p + 1, left)
+                if left < below:
+                    leaf(code, datum)
+                else:
+                    rec(p + 1, left, code)
                 left -= h
-                for j, x in support:
+                code += step
+                for j, x in bind:
                     room[j] -= x
-            for j, x in support:
+            for j, x in bind:
                 room[j] += (top + 1) * x
             datum[p] = 0
 
-        rec(0, height)
-        return out
+        rec(0, height, 0)
+        return s
 
     def datum_str(self, c):
         parts = [f"{root_str(self.t, self.roots[p])}:{m}"

@@ -308,6 +308,22 @@ def test_character_with_height_and_bound_applies_both():
     assert out == "0,0,0;1\n0,1,0;1\n0,1,1;1\n0,2,0;1\n1,1,0;1\n" + line
 
 
+def test_character_text_job_walks_the_data_once(monkeypatch):
+    # the table comes from the check's own count
+    from qborel.latticemod import LatticeModule
+    walk, walks = LatticeModule.walk_data, []
+
+    def counted(self, *args, **kwargs):
+        walks.append(self.t)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeModule, "walk_data", counted)
+    code, out = run_cli(["character", "--family", "A", "--n", "3", "--r", "2",
+                         "--height", "2", "--format", "text"])
+    assert code == 0 and out.endswith(" PASS 5 weights\n")
+    assert len(walks) == 1
+
+
 # full braid --format text output, captured byte for byte before the root
 # data were derived from the Cartan matrix: the convex order line prints
 # every root of the module in its epsilon form

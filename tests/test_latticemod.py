@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qborel.chars import module_character
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
 from qborel.latticemod import Element, LatticeModule, get_module, random_datum
 from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
@@ -121,11 +122,18 @@ def test_enumerate_data_rejects_negative_caps(kwargs):
 
 def brute_force_data(mod, height=None, box=None):
     """Every multiplicity tuple of a box big enough to hold all data,
-    in lexicographic order, filtered by the caps."""
+    in lexicographic order, filtered by the caps: each root's
+    multiplicity runs up to the most of it that fits the caps alone."""
     cap = height if height is not None else sum(box)
     rank = mod.t.n
+    tops = []
+    for beta in mod.roots:
+        top = cap // sum(beta)
+        if box is not None:
+            top = min([top] + [b // x for b, x in zip(box, beta) if x])
+        tops.append(top)
     out = []
-    for c in iproduct(*(range(cap + 1) for _ in range(mod.nroots))):
+    for c in iproduct(*(range(top + 1) for top in tops)):
         depth = [sum(m * s[j] for m, s in zip(c, mod.roots))
                  for j in range(rank)]
         if height is not None and sum(depth) > height:
@@ -149,6 +157,45 @@ def brute_force_data(mod, height=None, box=None):
 def test_enumerate_data_matches_brute_force(t, kwargs):
     mod = get_module(t)
     assert mod.enumerate_data(**kwargs) == brute_force_data(mod, **kwargs)
+
+
+def brute_force_character(mod, data):
+    """The number of data at each depth vector sum c_beta beta."""
+    dims = {}
+    for c in data:
+        w = tuple(sum(m * beta[j] for m, beta in zip(c, mod.roots))
+                  for j in range(mod.t.n))
+        dims[w] = dims.get(w, 0) + 1
+    return dims
+
+
+@st.composite
+def walk_caps(draw):
+    t = draw(st.sampled_from([AffineType("A", 3, 2), AffineType("A", 4, 2),
+                              AffineType("D", 4, 4), AffineType("D", 5, 1)]))
+    caps = draw(st.sampled_from(["box", "height", "both"]))
+    kwargs = {}
+    if caps != "box":
+        # zero, and 2^k - 1 and 2^k at the digit boundaries of the codes
+        kwargs["height"] = draw(st.sampled_from([0, 1, 2, 3, 4, 7, 8]))
+    # entries below, at and above the height cap; small with no cap, so
+    # that the brute force stays small
+    top = kwargs.get("height", 0) + 2
+    if caps != "height":
+        kwargs["box"] = draw(st.tuples(*[st.integers(0, top)] * t.n))
+    return t, kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_caps())
+def test_walk_matches_brute_force(inputs):
+    t, kwargs = inputs
+    mod = get_module(t)
+    data = brute_force_data(mod, **kwargs)
+    assert mod.enumerate_data(**kwargs) == data
+    assert (module_character(t, bound=kwargs.get("box"),
+                             height=kwargs.get("height"))
+            == brute_force_character(mod, data))
 
 
 def test_enumerate_basis_height():
