@@ -38,17 +38,20 @@ and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
 each move, and ``apply_e(0, .)`` raises the degree by one.  The
 generators act on plain term maps {datum: LaurentPoly} (``_e_step``,
 ``_k_step``); ``apply_e`` and ``apply_k`` wrap them for elements, and
-``_run_word`` applies a whole word to a map, for ``opalg.evaluate``.
-Both steps are one pass over the map.  ``_e_step`` calls
-``e_on_datum`` once per term; the targets of one datum's moves are
-distinct, so a one-term map is a single comprehension, and a map of
-several terms is filtered for zeros only when two targets met.
+``_run_word`` applies a chain of letters to a map: ``opalg.evaluate``
+runs each segment of its word trie through it, on v's map or on the
+summed value of the words below.  Both steps are one pass over the
+map.  ``_e_step`` calls ``e_on_datum`` once per term; the targets of
+one datum's moves are distinct, so a one-term map is a single
+comprehension, and a map of several terms is filtered for zeros only
+when two targets met.
 ``_k_step`` reads each exponent as the difference of two sums of datum
 entries, picked by two itemgetters per node that are built once from
 the sparse pairings.  Almost every step of a relation check acts on a
 map of one term, which ``_run_word`` walks as one (datum, coefficient)
 pair until an e-letter gives two or more terms; ``e_on_datum`` stays
-the per-term call on every route.
+the per-term call on every route.  A coefficient that is the shared 1
+is never multiplied: the move coefficients are mapped as they are.
 
 ``walk_data`` is the one recursion over the data within the caps: it
 packs each depth vector in one integer and calls a leaf at every datum,
@@ -226,6 +229,8 @@ class LatticeModule:
         e_on_datum = self.e_on_datum
         if len(terms) == 1:
             (c, coef), = terms.items()
+            if coef is _ONE:
+                return {md: mc for mc, md in e_on_datum(i, c)}
             return {md: coef * mc for mc, md in e_on_datum(i, c)}
         out = {}
         get = out.get
@@ -277,7 +282,8 @@ class LatticeModule:
                 elif not moves:
                     return {}
                 else:
-                    terms = {md: coef * mc for mc, md in moves}
+                    terms = ({md: mc for mc, md in moves} if coef is _ONE
+                             else {md: coef * mc for mc, md in moves})
                     rest = word[pos:]
                     break
             else:

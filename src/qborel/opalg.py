@@ -26,9 +26,14 @@ class OperatorExpr(Combination):
     Nothing mutates ``terms`` after construction: every constructor and
     operation returns a fresh expression.  So ``evaluate`` compiles an
     expression once, on first use, into a program kept in ``_program``:
-    for each word its letters in application order, its coefficient's
-    Laurent part and a-degree, and the distinct letters of all words.
-    The program does not depend on the type it is evaluated on."""
+    the letters of all words, and for each a-degree class (a word's
+    coefficient degree plus its number of e_0 letters) a word trie,
+    left-factored so that sum_w c_w w(v) = sum_x x(sum_u c_{xu} u(v)).
+    A trie node is a tuple of edges (segment, child, p): a branch-free
+    chain of letters in application order, the node below it or None
+    when the segment ends a word and so runs on v, and the Laurent part
+    of that word's coefficient, or None.  Words with no shared leftmost
+    letter make a flat root.  The program does not depend on the type."""
 
     __slots__ = ("_program",)
 
@@ -51,20 +56,19 @@ class OperatorExpr(Combination):
                                     for w2, c2 in other.terms.items())
 
     def _compiled(self):
-        """(words, letters): each word as (letters in application order,
-        Laurent part of its coefficient, or None for 1, a-degree of the
-        coefficient plus the word's number of e_0 letters), and the set
-        of all letters."""
+        """(classes, letters): classes the (a-degree, trie) pairs, and
+        letters the set of all letters."""
         try:
             return self._program
         except AttributeError:
-            words = []
+            classes = {}
             for w, c in self.terms.items():
                 p, d = _homogeneous(c)
-                words.append((w[::-1], None if p == 1 else p,
-                              d + w.count(0)))
+                classes.setdefault(d + w.count(0), []).append(
+                    (w[::-1], None if p == 1 else p))
             letters = frozenset(x for w in self.terms for x in w)
-            self._program = (tuple(words), letters)
+            self._program = (tuple((d, _trie(words))
+                                   for d, words in classes.items()), letters)
             return self._program
 
     @staticmethod
@@ -81,44 +85,43 @@ def q_bracket(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
     return x * y - (y * x).scale(Coefficient.q_power(-1))
 
 
-def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
-    """Apply the expression to a module element, letters right-to-left.
+def _trie(words):
+    """The trie node of (letters in application order, p) pairs."""
+    edges, groups = [], {}
+    for w, p in words:
+        if w:
+            groups.setdefault(w[-1], []).append((w[:-1], p))
+        else:
+            edges.append(((), None, p))
+    for x, sub in groups.items():
+        child = _trie(sub)
+        if len(child) == 1:
+            # a chain with no branch is one segment
+            (seg, child, p), = child
+            edges.append((seg + (x,), child, p))
+        else:
+            edges.append(((x,), child, None))
+    return tuple(edges)
 
-    Every letter and every datum of v must be one of t's (ValueError
-    otherwise), checked once, before any word runs.  Each word runs on
-    the plain term map {datum: LaurentPoly} of v through
-    ``LatticeModule._run_word``, which walks a basis vector as one
-    (datum, coefficient) pair until a step branches, and its value
-    times the word's coefficient is added into one map; the result is
-    built as an ``Element`` at the end, and v is never mutated.  A
-    word's value has the a-degree of v plus its number of e_0 letters
-    and its coefficient's degree; two nonzero word values of different
-    degrees raise ValueError."""
-    words, letters = x._compiled()
-    mod = get_module(t)
-    mod.check_letters(letters)
-    terms = v.terms
-    mod.check_data(terms)
-    run_word = mod._run_word
+
+def _run_trie(edges, terms, run_word):
+    """The sum over a trie node's edges of each segment applied to its
+    child's value, or to terms scaled by p, as a new map without zeros;
+    p scales a segment's value when it is merged."""
     out = {}
-    deg = None
-    for w, p, d in words:
-        u = run_word(w, terms)
+    for seg, child, p in edges:
+        u = run_word(seg, terms if child is None
+                     else _run_trie(child, terms, run_word))
         if not u:
             continue
-        d += v.deg
         if not out:
-            # the word's value starts the sum; its map is its own unless
-            # it is v's, as for the empty word
-            deg = d
+            # the first value starts the sum; its map is its own unless
+            # it is terms, as for the empty word
             if p is not None:
                 out = {c: p * val for c, val in u.items()}
             else:
                 out = dict(u) if u is terms else u
             continue
-        if d != deg:
-            raise ValueError(f"sum of words of a-degrees {deg} and {d} "
-                             f"in {x} on {v}")
         get = out.get
         for c, val in u.items():
             if p is not None:
@@ -132,7 +135,39 @@ def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
                     out[c] = s
                 else:
                     del out[c]
-    return Element._of(out, deg or 0)
+    return out
+
+
+def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
+    """Apply the expression to a module element, letters right-to-left.
+
+    Every letter and every datum of v must be one of t's (ValueError
+    otherwise), checked once, before any word runs.  Each a-degree
+    class runs its trie on the plain term map {datum: LaurentPoly} of
+    v, each segment through ``LatticeModule._run_word``, which walks a
+    basis vector as one (datum, coefficient) pair until a step
+    branches: so an outer letter is applied once, to the summed value
+    of the words below it.  v is never mutated.  Two nonzero values of
+    different classes raise ValueError; a class whose words cancel on v
+    has no degree, as a zero value."""
+    classes, letters = x._compiled()
+    mod = get_module(t)
+    mod.check_letters(letters)
+    terms = v.terms
+    mod.check_data(terms)
+    run_word = mod._run_word
+    out = {}
+    deg = 0
+    for d, edges in classes:
+        u = _run_trie(edges, terms, run_word)
+        if not u:
+            continue
+        d += v.deg
+        if out:
+            raise ValueError(f"sum of words of a-degrees {deg} and {d} "
+                             f"in {x} on {v}")
+        out, deg = u, d
+    return Element._of(out, deg)
 
 
 def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:

@@ -65,12 +65,15 @@ def test_x_minus_on_vacuum():
 def test_E1_is_the_bracket(t):
     # one route in every family: E1 at node r is bracket_E applied letter
     # by letter, and zero at every other node, on all data of height <= 2
-    # and on two seeded 0/1 data
+    # and on two seeded 0/1 data; on A4r2, D5r1 and D5r5 also on four
+    # seeded data with entries <= 3, where bracket_E's words branch
     eng = CurrentEngine(t)
     mod = get_module(t)
     rng = random.Random(7)
     data = mod.enumerate_data(height=2)
     data += [random_datum(t, rng, max_entry=1) for _ in range(2)]
+    if str(t) in ("A4r2", "D5r1", "D5r5"):
+        data += [random_datum(t, rng, max_entry=3) for _ in range(4)]
     x = bracket_E(t)
     for c in data:
         v = Element.basis(c)

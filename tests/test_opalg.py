@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import Coefficient, LaurentPoly
-from qborel.latticemod import Element, get_module
+from qborel.latticemod import Element, get_module, random_datum
 from qborel.opalg import (CheckReport, OperatorExpr, central_element_expr,
                           check_identity_on_basis, evaluate, k_commutation_expr,
                           k_e_conjugation_expr, q_bracket, serre_expr)
@@ -124,6 +126,49 @@ def test_words_of_different_a_degrees_raise():
         evaluate(x, t, v)
     # a zero word value has no degree
     assert not evaluate(x, t, Element.basis(mod.vacuum)).is_zero()
+
+
+def test_two_nonzero_degree_classes_raise():
+    # e_0 never kills a datum; on seeded data where e_r does not either,
+    # the classes 1 and 0 raise, whichever word comes first, also next to
+    # a class that cancels
+    for t in (AffineType("A", 4, 2), AffineType("D", 5, 5)):
+        mod = get_module(t)
+        serre = serre_expr(t.r, t.r - 1, t).scale(Coefficient.a_power(2))
+        rng = random.Random(17)
+        c = [0] * mod.nroots
+        c[mod.alpha_r_idx] = 1
+        data = [tuple(c)] + [random_datum(t, rng, max_entry=3)
+                             for _ in range(4)]
+        for c in data:
+            v = Element.basis(c)
+            if evaluate(OperatorExpr.e(t.r), t, v).is_zero():
+                continue
+            for x in (OperatorExpr.e(0) + OperatorExpr.e(t.r),
+                      OperatorExpr.e(t.r) + OperatorExpr.e(0),
+                      serre + OperatorExpr.e(0) * OperatorExpr.k(1)
+                      + OperatorExpr.e(t.r)):
+                with pytest.raises(ValueError, match="a-degrees"):
+                    evaluate(x, t, v)
+
+
+def test_a_degree_class_that_cancels_has_no_degree():
+    # a Serre relation times a^2, and a k-conjugation with e_0, cancel on
+    # every datum: their classes have no degree next to a nonzero one,
+    # whatever the order of the words
+    for t in (AffineType("A", 4, 2), AffineType("D", 5, 1)):
+        mod = get_module(t)
+        serre = serre_expr(t.r, t.r % t.n + 1, t).scale(Coefficient.a_power(2))
+        conj = k_e_conjugation_expr(1, 0, t)
+        rng = random.Random(23)
+        data = mod.enumerate_data(height=2) + [
+            random_datum(t, rng, max_entry=3) for _ in range(4)]
+        for c in data:
+            v = Element.basis(c, Coefficient.q_power(-1) * 2)
+            e = OperatorExpr.e(t.r)
+            for x in (serre + e, e + serre, conj + e, serre + conj + e):
+                assert evaluate(x, t, v) == evaluate(e, t, v), (x, c)
+            assert evaluate(serre + conj, t, v).is_zero()
 
 
 def test_program_does_not_depend_on_the_type():
@@ -435,6 +480,61 @@ def test_evaluation_is_a_homomorphism(case):
     assert evaluate(x * y, t, v) == evaluate(x, t, evaluate(y, t, v))
     assert evaluate(u + w, t, v) == evaluate(u, t, v) + evaluate(w, t, v)
     assert evaluate(u - u, t, v).is_zero()
+
+
+WORD_TYPES = [AffineType("A", 3, 2), AffineType("A", 4, 2),
+              AffineType("D", 4, 4), AffineType("D", 5, 1)]
+
+
+@st.composite
+def word_sums(draw):
+    """A type, an expression of one a-degree class whose words share
+    leftmost letters, and a one-term or multi-term element."""
+    t = draw(st.sampled_from(WORD_TYPES))
+    k = st.tuples(st.just("k"), st.integers(0, t.n), st.sampled_from((1, -1)))
+    letter = st.one_of(st.integers(1, t.n), k)
+    # words start with a prefix of one of two stems, so that their
+    # leftmost letters and whole chains of them are shared
+    stems = [draw(st.lists(letter, max_size=4)) for _ in range(2)]
+    a_class = draw(st.integers(0, 1))
+    x = OperatorExpr.zero()
+    for _ in range(draw(st.integers(1, 6))):
+        stem = draw(st.sampled_from(stems))
+        word = stem[:draw(st.integers(0, len(stem)))]
+        word += draw(st.one_of(st.lists(letter, max_size=3),
+                               st.lists(k, max_size=3)))
+        # the word's e_0 letters and its coefficient's a-degree add up to
+        # the class
+        e0 = draw(st.integers(0, a_class))
+        for _ in range(e0):
+            word.insert(draw(st.integers(0, len(word))), 0)
+        coeff = Coefficient.from_laurent(
+            LaurentPoly({draw(st.integers(-2, 2)): draw(st.integers(-3, 3)
+                                                       .filter(bool)),
+                         draw(st.integers(-2, 2)): draw(st.integers(-1, 1))}),
+            a_class - e0)
+        x = x + OperatorExpr.basis(tuple(word), coeff)
+    nroots = get_module(t).nroots
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        c = tuple(draw(st.lists(st.integers(0, 3), min_size=nroots,
+                                max_size=nroots)))
+        terms[c] = draw(st.sampled_from((LaurentPoly.one(),
+                                         LaurentPoly({0: 1, 2: -1}),
+                                         LaurentPoly.q_power(-1, 2))))
+    return t, x, Element(terms, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sums())
+def test_evaluate_is_the_sum_of_its_words(case):
+    # the word trie factors shared leftmost letters out of the sum; the
+    # value must be the one of the words run one by one
+    t, x, v = case
+    want = Element.zero()
+    for w, c in x.terms.items():
+        want = want + evaluate(OperatorExpr.basis(w, c), t, v)
+    assert evaluate(x, t, v) == want
 
 
 @pytest.mark.parametrize("t", TYPES, ids=str)
