@@ -140,17 +140,18 @@ class CurrentEngine(LevelEngine):
         """u_j on a term map {datum: LaurentPoly}, as a new map without
         zeros, the factor a of e_0 left to the caller: u_0 = e_0 and
         u_j(w) = u_{j-1}(e_{p_j} w) - q^{-1} e_{p_j} u_{j-1}(w) along
-        the path p.  An empty map returns at once, so on the
-        alpha_r-string span, which every e_{p_j} kills (no path letter
-        is r), u_k costs about 2k e-steps."""
+        the path p, each e-step a one-letter call of
+        ``LatticeModule._run_word``.  An empty map returns at once, so
+        on the alpha_r-string span, which every e_{p_j} kills (no path
+        letter is r), u_k costs about 2k e-steps."""
         if not terms:
             return terms
-        step = self.mod._e_step
+        run_word = self.mod._run_word
         if not j:
-            return step(0, terms)
-        p = self._path[j - 1]
-        head = Element._of(self._bracket(j - 1, step(p, terms)))
-        tail = step(p, self._bracket(j - 1, terms))
+            return run_word((0,), terms)
+        p = (self._path[j - 1],)
+        head = Element._of(self._bracket(j - 1, run_word(p, terms)))
+        tail = run_word(p, self._bracket(j - 1, terms))
         return (head + Element._of({c: -x.shift(-1)
                                     for c, x in tail.items()})).terms
 

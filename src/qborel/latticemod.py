@@ -19,9 +19,10 @@ Chevalley generators act by closed combinatorial formulas:
 All exponents here are linear functionals of the datum.  A move is
 stored as its (decremented index, incremented index or None) pair only:
 ``e_on_datum`` reads the exponent of each move of e_i as a running sum
-over the earlier moves of the same e_i, and the exponents of e_0 and of
-each k_i from precomputed sparse (position, pairing) pairs, built from
-each root's pairings with the simple roots.
+over the earlier moves of the same e_i.  The exponent of each k_i is
+the difference of two sums of datum entries, picked by two itemgetters
+per node that are built once from each root's pairings with the simple
+roots; the exponent of e_0 is that of k_0 minus c_theta.
 
 ``e_on_datum`` caches its result for every datum it meets, in one dict
 per node keyed by the datum itself.  Each distinct value is stored once:
@@ -35,23 +36,20 @@ life of the process.
 Every generator acts a-homogeneously, so an ``Element`` is a
 ``GradedCombination``: one a-degree, the number of e_0 letters applied,
 and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
-each move, and ``apply_e(0, .)`` raises the degree by one.  The
-generators act on plain term maps {datum: LaurentPoly} (``_e_step``,
-``_k_step``); ``apply_e`` and ``apply_k`` wrap them for elements, and
-``_run_word`` applies a chain of letters to a map: ``opalg.evaluate``
-runs each segment of its word trie through it, on v's map or on the
-summed value of the words below.  Both steps are one pass over the
-map.  ``_e_step`` calls ``e_on_datum`` once per term; the targets of
-one datum's moves are distinct, so a one-term map is a single
-comprehension, and a map of several terms is filtered for zeros only
-when two targets met.
-``_k_step`` reads each exponent as the difference of two sums of datum
-entries, picked by two itemgetters per node that are built once from
-the sparse pairings.  Almost every step of a relation check acts on a
-map of one term, which ``_run_word`` walks as one (datum, coefficient)
-pair until an e-letter gives two or more terms; ``e_on_datum`` stays
-the per-term call on every route.  A coefficient that is the shared 1
-is never multiplied: the move coefficients are mapped as they are.
+each move, and ``apply_e(0, .)`` raises the degree by one.
+
+``_run_word`` is the one routine that applies letters to a plain term
+map {datum: LaurentPoly}: ``apply_e`` and ``apply_k`` are one-letter
+calls of it on an element's map, ``opalg.evaluate`` runs each segment
+of its word trie through it, and ``drinfeld.CurrentEngine`` builds its
+level-one bracket from one-letter calls.  Almost every step of a
+relation check acts on a map of one term, which ``_run_word`` walks as
+one (datum, coefficient) pair until an e-letter gives two or more
+terms; a map of several terms takes each letter in one pass, and the
+walk resumes once the map is down to one term.  ``e_on_datum`` is the
+per-term call on every route.  A coefficient that is the shared 1 is
+never multiplied on the walk: the move coefficients are mapped as they
+are.
 
 ``walk_data`` is the one recursion over the data within the caps: it
 packs each depth vector in one integer and calls a leaf at every datum,
@@ -98,17 +96,15 @@ class LatticeModule:
         self.alpha_r_idx = self.idx[simple_root(t, t.r)]
         self.vacuum = (0,) * self.nroots
         self._moves = self._build_moves()
-        # ((alpha_1, beta), ..., (alpha_n, beta)) of each root beta
+        # k_i multiplies by q^{(alpha_i, wt(c))} and k_0 by
+        # q^{-(theta, wt(c))}, read off each root's pairings
+        # ((alpha_1, beta), ..., (alpha_n, beta))
         pairings = [simple_pairings(t, b) for b in self.roots]
-        theta_pairs = [sum(map(mul, self.theta, pv)) for pv in pairings]
-        self._e0_pairs = _sparse(
-            x - (1 if p == self.theta_idx else 0)
-            for p, x in enumerate(theta_pairs))
-        self._k_pairs = {0: _sparse(theta_pairs)}
+        self._k_getters = {0: _exponent_getters(
+            [sum(map(mul, self.theta, pv)) for pv in pairings])}
         for i in range(1, t.n + 1):
-            self._k_pairs[i] = _sparse(-pv[i - 1] for pv in pairings)
-        self._k_getters = {i: _exponent_getters(pairs)
-                           for i, pairs in self._k_pairs.items()}
+            self._k_getters[i] = _exponent_getters(
+                [-pv[i - 1] for pv in pairings])
         self.letters = frozenset(
             [*range(t.n + 1)]
             + [("k", i, s) for i in range(t.n + 1) for s in (1, -1)])
@@ -146,21 +142,6 @@ class LatticeModule:
             moves[i] = tuple(mv)
         return moves
 
-    # -- weights --------------------------------------------------------
-
-    def wt(self, c):
-        """-sum c_beta beta, in simple-root coordinates (length n)."""
-        out = [0] * self.t.n
-        supports = self.supports
-        for p, m in enumerate(c):
-            if m:
-                for j, x in supports[p]:
-                    out[j] -= m * x
-        return tuple(out)
-
-    def height_of(self, c):
-        return sum(m * h for m, h in zip(c, self.height))
-
     # -- generator actions ----------------------------------------------
 
     def e_on_datum(self, i, c):
@@ -187,7 +168,9 @@ class LatticeModule:
             d = list(c)
             d[self.theta_idx] += 1
             d = tuple(d)
-            e = sum([x * c[p] for p, x in self._e0_pairs])
+            # the k_0 exponent minus c_theta
+            plus, minus = self._k_getters[0]
+            e = sum(plus(c)) - sum(minus(c)) - c[self.theta_idx]
             out.append((q_integer(1, e), intern(d, d)))
         else:
             # e is the running sum of c[tgt] - c[src] over the earlier
@@ -218,84 +201,71 @@ class LatticeModule:
                              for v in cache.values()),
                 "data": len(self._interned)}
 
-    def _e_step(self, i, terms):
-        """e_i on a term map {datum: LaurentPoly}, as a new map without
-        zeros; the factor a of e_0 is left to the caller.
-
-        The moves of e_i on one datum have distinct sources, hence
-        distinct targets, and Z[q^{+-1}] has no zero divisors: so the map
-        of one term needs no sum and no zero filter, and a map of several
-        needs the filter only where two targets met."""
-        e_on_datum = self.e_on_datum
-        if len(terms) == 1:
-            (c, coef), = terms.items()
-            if coef is _ONE:
-                return {md: mc for mc, md in e_on_datum(i, c)}
-            return {md: coef * mc for mc, md in e_on_datum(i, c)}
-        out = {}
-        get = out.get
-        met = False
-        for c, coef in terms.items():
-            for mc, md in e_on_datum(i, c):
-                x = coef * mc
-                s = get(md)
-                if s is None:
-                    out[md] = x
-                else:
-                    out[md] = s + x
-                    met = True
-        if met:
-            return {d: p for d, p in out.items() if p}
-        return out
-
-    def _k_step(self, i, s, terms):
-        """k_i^s, s = +-1, on a term map {datum: LaurentPoly}."""
-        plus, minus = self._k_getters[i]
-        return {c: coef.shift(s * (sum(plus(c)) - sum(minus(c))))
-                for c, coef in terms.items()}
-
     def _run_word(self, word, terms):
         """The letters of word, in application order, applied to a term
-        map, as a new map without zeros; for the empty word or the empty
-        map, terms itself.
+        map {datum: LaurentPoly}, as a new map without zeros; for the
+        empty word or the empty map, terms itself.  The factor a of each
+        e_0 is left to the caller.
 
-        A one-term map is walked as one (datum, coefficient) pair, and a
-        map is built only once an e-step gives two or more terms: the
-        moves of one datum have distinct targets and Z[q^{+-1}] has no
-        zero divisors, so that map needs no zero filter.  From then on,
-        and for a map of several terms from the start, the word runs
-        letter by letter through ``_e_step`` and ``_k_step``."""
-        rest = word
-        if len(terms) == 1 and word:
-            (c, coef), = terms.items()
-            getters, e_on_datum = self._k_getters, self.e_on_datum
-            for pos, letter in enumerate(word, 1):
+        All letters come from one iterator.  A one-term map is walked as
+        one (datum, coefficient) pair until an e-letter gives two or more
+        terms: the moves of e_i on one datum have distinct sources, hence
+        distinct targets, and Z[q^{+-1}] has no zero divisors, so that
+        map needs no sum and no zero filter.  A map of several terms
+        takes each letter in one pass: ``e_on_datum`` once per term, the
+        images summed and filtered for zeros only when two targets met,
+        or every coefficient shifted by its k-exponent.  Once the map is
+        down to one term, the walk resumes with the next letter."""
+        if not word:
+            return terms
+        letters = iter(word)
+        getters, e_on_datum = self._k_getters, self.e_on_datum
+        while terms:
+            if len(terms) == 1:
+                (c, coef), = terms.items()
+                for letter in letters:
+                    if letter.__class__ is tuple:
+                        plus, minus = getters[letter[1]]
+                        e = sum(plus(c)) - sum(minus(c))
+                        coef = coef.shift(letter[2] * e)
+                        continue
+                    moves = e_on_datum(letter, c)
+                    if len(moves) == 1:
+                        (mc, c), = moves
+                        coef = mc if coef is _ONE else coef * mc
+                    elif not moves:
+                        return {}
+                    else:
+                        terms = ({md: mc for mc, md in moves} if coef is _ONE
+                                 else {md: coef * mc for mc, md in moves})
+                        break
+                else:
+                    return {c: coef}
+            for letter in letters:
                 if letter.__class__ is tuple:
                     plus, minus = getters[letter[1]]
-                    e = sum(plus(c)) - sum(minus(c))
-                    coef = coef.shift(letter[2] * e)
+                    sign = letter[2]
+                    terms = {c: coef.shift(sign * (sum(plus(c))
+                                                   - sum(minus(c))))
+                             for c, coef in terms.items()}
                     continue
-                moves = e_on_datum(letter, c)
-                if len(moves) == 1:
-                    (mc, c), = moves
-                    coef = mc if coef is _ONE else coef * mc
-                elif not moves:
-                    return {}
-                else:
-                    terms = ({md: mc for mc, md in moves} if coef is _ONE
-                             else {md: coef * mc for mc, md in moves})
-                    rest = word[pos:]
+                out = {}
+                get = out.get
+                met = False
+                for c, coef in terms.items():
+                    for mc, md in e_on_datum(letter, c):
+                        x = coef * mc
+                        s = get(md)
+                        if s is None:
+                            out[md] = x
+                        else:
+                            out[md] = s + x
+                            met = True
+                terms = {d: p for d, p in out.items() if p} if met else out
+                if len(terms) < 2:
                     break
             else:
-                return {c: coef}
-        e_step, k_step = self._e_step, self._k_step
-        for letter in rest:
-            if not terms:
-                break
-            if letter.__class__ is tuple:
-                terms = k_step(letter[1], letter[2], terms)
-            else:
-                terms = e_step(letter, terms)
+                return terms
         return terms
 
     def check_letters(self, letters):
@@ -325,12 +295,13 @@ class LatticeModule:
     def apply_e(self, i, v: Element) -> Element:
         self.check_letters((i,))
         self.check_data(v.terms)
-        return Element._of(self._e_step(i, v.terms), v.deg + (i == 0))
+        return Element._of(self._run_word((i,), v.terms),
+                           v.deg + (i == 0))
 
     def apply_k(self, i, exponent, v: Element) -> Element:
         self.check_letters((("k", i, exponent),))
         self.check_data(v.terms)
-        return v._like(self._k_step(i, exponent, v.terms))
+        return v._like(self._run_word((("k", i, exponent),), v.terms))
 
     # -- basis enumeration ------------------------------------------------
 
@@ -409,19 +380,14 @@ class LatticeModule:
         return "{" + ", ".join(parts) + "}"
 
 
-def _sparse(values):
-    """The (position, value) pairs of the nonzero values."""
-    return tuple((p, x) for p, x in enumerate(values) if x)
-
-
-def _exponent_getters(pairs):
+def _exponent_getters(values):
     """(plus, minus), two itemgetters with sum(plus(c)) - sum(minus(c))
-    the sum of x * c[p] over the (position, value) pairs: plus holds each
-    p x times for x > 0, minus -x times for x < 0.  Both also hold
-    position 0 equally often, enough that each picks two entries at
-    least and so returns a tuple."""
-    plus = [p for p, x in pairs for _ in range(x)]
-    minus = [p for p, x in pairs for _ in range(-x)]
+    the sum of values[p] * c[p]: plus holds each position p values[p]
+    times where that is positive, minus -values[p] times where it is
+    negative.  Both also hold position 0 equally often, enough that each
+    picks two entries at least and so returns a tuple."""
+    plus = [p for p, x in enumerate(values) for _ in range(x)]
+    minus = [p for p, x in enumerate(values) for _ in range(-x)]
     pad = [0] * max(0, 2 - min(len(plus), len(minus)))
     return itemgetter(*plus, *pad), itemgetter(*minus, *pad)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .coeffring import Coefficient, Combination, _homogeneous, q_binomial
 from .latticemod import Element, get_module, letter_str, random_datum
-from .rootdata import AffineType, cartan_entry
+from .rootdata import AffineType, cartan_entry, marks
 
 # letters: an int i means e_i; ("k", i, s) means k_i^s with s = +-1.
 
@@ -198,7 +198,6 @@ def k_commutation_expr(i: int, j: int) -> OperatorExpr:
 
 def central_element_expr(t: AffineType) -> OperatorExpr:
     """k_0 * prod k_i^{a_i} - 1, with a_i the marks; acts as zero."""
-    from .rootdata import marks
     x = OperatorExpr.k(0)
     for i, a in enumerate(marks(t), start=1):
         for _ in range(a):

@@ -311,14 +311,13 @@ def reading_words(t: AffineType):
     column word is taken to be the row word with its unique commuting
     adjacent pair (n-1, n) swapped, a labeled convention.
     """
+    row = reduced_word_wr(t)
     if t.family == "D" and t.r == 1:
-        row = reduced_word_wr(t)
         n = t.n
         p = row.index(n - 1)
         col = row[:p] + (n, n - 1) + row[p + 2:]
         return row, col
     m = index_matrix(t)
-    row = tuple(x for mrow in m for x in mrow)
     ncols = max(len(mrow) for mrow in m)
     col = []
     if t.family == "A":

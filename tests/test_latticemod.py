@@ -10,16 +10,24 @@ from qborel.latticemod import Element, LatticeModule, get_module, random_datum
 from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
                           k_commutation_expr, k_e_conjugation_expr,
                           serre_expr)
-from qborel.rootdata import AffineType, positive_roots_wr, simple_root, theta
+from qborel.rootdata import (AffineType, pairing, positive_roots_wr,
+                             simple_root, theta)
+
+
+def _wt(mod, c):
+    """-sum c_beta beta, in simple-root coordinates; its coordinates sum
+    to minus the height of c."""
+    return tuple(-sum(m * b[j] for m, b in zip(c, mod.roots))
+                 for j in range(mod.t.n))
 
 
 def test_vacuum_and_weights():
     t = AffineType("A", 2, 1)
     mod = get_module(t)
-    assert mod.wt(mod.vacuum) == (0, 0)
+    assert _wt(mod, mod.vacuum) == (0, 0)
     one = [0] * mod.nroots
     one[mod.alpha_r_idx] = 1
-    assert mod.wt(tuple(one)) == (-1, 0)
+    assert _wt(mod, tuple(one)) == (-1, 0)
 
 
 def test_e0_adds_theta():
@@ -69,12 +77,12 @@ def test_ei_shifts_weight():
         mod = get_module(t)
         for _ in range(20):
             c = random_datum(t, rng, max_entry=3)
-            w = mod.wt(c)
+            w = _wt(mod, c)
             for i in range(0, t.n + 1):
                 shift = (tuple(-x for x in theta(t))
                          if i == 0 else simple_root(t, i))
                 for d in mod.apply_e(i, Element.basis(c)).support():
-                    assert mod.wt(d) == tuple(x + s for x, s in zip(w, shift))
+                    assert _wt(mod, d) == tuple(map(sum, zip(w, shift)))
 
 
 def test_k_diagonal_consistency():
@@ -203,7 +211,7 @@ def test_enumerate_basis_height():
         mod = get_module(t)
         data = mod.enumerate_data(height=5)
         assert len(set(data)) == len(data)
-        assert all(mod.height_of(c) <= 5 for c in data)
+        assert all(-sum(_wt(mod, c)) <= 5 for c in data)
         # lexicographic determinism
         assert data == mod.enumerate_data(height=5)
 
@@ -592,7 +600,7 @@ def types_up_to(nmax):
 
 def test_moves_of_each_e_i_have_distinct_sources():
     # so the moves of e_i on one datum have distinct targets, which the
-    # one-term path of _e_step relies on
+    # one-term walk of _run_word relies on
     for t in types_up_to(8):
         mod = LatticeModule(t)
         for i, moves in mod._moves.items():
@@ -601,6 +609,7 @@ def test_moves_of_each_e_i_have_distinct_sources():
 
 
 def _e_step_reference(mod, i, terms):
+    """e_i on a term map, summed move by move and filtered for zeros."""
     out = {}
     for c, coef in terms.items():
         for mc, md in mod.e_on_datum(i, c):
@@ -652,7 +661,7 @@ def term_maps(draw):
 @given(term_maps())
 def test_e_step_is_the_sum_of_the_moves(case):
     mod, i, terms = case
-    out = mod._e_step(i, terms)
+    out = mod._run_word((i,), terms)
     assert out == _e_step_reference(mod, i, terms)
     assert all(out.values())
 
@@ -667,11 +676,24 @@ def test_e_step_drops_a_cancelled_target():
         terms = _cancelling_map(mod, i, c)
         if terms is None:
             continue
-        out = mod._e_step(i, terms)
+        out = mod._run_word((i,), terms)
         assert out == _e_step_reference(mod, i, terms)
         targets = {md for d in terms for _, md in mod.e_on_datum(i, d)}
         cancelled += len(targets) - len(out)
     assert cancelled
+
+
+def _k_exponent(mod, i, c):
+    """k_i acts on c by q^{(alpha_i, wt c)}, and k_0 by q^{-(theta, wt c)}."""
+    t = mod.t
+    if i:
+        return pairing(t, simple_root(t, i), _wt(mod, c))
+    return -pairing(t, theta(t), _wt(mod, c))
+
+
+def _k_step_reference(mod, i, s, terms):
+    return {c: coef.shift(s * _k_exponent(mod, i, c))
+            for c, coef in terms.items()}
 
 
 def test_k_step_is_the_pairing_sum():
@@ -683,21 +705,38 @@ def test_k_step_is_the_pairing_sum():
                  for _ in range(20)}
         for i in range(t.n + 1):
             for s in (1, -1):
-                pairs = mod._k_pairs[i]
-                expected = {c: coef.shift(s * sum(x * c[p] for p, x in pairs))
-                            for c, coef in terms.items()}
-                assert mod._k_step(i, s, terms) == expected, (t, i, s)
+                expected = _k_step_reference(mod, i, s, terms)
+                assert mod._run_word((("k", i, s),), terms) == expected, \
+                    (t, i, s)
+                c, coef = next(iter(terms.items()))
+                assert (mod._run_word((("k", i, s),), {c: coef})
+                        == {c: expected[c]}), (t, i, s)
+
+
+def test_e0_exponent_is_the_k0_exponent_minus_c_theta():
+    for t in types_up_to(6):
+        mod = get_module(t)
+        rng = random.Random(str(t))
+        data = [mod.vacuum] + [
+            tuple(rng.randint(0, 9) for _ in range(mod.nroots))
+            for _ in range(20)]
+        for c in data:
+            d = list(c)
+            d[mod.theta_idx] += 1
+            e = -pairing(t, theta(t), _wt(mod, c)) - c[mod.theta_idx]
+            assert mod.e_on_datum(0, c) == ((q_integer(1, e), tuple(d)),), \
+                (t, c)
 
 
 # -- whole words on term maps ----------------------------------------------
 
 def _chain(mod, word, terms):
-    """The word's letters applied one by one through _e_step/_k_step."""
+    """The word's letters applied one by one through the references."""
     for letter in word:
         if isinstance(letter, tuple):
-            terms = mod._k_step(letter[1], letter[2], terms)
+            terms = _k_step_reference(mod, letter[1], letter[2], terms)
         else:
-            terms = mod._e_step(letter, terms)
+            terms = _e_step_reference(mod, letter, terms)
     return terms
 
 
@@ -775,11 +814,36 @@ def test_run_word_of_k_letters_only():
                  for _ in range(6))
     for _ in range(10):
         c = tuple(rng.randint(0, 5) for _ in range(mod.nroots))
-        e = sum(s * sum(x * c[p] for p, x in mod._k_pairs[i])
-                for _, i, s in word)
+        e = sum(s * _k_exponent(mod, i, c) for _, i, s in word)
         for coef in (Element.basis(c).terms[c], LaurentPoly.q_power(2, -3)):
             out = mod._run_word(word, {c: coef})
             assert out == {c: coef.shift(e)} == _chain(mod, word, {c: coef})
+
+
+def test_run_word_branches_drops_back_to_one_term_and_cancels():
+    # D4r4 from a basis datum: e_2 branches, e_4 leaves one term, so the
+    # walk resumes; e_1 branches again and e_4 kills every term
+    mod = get_module(AffineType("D", 4, 4))
+    c = (0, 2, 2, 2, 2, 2)
+    sizes = [len(_chain(mod, (2, 4, 1, 4)[:k], {c: LaurentPoly.one()}))
+             for k in range(1, 5)]
+    assert sizes == [2, 1, 2, 0]
+    word = (2, ("k", 1, 1), 4, ("k", 0, -1), 1, ("k", 3, 1), 4, 2)
+    for terms in (Element.basis(c).terms, {c: LaurentPoly.q_power(-2, 3)}):
+        assert mod._run_word(word, terms) == {}
+    # A3r2, two terms of opposite signs: e_1 cancels the first map down
+    # to one term, on which the walk resumes and e_3 branches, and the
+    # second map to nothing
+    mod = get_module(A3R2)
+    drop = {(2, 2, 0, 3): LaurentPoly.one(), (1, 3, 1, 2): -q_integer(3, 2)}
+    gone = {(1, 3, 0, 1): LaurentPoly.one(),
+            (0, 4, 1, 0): -LaurentPoly.q_power(1)}
+    assert len(_chain(mod, (1,), drop)) == 1
+    assert len(_chain(mod, (1, 3), drop)) == 2
+    for word in [(1,), (1, ("k", 2, -1), 3, 2), (("k", 0, -1), 1, 0, 3)]:
+        out = mod._run_word(word, drop)
+        assert out == _chain(mod, word, drop) and all(out.values()), word
+        assert mod._run_word(word, gone) == {}, word
 
 
 def test_run_word_of_the_empty_word_or_map_is_its_input():
