@@ -14,7 +14,8 @@ Two structures:
   Laurent polynomial, on one fixed label.  Operator words are
   combinations over ``Coefficient``.  One core thus serves every level
   of the coefficient tower, and one rule rejects a sum of two nonzero
-  values of different a-degrees with ValueError.
+  values of different a-degrees with ValueError.  One routine,
+  ``_add_terms``, adds one term map into another in place.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -481,18 +482,7 @@ class Combination:
             return self
         if not mine:
             return other
-        terms = dict(mine)
-        for k, v in theirs.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = v
-            else:
-                s = s + v
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return self._like(terms)
+        return self._like(_add_terms(dict(mine), theirs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -553,6 +543,23 @@ def _accumulate(terms, pairs):
         s = get(k)
         terms[k] = v if s is None else s + v
     return terms
+
+
+def _add_terms(out, terms, p=None):
+    """Add the map terms into the map out in place, each value times p
+    when p is given, deleting every sum that cancels; return out."""
+    get = out.get
+    for k, v in terms.items():
+        if p is not None:
+            v = p * v
+        s = get(k)
+        if s is None:
+            out[k] = v
+        elif s := s + v:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 # shared constants: nothing mutates a LaurentPoly

@@ -6,14 +6,15 @@ The level-raising step is the four-term combination
         = E_{d-a_i} e_i E_k - q^{-2} e_i E_{d-a_i} E_k
           - E_k E_{d-a_i} e_i + q^{-2} E_k e_i E_{d-a_i},
 
-applied with memoized lazy evaluation on basis labels (materializing E_k
-as a word expression would grow exponentially in k).  ``raise_level``
-is that step and ``LevelEngine`` its one memo, which ``CurrentEngine``
-runs on the lattice module and ``microrec.StringEngine`` on the
-alpha_r-string.  On the lattice module E_{d-a_r} is, in every family,
-the q-bracket along ``rootvec._path`` applied letter by letter.  The
-division by q + q^{-1} must be exact; a failure is a hard error and
-always means the base operator data is wrong.
+that is B E_k - E_k B with B = E_{d-a_i} e_i - q^{-2} e_i E_{d-a_i}
+(``psi_bracket``), applied with memoized lazy evaluation on basis labels
+(materializing E_k as a word expression would grow exponentially in k).
+``raise_level`` is that step and ``LevelEngine`` its one memo, which
+``CurrentEngine`` runs on the lattice module and
+``microrec.StringEngine`` on the alpha_r-string.  On the lattice module
+E_{d-a_r} is, in every family, the q-bracket along ``rootvec._path``
+applied letter by letter.  The division by q + q^{-1} must be exact; a
+failure is a hard error: the base operator data is wrong.
 
 The central element acts trivially on every module here, so no
 C^{1/2} bookkeeping appears anywhere.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffring import Coefficient, LaurentPoly, q_integer
+from .coeffring import Coefficient, LaurentPoly, _add_terms, q_integer
 from .latticemod import Element, get_module
 from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import _path, check_node
@@ -59,23 +60,21 @@ def c_r(t: AffineType) -> Coefficient:
     return QMQ * LaurentPoly.q_power(-h, (-1) ** h * o_sign(t, t.r))
 
 
-def raise_level(E1, e, Ek, v):
-    """E_{(k+1)d - a_i} v by the four-term step of the module docstring.
-
-    E1, e and Ek apply E_{d-a_i}, e_i and E_{kd-a_i} to a combination.
-    The four terms are evaluated in a fixed order, so the first
-    DomainViolation a level-one operator raises is always the same."""
-    four = (E1(e(Ek(v)))
-            - e(E1(Ek(v))).scale(Q_INV2)
-            - Ek(E1(e(v)))
-            + Ek(e(E1(v))).scale(Q_INV2))
-    return -four.exact_divide(_QPQ)
-
-
 def psi_bracket(Ek, e, v):
     """E_k e_i v - q^{-2} e_i E_k v; k_i and (q - q^{-1}) o^k turn it
     into psi+_{i,k} v.  Ek and e apply E_{kd-a_i} and e_i."""
     return Ek(e(v)) - e(Ek(v)).scale(Q_INV2)
+
+
+def raise_level(E1, e, Ek, v):
+    """E_{(k+1)d - a_i} v by the step of the module docstring, as
+    -(B E_k v - E_k B v)/(q + q^{-1}) with B = psi_bracket(E1, e, .).
+
+    E1, e and Ek apply E_{d-a_i}, e_i and E_{kd-a_i} to a combination.
+    The order is fixed, E_k v first, so the first DomainViolation a
+    level-one operator raises is always the same."""
+    return -(psi_bracket(E1, e, Ek(v))
+             - Ek(psi_bracket(E1, e, v))).exact_divide(_QPQ)
 
 
 def vacuum_eigenvalue(w, vac, i, k):
@@ -150,10 +149,9 @@ class CurrentEngine(LevelEngine):
         if not j:
             return run_word((0,), terms)
         p = (self._path[j - 1],)
-        head = Element._of(self._bracket(j - 1, run_word(p, terms)))
+        head = self._bracket(j - 1, run_word(p, terms))
         tail = run_word(p, self._bracket(j - 1, terms))
-        return (head + Element._of({c: -x.shift(-1)
-                                    for c, x in tail.items()})).terms
+        return _add_terms(head, {c: -x.shift(-1) for c, x in tail.items()})
 
     # -- level k ------------------------------------------------------
 

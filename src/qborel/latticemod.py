@@ -40,9 +40,9 @@ each move, and ``apply_e(0, .)`` raises the degree by one.
 
 ``_run_word`` is the one routine that applies letters to a plain term
 map {datum: LaurentPoly}: ``apply_e`` and ``apply_k`` are one-letter
-calls of it on an element's map, ``opalg.evaluate`` runs each segment
-of its word trie through it, and ``drinfeld.CurrentEngine`` builds its
-level-one bracket from one-letter calls.  Almost every step of a
+calls of it on an element's map, ``opalg.evaluate`` runs each trie
+segment through it by ``run_expression``, ``drinfeld.CurrentEngine`` its
+level-one bracket of one-letter calls.  Almost every step of a
 relation check acts on a map of one term, which ``_run_word`` walks as
 one (datum, coefficient) pair until an e-letter gives two or more
 terms; a map of several terms takes each letter in one pass, and the

@@ -11,11 +11,13 @@ at rank one where everything closes unconditionally.
 
 Basis vectors are powers f^m of the node-r lowering generator, with
 e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
-only the alpha_r-pairing and is valid in every rank.  ``StringEngine``
-is a ``drinfeld.LevelEngine`` that gives only the level-one scalars and
-e_r.  A string vector, like a module element, is a
-``GradedCombination``: one a-degree and coefficients in
-``LaurentPoly``.  The scalars that leave this module
+only the alpha_r-pairing and is valid in every rank.  ``_run_word``
+applies the rank-one letters to term maps on the powers, and
+``rank_one_serre_check`` runs opalg's relations on it through
+``opalg.run_expression``.  ``StringEngine`` is a ``LevelEngine`` that
+gives only the level-one scalars and e_r.  A string vector, like a
+module element, is a ``GradedCombination``: one a-degree and
+coefficients in ``LaurentPoly``.  The scalars that leave this module
 (``string_recurrence``, ``negative_ell_weight``) are full
 ``Coefficient``s.
 """
@@ -26,7 +28,9 @@ from .coeffring import (Coefficient, GradedCombination, LaurentPoly,
                         q_integer)
 from .drinfeld import (QMQ, DomainViolation, EllWeight, LevelEngine, c_r,
                        psi_bracket, vacuum_eigenvalue)
-from .opalg import CheckReport
+from .latticemod import letter_str
+from .opalg import (CheckReport, OperatorExpr, k_e_conjugation_expr,
+                    run_expression, serre_expr)
 from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import string_span_values
 
@@ -41,56 +45,46 @@ class StringElement(GradedCombination):
         return f"f^{m}"
 
 
+def _run_word(model, word, terms):
+    """The twin of ``LatticeModule._run_word`` on the powers f^m, the
+    factor a of e_0 left to the caller: e_0 f^m is q^{2m} f^{m+1} in the
+    raising model and f^{m+1} in the lowering one, k_0 is k_1^{-1}, and
+    no letter sends two powers to one, so no step sums."""
+    for x in word:
+        if x == 1:
+            terms = {m - 1: c * q_integer(m, 1 - m)
+                     for m, c in terms.items() if m}
+        elif x == 0:
+            terms = {m + 1: c.shift(2 * m) if model == "pos" else c
+                     for m, c in terms.items()}
+        else:
+            s = 2 * x[2] if x[1] == 0 else -2 * x[2]
+            terms = {m: c.shift(s * m) for m, c in terms.items()}
+    return terms
+
+
 def _e_lower(v: StringElement) -> StringElement:
-    """e_r on powers: f^m -> q^{-m+1} [m]_q f^{m-1}."""
-    return StringElement.collect(
-        ((m - 1, c * q_integer(m).shift(1 - m))
-         for m, c in v.terms.items() if m), v.deg)
-
-
-def rank_one_apply(op: str, model: str, v: StringElement) -> StringElement:
-    """Generators of the rank-one module; model is 'pos' or 'neg'."""
-    if model not in ("pos", "neg"):
-        raise ValueError("model must be pos or neg")
-    if op == "e1":
-        return _e_lower(v)
-    if op == "e0":
-        return StringElement.collect(
-            ((m + 1, c.shift(2 * m) if model == "pos" else c)
-             for m, c in v.terms.items()), v.deg + 1)
-    if op in ("k1", "k0"):
-        sign = -1 if op == "k1" else 1
-        return StringElement({m: c.shift(sign * 2 * m)
-                              for m, c in v.terms.items()}, v.deg)
-    raise ValueError(f"unknown generator {op!r}")
-
-
-def _compose(ops, model, v):
-    for op in reversed(ops):
-        v = rank_one_apply(op, model, v)
-    return v
+    """e_r on powers, which acts alike in both models."""
+    return v._like(_run_word("pos", (1,), v.terms))
 
 
 def rank_one_serre_check(M: int = 20) -> CheckReport:
     """Quartic Serre relations on f^m (m <= M) in both models, plus the
-    eight intermediate three-letter expansions checked line by line."""
+    eight intermediate three-letter expansions checked line by line, and
+    the k-conjugations."""
     if M < 0:
         raise ValueError("M must be >= 0")
+    a1 = AffineType("A", 1, 1)
     lines = []
     ok = True
-    three = Coefficient.from_laurent(q_integer(3))
 
-    def serre(i, j, model, v):
-        ei, ej = f"e{i}", f"e{j}"
-        return (_compose([ei, ei, ei, ej], model, v)
-                - _compose([ei, ei, ej, ei], model, v).scale(three)
-                + _compose([ei, ej, ei, ei], model, v).scale(three)
-                - _compose([ej, ei, ei, ei], model, v))
+    def run(x, model, m):
+        return run_expression(x, lambda w, terms: _run_word(model, w, terms),
+                              StringElement.basis(m))
 
+    serres = [serre_expr(i, j, a1) for i, j in ((0, 1), (1, 0))]
     for model in ("pos", "neg"):
-        bad = [m for m in range(M + 1)
-               for (i, j) in ((0, 1), (1, 0))
-               if not serre(i, j, model, StringElement.basis(m)).is_zero()]
+        bad = [m for m in range(M + 1) for x in serres if run(x, model, m)]
         ok &= not bad
         lines.append(CheckReport(f"rank1-serre-{model}", not bad,
                                  f"m <= {M}" if not bad else f"fails at {bad}").line())
@@ -107,48 +101,38 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
         s = t = -2 * m
         fm2 = lambda c: StringElement.basis(m + 2, c)
         expansions_pos = [
-            (["e0", "e0", "e0", "e1"], fm2(ap(-3 * s) * eprime(m))),
-            (["e0", "e0", "e1", "e0"],
-             fm2(ap(-3 * s + 2) * eprime(m) + ap(-3 * s + t + 2))),
-            (["e0", "e1", "e0", "e0"],
+            ((0, 0, 0, 1), fm2(ap(-3 * s) * eprime(m))),
+            ((0, 0, 1, 0), fm2(ap(-3 * s + 2) * eprime(m) + ap(-3 * s + t + 2))),
+            ((0, 1, 0, 0),
              fm2(ap(-3 * s + 4) * eprime(m)
                  + ap(-3 * s + t + 2) * Coefficient.from_laurent(LaurentPoly({0: 1, 2: 1})))),
-            (["e1", "e0", "e0", "e0"],
+            ((1, 0, 0, 0),
              fm2(ap(-3 * s + 6) * eprime(m)
                  + ap(-3 * s + t + 2) * Coefficient.from_laurent(LaurentPoly({0: 1, 2: 1, 4: 1})))),
         ]
         expansions_neg = [
-            (["e0", "e0", "e0", "e1"], fm2(ap(0) * eprime(m))),
-            (["e0", "e0", "e1", "e0"], fm2(ap(0) + ap(-2) * eprime(m))),
-            (["e0", "e1", "e0", "e0"],
+            ((0, 0, 0, 1), fm2(ap(0) * eprime(m))),
+            ((0, 0, 1, 0), fm2(ap(0) + ap(-2) * eprime(m))),
+            ((0, 1, 0, 0),
              fm2(ap(0) * Coefficient.from_laurent(LaurentPoly({-2: 1, 0: 1})) + ap(-4) * eprime(m))),
-            (["e1", "e0", "e0", "e0"],
+            ((1, 0, 0, 0),
              fm2(ap(0) * Coefficient.from_laurent(LaurentPoly({-4: 1, -2: 1, 0: 1}))
                  + ap(-6) * eprime(m))),
         ]
         for model, expansions in (("pos", expansions_pos), ("neg", expansions_neg)):
-            for ops, expected in expansions:
-                got = _compose(ops, model, StringElement.basis(m))
+            for word, expected in expansions:
+                got = run(OperatorExpr.basis(word), model, m)
                 if got != expected:
                     ok = False
                     lines.append(CheckReport(
-                        f"rank1-expansion-{model}-{'.'.join(ops)}-m{m}", False,
-                        f"got {got}, expected {expected}").line())
+                        f"rank1-expansion-{model}-{'.'.join(map(letter_str, word))}"
+                        f"-m{m}", False, f"got {got}, expected {expected}").line())
     lines.append(CheckReport("rank1-expansions", ok, "both models, m <= 5").line())
 
-    # diagonal conjugation: k_j e_i = q^{a_ij} e_i k_j with a_01 = a_10 = -2,
-    # checked through k_j e_i f^m = q^{a_ij} q^{wt exponent of f^m} e_i f^m
-    conj_ok = True
-    for model in ("pos", "neg"):
-        for (kj, ei, aij) in (("k0", "e1", -2), ("k1", "e0", -2),
-                              ("k0", "e0", 2), ("k1", "e1", 2)):
-            for m in range(6):
-                v = StringElement.basis(m)
-                lhs = rank_one_apply(kj, model, rank_one_apply(ei, model, v))
-                rhs = rank_one_apply(ei, model, rank_one_apply(
-                    kj, model, v)).scale(Coefficient.q_power(aij))
-                if lhs != rhs:
-                    conj_ok = False
+    # k_j e_i k_j^{-1} = q^{a_ji} e_i for all four pairs
+    conjugations = [k_e_conjugation_expr(j, i, a1) for j in (0, 1) for i in (0, 1)]
+    conj_ok = not any(run(x, model, m) for model in ("pos", "neg")
+                      for x in conjugations for m in range(6))
     ok &= conj_ok
     lines.append(CheckReport("rank1-k-conjugation", conj_ok,
                              "both models, m <= 5").line())
@@ -167,9 +151,11 @@ def base_scalars(t: AffineType, model: str):
 
     Raising model: the lattice-module scalars of
     ``rootvec.string_span_values``, which ``verified_domain_check``
-    confirms by evaluating ``bracket_E``.  Lowering model: quoted
-    input data, the raising model's first scalar twice.
+    confirms by evaluating ``bracket_E``.  Lowering model: quoted input
+    data, the raising model's first scalar twice.  ValueError otherwise.
     """
+    if model not in ("pos", "neg"):
+        raise ValueError("model must be pos or neg")
     v1, v2 = string_span_values(t)
     return (v1, v2) if model == "pos" else (v1, v1)
 

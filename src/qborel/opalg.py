@@ -5,6 +5,12 @@ in the letters ``e_0..e_n`` and ``k_i^{+-1}``.  Words act on module
 elements right-to-left.  Two expressions are never compared as free
 words: equality of operators is always decided by evaluation on graded
 bases, since distinct free words can act identically.
+
+``run_expression`` evaluates an expression on any module given by its
+step ``run_word(word, terms)`` on term maps {label: LaurentPoly}:
+``LatticeModule._run_word`` on Lusztig data, and ``microrec._run_word``
+on the powers of the rank-one models.  ``evaluate`` is the lattice
+module's letter and datum checks followed by one ``run_expression``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coeffring import Coefficient, Combination, _homogeneous, q_binomial
+from .coeffring import (Coefficient, Combination, _add_terms, _homogeneous,
+                        q_binomial)
 from .latticemod import Element, get_module, letter_str, random_datum
 from .rootdata import AffineType, cartan_entry, marks
 
@@ -24,8 +31,8 @@ class OperatorExpr(Combination):
     operator equality goes via evaluation.
 
     Nothing mutates ``terms`` after construction: every constructor and
-    operation returns a fresh expression.  So ``evaluate`` compiles an
-    expression once, on first use, into a program kept in ``_program``:
+    operation returns a fresh expression.  So an expression is compiled
+    once, on the first read of ``_program``, into a program kept there:
     the letters of all words, and for each a-degree class (a word's
     coefficient degree plus its number of e_0 letters) a word trie,
     left-factored so that sum_w c_w w(v) = sum_x x(sum_u c_{xu} u(v)).
@@ -55,21 +62,20 @@ class OperatorExpr(Combination):
                                     for w1, c1 in self.terms.items()
                                     for w2, c2 in other.terms.items())
 
-    def _compiled(self):
-        """(classes, letters): classes the (a-degree, trie) pairs, and
-        letters the set of all letters."""
-        try:
-            return self._program
-        except AttributeError:
-            classes = {}
-            for w, c in self.terms.items():
-                p, d = _homogeneous(c)
-                classes.setdefault(d + w.count(0), []).append(
-                    (w[::-1], None if p == 1 else p))
-            letters = frozenset(x for w in self.terms for x in w)
-            self._program = (tuple((d, _trie(words))
-                                   for d, words in classes.items()), letters)
-            return self._program
+    def __getattr__(self, name):
+        """``_program`` on its first read, which then fills its slot:
+        (classes, letters), the (a-degree, trie) pairs and all letters."""
+        if name != "_program":
+            raise AttributeError(name)
+        classes = {}
+        for w, c in self.terms.items():
+            p, d = _homogeneous(c)
+            classes.setdefault(d + w.count(0), []).append(
+                (w[::-1], None if p == 1 else p))
+        letters = frozenset(x for w in self.terms for x in w)
+        self._program = (tuple((d, _trie(words))
+                               for d, words in classes.items()), letters)
+        return self._program
 
     @staticmethod
     def _label(w):
@@ -107,58 +113,37 @@ def _trie(words):
 def _run_trie(edges, terms, run_word):
     """The sum over a trie node's edges of each segment applied to its
     child's value, or to terms scaled by p, as a new map without zeros;
-    p scales a segment's value when it is merged."""
+    p scales a segment's value when it is merged.  A value that needs
+    no scaling starts an empty sum as is, unless it is terms itself."""
     out = {}
     for seg, child, p in edges:
         u = run_word(seg, terms if child is None
                      else _run_trie(child, terms, run_word))
         if not u:
             continue
-        if not out:
-            # the first value starts the sum; its map is its own unless
-            # it is terms, as for the empty word
-            if p is not None:
-                out = {c: p * val for c, val in u.items()}
-            else:
-                out = dict(u) if u is terms else u
-            continue
-        get = out.get
-        for c, val in u.items():
-            if p is not None:
-                val = p * val
-            s = get(c)
-            if s is None:
-                out[c] = val
-            else:
-                s = s + val
-                if s:
-                    out[c] = s
-                else:
-                    del out[c]
+        if not out and p is None and u is not terms:
+            out = u
+        else:
+            _add_terms(out, u, p)
     return out
 
 
-def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
-    """Apply the expression to a module element, letters right-to-left.
+def run_expression(x: OperatorExpr, run_word, v):
+    """Apply the expression to v, a ``GradedCombination`` of any module
+    given by its step run_word(word, terms): the letters of word, in
+    application order, applied to a term map {label: LaurentPoly}, as a
+    new map without zeros (terms itself for the empty word), the factor
+    a of each e_0 left to the caller.
 
-    Every letter and every datum of v must be one of t's (ValueError
-    otherwise), checked once, before any word runs.  Each a-degree
-    class runs its trie on the plain term map {datum: LaurentPoly} of
-    v, each segment through ``LatticeModule._run_word``, which walks a
-    basis vector as one (datum, coefficient) pair until a step
-    branches: so an outer letter is applied once, to the summed value
-    of the words below it.  v is never mutated.  Two nonzero values of
-    different classes raise ValueError; a class whose words cancel on v
-    has no degree, as a zero value."""
-    classes, letters = x._compiled()
-    mod = get_module(t)
-    mod.check_letters(letters)
+    Each a-degree class runs its trie on v's term map, so an outer
+    letter is applied once, to the summed value of the words below it.
+    v is never mutated.  Two nonzero class values raise ValueError; a
+    class whose words cancel on v has no degree.  The value is of v's
+    own kind."""
     terms = v.terms
-    mod.check_data(terms)
-    run_word = mod._run_word
     out = {}
     deg = 0
-    for d, edges in classes:
+    for d, edges in x._program[0]:
         u = _run_trie(edges, terms, run_word)
         if not u:
             continue
@@ -167,7 +152,16 @@ def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
             raise ValueError(f"sum of words of a-degrees {deg} and {d} "
                              f"in {x} on {v}")
         out, deg = u, d
-    return Element._of(out, deg)
+    return v._of(out, deg)
+
+
+def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
+    """``run_expression`` on the lattice module of t, once every letter
+    and every datum of v is checked to be one of t's (ValueError)."""
+    mod = get_module(t)
+    mod.check_letters(x._program[1])
+    mod.check_data(v.terms)
+    return run_expression(x, mod._run_word, v)
 
 
 def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:

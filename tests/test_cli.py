@@ -277,6 +277,21 @@ def test_lweight_and_recurrence_text_golden(key):
     assert out == GOLDEN_TEXT[key]
 
 
+def _rank1_golden(M):
+    return (f"CHECK rank1-serre-pos PASS m <= {M}\n"
+            f"CHECK rank1-serre-neg PASS m <= {M}\n"
+            "CHECK rank1-expansions PASS both models, m <= 5\n"
+            "CHECK rank1-k-conjugation PASS both models, m <= 5\n"
+            "CHECK rank1-suite PASS\n")
+
+
+@pytest.mark.parametrize("argv, M", [(["rank1"], 20),
+                                     (["rank1", "--height", "0"], 0)],
+                         ids=["default", "height0"])
+def test_rank1_golden(argv, M):
+    assert run_cli(argv) == (0, _rank1_golden(M))
+
+
 def golden_coefficients():
     """Every coefficient printed in GOLDEN_TEXT: the Psi_i lists, c_r and
     every gamma_k."""

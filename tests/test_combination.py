@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import (Coefficient, Combination, GradedCombination,
-                              LaurentPoly, parse_coefficient)
+                              LaurentPoly, _add_terms, parse_coefficient)
 from qborel.latticemod import Element
 from qborel.microrec import StringElement
 from qborel.opalg import OperatorExpr
@@ -180,3 +180,37 @@ def test_text_form_string_element():
 @pytest.mark.parametrize("cls", [Element, OperatorExpr, StringElement])
 def test_text_form_zero(cls):
     assert str(cls.zero()) == "0"
+
+
+def test_add_terms_mutates_scales_and_deletes_cancelling_sums():
+    q = LaurentPoly.q_power
+    out = {"x": q(1), "y": q(2)}
+    terms = {"x": -q(1), "z": q(3)}
+    got = _add_terms(out, terms)
+    assert got is out
+    assert out == {"y": q(2), "z": q(3)}
+    assert terms == {"x": -q(1), "z": q(3)}
+    # p scales each value before it is added, and a scaled sum can cancel
+    p = LaurentPoly({0: 1, 1: 1})
+    assert _add_terms(out, {"y": q(1), "z": q(4)}, p) is out
+    assert out == {"y": q(2) + p * q(1), "z": q(3) + p * q(4)}
+    assert _add_terms(out, {"y": -q(1)}, p * q(1)) is out
+    assert out == {"y": q(2) + p * q(1) - p * q(2), "z": q(3) + p * q(4)}
+    out = {"y": -(p * q(2))}
+    assert _add_terms(out, {"y": q(2)}, p) == {}
+    assert _add_terms({}, {"w": q(0)}, p) == {"w": p}
+    assert _add_terms(out, {}) is out == {}
+
+
+@given(st.dictionaries(st.sampled_from(LABELS), laurents().filter(bool)),
+       st.dictionaries(st.sampled_from(LABELS), laurents().filter(bool)),
+       laurents().filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_add_terms_is_the_sum_of_combinations(a, b, p):
+    # p is nonzero, as every caller's scalar is
+    want = Combination.collect(
+        [(k, Coefficient.from_laurent(v)) for k, v in a.items()]
+        + [(k, Coefficient.from_laurent(p * v)) for k, v in b.items()])
+    got = _add_terms(dict(a), b, p)
+    assert all(got.values())
+    assert {k: Coefficient.from_laurent(v) for k, v in got.items()} == want.terms

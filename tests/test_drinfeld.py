@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from qborel.coeffring import Coefficient, LaurentPoly, parse_coefficient
-from qborel.drinfeld import CurrentEngine, c_r, ell_weight_of_vacuum
+from qborel.coeffring import (Coefficient, LaurentPoly, parse_coefficient,
+                              q_integer)
+from qborel.drinfeld import (CurrentEngine, DomainViolation, c_r,
+                             ell_weight_of_vacuum, raise_level)
 from qborel.latticemod import Element, get_module, random_datum
+from qborel.microrec import StringElement, StringEngine
 from qborel.opalg import evaluate
 from qborel.rootdata import AffineType, o_sign
-from qborel.rootvec import bracket_E
+from qborel.rootvec import alpha_r_string, bracket_E
 
 
 def test_c_r_values():
@@ -140,3 +143,68 @@ def test_vacuum_eigenvalue_reads_the_vacuum_line_only():
     other = mod.e_on_datum(0, vac)[0][1]
     with pytest.raises(NotEigenvector, match="psi\\+_2,1 does not preserve"):
         vacuum_eigenvalue(w + Element.basis(other), vac, 2, 1)
+
+
+# -- the level step as a commutator ------------------------------------------
+
+def four_term_step(E1, e, Ek, v):
+    """The four-term step of the drinfeld docstring, written out term by
+    term: the reference that raise_level's commutator form must match."""
+    q_inv2 = Coefficient.q_power(-2)
+    four = (E1(e(Ek(v)))
+            - e(E1(Ek(v))).scale(q_inv2)
+            - Ek(E1(e(v)))
+            + Ek(e(E1(v))).scale(q_inv2))
+    return -four.exact_divide(q_integer(2))
+
+
+@pytest.mark.parametrize("t", [AffineType("A", 3, 2), AffineType("D", 4, 4)],
+                         ids=str)
+def test_raise_level_is_the_four_term_step_on_the_lattice(t):
+    eng, mod = CurrentEngine(t), get_module(t)
+    rng = random.Random(7)
+    vectors = [alpha_r_string(t, m) for m in range(3)]
+    vectors += [vectors[0] + vectors[1].scale(Coefficient.q_power(3)),
+                Element.basis(random_datum(t, rng, max_entry=2))]
+    other = 1 if t.r != 1 else 2
+    for k in (2, 3, 4):
+        for i in (t.r, other):
+            steps = eng._steps(i, k)
+            for v in vectors:
+                got = raise_level(*steps, v)
+                assert got == four_term_step(*steps, v), (i, k, v)
+                assert eng.E(i, k, v) == got
+    # On L^+ every level >= 2 vanishes (the l-weight is polynomial), so
+    # the identity is also checked on other linear maps: each of the four
+    # terms has one E1, so (q + q^{-1}) E1 keeps the division exact, and
+    # e_0 with e_r or k_r for E_k gives nonzero values.
+    E1 = eng._steps(t.r, 2)[0]
+    E1q = lambda u: E1(u).scale(q_integer(2))
+    e0 = lambda u: mod.apply_e(0, u)
+    nonzero = 0
+    for Ek in (lambda u: mod.apply_e(t.r, u), lambda u: mod.apply_k(t.r, 1, u)):
+        for v in vectors:
+            got = raise_level(E1q, e0, Ek, v)
+            assert got == four_term_step(E1q, e0, Ek, v), v
+            nonzero += not got.is_zero()
+    assert nonzero == 2 * len(vectors)
+
+
+@pytest.mark.parametrize("model", ["pos", "neg"])
+def test_raise_level_is_the_four_term_step_on_the_string(model):
+    t = AffineType("A", 3, 2)
+    eng = StringEngine(t, model)
+    one, f = StringElement.basis(0), StringElement.basis(1)
+    for k in (2, 3, 4):
+        steps = eng._steps(t.r, k)
+        got = raise_level(*steps, one)
+        assert got == four_term_step(*steps, one)
+        assert eng.E(k, one) == got
+        assert got.is_zero() == (model == "pos")
+        # both forms reject f beyond level one, with the same message
+        messages = []
+        for step in (raise_level, four_term_step):
+            with pytest.raises(DomainViolation) as exc:
+                step(*steps, f)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]

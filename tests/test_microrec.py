@@ -1,10 +1,11 @@
 import pytest
 
+from qborel import microrec
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
 from qborel.drinfeld import c_r
-from qborel.microrec import (StringElement, StringEngine, base_scalars,
-                             negative_closed_form, negative_ell_weight,
-                             rank_one_apply, rank_one_serre_check,
+from qborel.microrec import (StringElement, StringEngine, _e_lower, _run_word,
+                             base_scalars, negative_closed_form,
+                             negative_ell_weight, rank_one_serre_check,
                              string_recurrence)
 from qborel.rootdata import AffineType, dual_coxeter, o_sign
 from qborel.rootvec import string_span_values
@@ -16,21 +17,96 @@ def test_rank_one_suite():
 
 
 def test_rank_one_generators():
-    f2 = StringElement.basis(2)
-    # e_1 f^2 = q^{-1} [2] f
-    out = rank_one_apply("e1", "pos", f2)
-    assert out == StringElement.basis(1, Coefficient.from_laurent(
-        LaurentPoly.q_power(-1) * q_integer(2)))
-    # raising model: e_0 f^m = a q^{2m} f^{m+1}; lowering: a f^{m+1}
-    assert rank_one_apply("e0", "pos", f2) == StringElement.basis(
-        3, Coefficient.a_power(1) * Coefficient.q_power(4))
-    assert rank_one_apply("e0", "neg", f2) == StringElement.basis(
-        3, Coefficient.a_power(1))
-    # diagonal: k_1 f^m = q^{-2m} f^m, k_0 f^m = q^{2m} f^m
-    assert rank_one_apply("k1", "pos", f2) == f2.scale(Coefficient.q_power(-4))
-    assert rank_one_apply("k0", "neg", f2) == f2.scale(Coefficient.q_power(4))
-    with pytest.raises(ValueError):
-        rank_one_apply("e1", "bogus", f2)
+    f2 = {2: LaurentPoly.one()}
+    for model in ("pos", "neg"):
+        # e_1 f^2 = q^{-1} [2] f
+        assert _run_word(model, (1,), f2) == {
+            1: LaurentPoly.q_power(-1) * q_integer(2)}
+        # diagonal: k_1 f^m = q^{-2m} f^m, k_0 f^m = q^{2m} f^m
+        assert _run_word(model, (("k", 1, 1),), f2) == {2: LaurentPoly.q_power(-4)}
+        assert _run_word(model, (("k", 0, 1),), f2) == {2: LaurentPoly.q_power(4)}
+        assert _run_word(model, (("k", 1, -1),), f2) == {2: LaurentPoly.q_power(4)}
+        assert _run_word(model, (("k", 0, -1),), f2) == {2: LaurentPoly.q_power(-4)}
+        # the empty word is the identity on the map itself
+        assert _run_word(model, (), f2) is f2
+    # raising model: e_0 f^m = a q^{2m} f^{m+1}; lowering: a f^{m+1}; the
+    # factor a is the caller's
+    assert _run_word("pos", (0,), f2) == {3: LaurentPoly.q_power(4)}
+    assert _run_word("neg", (0,), f2) == {3: LaurentPoly.one()}
+    assert _run_word("pos", (1,), {0: LaurentPoly.one()}) == {}
+    # a word applies its letters in order: e_1 then e_0 on f^2
+    assert _run_word("pos", (1, 0), f2) == {
+        2: LaurentPoly.q_power(1) * q_integer(2)}
+    # e_r on string vectors is the one-letter call, keeping the a-degree
+    v = StringElement.basis(2, Coefficient.a_power(3))
+    assert _e_lower(v) == StringElement.basis(1, Coefficient.from_laurent(
+        LaurentPoly.q_power(-1) * q_integer(2), 3))
+
+
+@pytest.mark.parametrize("model", ["bogus", "POS", ""])
+def test_unknown_model_is_rejected(model):
+    t = AffineType("A", 3, 2)
+    for job in (lambda: base_scalars(t, model),
+                lambda: StringEngine(t, model),
+                lambda: string_recurrence(t, model, 3)):
+        with pytest.raises(ValueError, match="model must be pos or neg"):
+            job()
+
+
+def _mutant(letter_map):
+    """microrec._run_word with some letters replaced: letter_map(model, x)
+    gives a term-map function for the letter x, or None to keep it."""
+    def run_word(model, word, terms):
+        for x in word:
+            f = letter_map(model, x)
+            terms = f(terms) if f else _run_word(model, (x,), terms)
+        return terms
+    return run_word
+
+
+def _lowering_e0(power):
+    return _mutant(lambda model, x: (
+        lambda terms: {m + 1: c.shift(power * m) for m, c in terms.items()})
+        if model == "neg" and x == 0 else None)
+
+
+def _lines(rep):
+    return {line.split()[1]: line for line in rep.lines}
+
+
+def test_rank_one_suite_catches_a_lowering_e0_with_q_power_m(monkeypatch):
+    monkeypatch.setattr(microrec, "_run_word", _lowering_e0(1))
+    rep = rank_one_serre_check(6)
+    assert not rep.passed
+    lines = _lines(rep)
+    assert lines["rank1-serre-neg"].startswith("CHECK rank1-serre-neg FAIL")
+    assert " PASS" in lines["rank1-serre-pos"]
+
+
+def test_rank_one_suite_catches_a_lowering_e0_with_q_power_2m(monkeypatch):
+    # the raising model's e_0 in the lowering model: the Serre relations
+    # hold, and only the transcribed expansion lines can see it
+    monkeypatch.setattr(microrec, "_run_word", _lowering_e0(2))
+    rep = rank_one_serre_check(6)
+    assert not rep.passed
+    lines = _lines(rep)
+    assert " PASS" in lines["rank1-serre-neg"]
+    assert " PASS" in lines["rank1-k-conjugation"]
+    assert any(name.startswith("rank1-expansion-neg-") for name in lines)
+    assert not any(name.startswith("rank1-expansion-pos-") for name in lines)
+    assert "FAIL" in lines["rank1-expansions"]
+
+
+def test_rank_one_suite_catches_a_k1_sign_flip(monkeypatch):
+    monkeypatch.setattr(microrec, "_run_word", _mutant(
+        lambda model, x: (lambda terms: _run_word(model, (("k", 1, -x[2]),), terms))
+        if x.__class__ is tuple and x[1] == 1 else None))
+    rep = rank_one_serre_check(6)
+    assert not rep.passed
+    lines = _lines(rep)
+    assert lines["rank1-k-conjugation"] == \
+        "CHECK rank1-k-conjugation FAIL both models, m <= 5"
+    assert " PASS" in lines["rank1-serre-pos"] and " PASS" in lines["rank1-serre-neg"]
 
 
 def test_string_recurrence_positive_terminates():
