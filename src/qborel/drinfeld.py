@@ -7,14 +7,15 @@ The level-raising step is the four-term combination
           - E_k E_{d-a_i} e_i + q^{-2} E_k e_i E_{d-a_i},
 
 that is B E_k - E_k B with B = E_{d-a_i} e_i - q^{-2} e_i E_{d-a_i}
-(``psi_bracket``), applied with memoized lazy evaluation on basis labels
+(``psi_bracket``), applied lazily to term maps {label: LaurentPoly}
 (materializing E_k as a word expression would grow exponentially in k).
-``raise_level`` is that step and ``LevelEngine`` its one memo, which
-``CurrentEngine`` runs on the lattice module and
-``microrec.StringEngine`` on the alpha_r-string.  On the lattice module
-E_{d-a_r} is, in every family, the q-bracket along ``rootvec._path``
-applied letter by letter.  The division by q + q^{-1} must be exact; a
-failure is a hard error: the base operator data is wrong.
+``LevelEngine._extend`` extends every such map from one memo of per-label
+values; a subclass gives only its level one ``_E1`` and its step ``_e``.
+``CurrentEngine`` runs on the lattice module, where E_{d-a_r} is the
+q-bracket along ``rootvec._path`` with each partial bracket in the memo,
+and ``microrec.StringEngine`` on the alpha_r-string.  The division by
+q + q^{-1} must be exact; a failure is a hard error: the base operator
+data is wrong.
 
 The central element acts trivially on every module here, so no
 C^{1/2} bookkeeping appears anywhere.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffring import Coefficient, LaurentPoly, _add_terms, q_integer
+from .coeffring import _ONE, Coefficient, LaurentPoly, _add_terms, q_integer
 from .latticemod import Element, get_module
 from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import _path, check_node
@@ -47,8 +48,8 @@ class EllWeight:
     closed_form: dict = field(default_factory=dict)
 
 
-QMQ = Coefficient.from_laurent(LaurentPoly({1: 1, -1: -1}))  # q - q^{-1}
-Q_INV2 = Coefficient.q_power(-2)  # q^{-2}
+_QMQ = LaurentPoly({1: 1, -1: -1})  # q - q^{-1}
+QMQ = Coefficient.from_laurent(_QMQ)
 _QPQ = q_integer(2)  # q + q^{-1}
 
 
@@ -60,21 +61,29 @@ def c_r(t: AffineType) -> Coefficient:
     return QMQ * LaurentPoly.q_power(-h, (-1) ** h * o_sign(t, t.r))
 
 
-def psi_bracket(Ek, e, v):
-    """E_k e_i v - q^{-2} e_i E_k v; k_i and (q - q^{-1}) o^k turn it
-    into psi+_{i,k} v.  Ek and e apply E_{kd-a_i} and e_i."""
-    return Ek(e(v)) - e(Ek(v)).scale(Q_INV2)
+def _q_commutator(x, y, s):
+    """x - q^s y on term maps, summed into x in place."""
+    return _add_terms(x, {c: -p.shift(s) for c, p in y.items()})
 
 
-def raise_level(E1, e, Ek, v):
-    """E_{(k+1)d - a_i} v by the step of the module docstring, as
-    -(B E_k v - E_k B v)/(q + q^{-1}) with B = psi_bracket(E1, e, .).
+def psi_bracket(Ek, e, terms):
+    """E_k e_i v - q^{-2} e_i E_k v on a term map; k_i and (q - q^{-1}) o^k
+    turn it into psi+_{i,k} v.  Ek and e apply E_{kd-a_i} and e_i to term
+    maps, Ek as a new map."""
+    return _q_commutator(Ek(e(terms)), e(Ek(terms)), -2)
 
-    E1, e and Ek apply E_{d-a_i}, e_i and E_{kd-a_i} to a combination.
-    The order is fixed, E_k v first, so the first DomainViolation a
-    level-one operator raises is always the same."""
-    return -(psi_bracket(E1, e, Ek(v))
-             - Ek(psi_bracket(E1, e, v))).exact_divide(_QPQ)
+
+def raise_level(E1, e, Ek, terms):
+    """E_{(k+1)d - a_i} v on a term map by the step of the module
+    docstring, as (E_k B v - B E_k v)/(q + q^{-1}) with
+    B = psi_bracket(E1, e, .).
+
+    E1, e and Ek apply E_{d-a_i}, e_i and E_{kd-a_i} to term maps, E1 and
+    Ek as new maps.  The order is fixed, E_k v first, so the first
+    DomainViolation a level-one operator raises is always the same."""
+    b_ek = psi_bracket(E1, e, Ek(terms))
+    x = _q_commutator(Ek(psi_bracket(E1, e, terms)), b_ek, 0)
+    return {c: p.exact_divide(_QPQ) for c, p in x.items()}
 
 
 def vacuum_eigenvalue(w, vac, i, k):
@@ -87,36 +96,46 @@ def vacuum_eigenvalue(w, vac, i, k):
 
 
 class LevelEngine:
-    """The memo of E_{k delta - alpha_i} on basis labels.
-
-    A subclass gives ``_steps(node, k)``: callables applying
-    E_{d-a_node}, e_node and E_{(k-1)d-a_node} to a combination.  They
-    are built on a memo miss only and never stored, so no reference
-    cycle keeps the memo alive after its engine."""
+    """E_{k delta - alpha_i} on term maps, from one memo of per-label
+    values.  A subclass gives ``t``, its level one ``_E1(i, terms)`` and
+    its step ``_e(i, terms)``, both as new maps.  The memo's rules are
+    never stored, so no reference cycle keeps it alive after its engine."""
 
     def __init__(self):
         self._memo = {}
 
-    def _level(self, node, k, v):
-        """E_{k delta - alpha_node} v, extended linearly from the memo."""
+    def _extend(self, key, rule, terms):
+        """The linear map named key on a term map, as a new map: its value
+        rule(c) on a label c is computed on the first call only."""
+        memo = self._memo
+        out = {}
+        for c, p in terms.items():
+            hit = memo.get((key, c))
+            if hit is None:
+                hit = memo[key, c] = rule(c)
+            _add_terms(out, hit, None if p is _ONE else p)
+        return out
+
+    def _level(self, i, k, terms):
+        """E_{k delta - alpha_i} on a term map, as a new map."""
         if k < 1:
             raise ValueError("level must be >= 1")
-        memo = self._memo
-        out = v.zero()
-        for c, coeff in v.terms.items():
-            key = (node, k, c)
-            hit = memo.get(key)
-            if hit is None:
-                E1, e, below = self._steps(node, k)
-                b = v.basis(c)
-                hit = memo[key] = (E1(b) if k == 1
-                                   else raise_level(E1, e, below, b))
-            out = out + hit.scale(coeff, v.deg)
-        return out
+        if k == 1:
+            return self._E1(i, terms)
+        return self._extend((i, k), lambda c: raise_level(
+            lambda u: self._E1(i, u), lambda u: self._e(i, u),
+            lambda u: self._level(i, k - 1, u), {c: _ONE}), terms)
+
+    def _psi(self, i, k, terms):
+        """psi+_{i,k} on a term map but for its diagonal factor k_i:
+        psi_bracket times (q - q^{-1}) o(i)^k."""
+        w = psi_bracket(lambda u: self._level(i, k, u),
+                        lambda u: self._e(i, u), terms)
+        return _add_terms({}, w, _QMQ * o_sign(self.t, i) ** k)
 
 
 class CurrentEngine(LevelEngine):
-    """Memoized computation of E_{k delta - alpha_i} on the lattice module."""
+    """E_{k delta - alpha_i} and psi+_{i,k} on the lattice module."""
 
     def __init__(self, t: AffineType):
         super().__init__()
@@ -124,58 +143,55 @@ class CurrentEngine(LevelEngine):
         self.mod = get_module(t)
         self._path = _path(t)
 
-    # -- level one ----------------------------------------------------
-
-    def E1(self, i: int, v: Element) -> Element:
-        """E_{delta - alpha_i} v: zero for i != r, and for i = r the
-        q-bracket of ``rootvec.bracket_E``, never expanded into words."""
+    def _check(self, i, v):
         check_node(self.t, i)
         self.mod.check_data(v.terms)
+
+    def _e(self, i, terms):
+        return self.mod._run_word((i,), terms)
+
+    def _E1(self, i, terms):
+        """E_{delta - alpha_i}: zero for i != r, and for i = r the q-bracket
+        of ``rootvec.bracket_E``, never expanded into words."""
         if i != self.t.r:
-            return Element.zero()
-        return Element._of(self._bracket(len(self._path), v.terms), v.deg + 1)
+            return {}
+        return self._bracket(len(self._path), terms)
 
     def _bracket(self, j, terms):
-        """u_j on a term map {datum: LaurentPoly}, as a new map without
-        zeros, the factor a of e_0 left to the caller: u_0 = e_0 and
-        u_j(w) = u_{j-1}(e_{p_j} w) - q^{-1} e_{p_j} u_{j-1}(w) along
-        the path p, each e-step a one-letter call of
-        ``LatticeModule._run_word``.  An empty map returns at once, so
-        on the alpha_r-string span, which every e_{p_j} kills (no path
-        letter is r), u_k costs about 2k e-steps."""
-        if not terms:
-            return terms
-        run_word = self.mod._run_word
-        if not j:
-            return run_word((0,), terms)
-        p = (self._path[j - 1],)
-        head = self._bracket(j - 1, run_word(p, terms))
-        tail = run_word(p, self._bracket(j - 1, terms))
-        return _add_terms(head, {c: -x.shift(-1) for c, x in tail.items()})
+        """u_j on a term map, the factor a of e_0 left to the caller:
+        u_0 = e_0 and u_j(c) = u_{j-1}(e_{p_j} c) - q^{-1} e_{p_j} u_{j-1}(c)
+        along the path p, each e-step a one-letter ``_run_word`` call.  u_j(c)
+        is memoised: at most two e-steps however many branches reach it."""
+        return self._extend(("u", j), lambda c: self._u(j, c), terms)
 
-    # -- level k ------------------------------------------------------
+    def _u(self, j, c):
+        run_word, one = self.mod._run_word, {c: _ONE}
+        if not j:
+            return run_word((0,), one)
+        p = (self._path[j - 1],)
+        head = self._bracket(j - 1, run_word(p, one))
+        return _q_commutator(head, run_word(p, self._bracket(j - 1, one)), -1)
+
+    # -- public entries: checked once, then term maps ------------------
+
+    def E1(self, i: int, v: Element) -> Element:
+        self._check(i, v)
+        return Element._of(self._E1(i, v.terms), v.deg + 1)
 
     def E(self, i: int, k: int, v: Element) -> Element:
-        check_node(self.t, i)
-        return self._level(i, k, v)
-
-    def _steps(self, i, k):
-        return (lambda u: self.E1(i, u), lambda u: self.mod.apply_e(i, u),
-                lambda u: self.E(i, k - 1, u))
-
-    # -- currents ------------------------------------------------------
+        self._check(i, v)
+        return Element._of(self._level(i, k, v.terms), v.deg + k)
 
     def psi_plus(self, i: int, k: int, v: Element) -> Element:
-        o = o_sign(self.t, i)
-        w = psi_bracket(lambda u: self.E(i, k, u),
-                        lambda u: self.mod.apply_e(i, u), v)
-        w = self.mod.apply_k(i, 1, w)
-        return w.scale(QMQ * (o ** k))
+        self._check(i, v)
+        w = self.mod._run_word((("k", i, 1),), self._psi(i, k, v.terms))
+        return Element._of(w, v.deg + k)
 
     def x_minus_on_vacuum(self, i: int, k: int) -> Element:
-        vac = Element.basis(self.mod.vacuum)
-        o = o_sign(self.t, i)
-        return self.mod.apply_k(i, 1, self.E(i, k, vac)).scale(-(o ** k))
+        check_node(self.t, i)
+        w = self._level(i, k, {self.mod.vacuum: _ONE})
+        w = self.mod._run_word((("k", i, 1),), w)
+        return Element._of(w, k).scale(-(o_sign(self.t, i) ** k))
 
 
 def ell_weight_of_vacuum(t: AffineType, K: int = 6) -> EllWeight:
@@ -183,20 +199,18 @@ def ell_weight_of_vacuum(t: AffineType, K: int = 6) -> EllWeight:
     if K < 1:
         raise ValueError("K must be >= 1")
     eng = CurrentEngine(t)
-    vac = Element.basis(eng.mod.vacuum)
     vkey = eng.mod.vacuum
-    psi = {}
-    form = {}
+    vac = Element.basis(vkey)
+    polynomial = (Coefficient.one(), -(Coefficient.a_power(1) * c_r(t)),
+                  *[Coefficient.zero()] * (K - 1))
+    psi, form = {}, {}
     for i in range(1, t.n + 1):
-        coeffs = tuple([Coefficient.one()] + [
+        psi[i] = (Coefficient.one(), *[
             vacuum_eigenvalue(eng.psi_plus(i, k, vac), vkey, i, k)
             for k in range(1, K + 1)])
-        psi[i] = coeffs
-        expected = [Coefficient.one(), -(Coefficient.a_power(1) * c_r(t))]
-        expected += [Coefficient.zero()] * (K - 1)
-        if i == t.r and coeffs == tuple(expected):
+        if i == t.r and psi[i] == polynomial:
             form[i] = "polynomial"
-        elif all(c.is_zero() for c in coeffs[1:]):
+        elif not any(psi[i][1:]):
             form[i] = "trivial"
         else:
             form[i] = "unrecognized"

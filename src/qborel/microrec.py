@@ -14,24 +14,26 @@ e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
 only the alpha_r-pairing and is valid in every rank.  ``_run_word``
 applies the rank-one letters to term maps on the powers, and
 ``rank_one_serre_check`` runs opalg's relations on it through
-``opalg.run_expression``.  ``StringEngine`` is a ``LevelEngine`` that
-gives only the level-one scalars and e_r.  A string vector, like a
-module element, is a ``GradedCombination``: one a-degree and
-coefficients in ``LaurentPoly``.  The scalars that leave this module
-(``string_recurrence``, ``negative_ell_weight``) are full
-``Coefficient``s.
+``opalg.run_expression``, each report line from its own results.
+``StringEngine`` is a ``LevelEngine`` that gives only its level one, the
+two base scalars, and its step, e_r as a one-letter ``_run_word`` call,
+both on term maps; ``negative_ell_weight`` reads psi+ from the engine's
+``_psi``.  A string vector, like a module element, is a
+``GradedCombination``: one a-degree and coefficients in ``LaurentPoly``.
+The scalars that leave this module (``string_recurrence``,
+``negative_ell_weight``) are full ``Coefficient``s.
 """
 
 from __future__ import annotations
 
-from .coeffring import (Coefficient, GradedCombination, LaurentPoly,
+from .coeffring import (_ONE, Coefficient, GradedCombination, LaurentPoly,
                         q_integer)
 from .drinfeld import (QMQ, DomainViolation, EllWeight, LevelEngine, c_r,
-                       psi_bracket, vacuum_eigenvalue)
+                       vacuum_eigenvalue)
 from .latticemod import letter_str
 from .opalg import (CheckReport, OperatorExpr, k_e_conjugation_expr,
                     run_expression, serre_expr)
-from .rootdata import AffineType, dual_coxeter, o_sign
+from .rootdata import AffineType, dual_coxeter
 from .rootvec import string_span_values
 
 
@@ -63,11 +65,6 @@ def _run_word(model, word, terms):
     return terms
 
 
-def _e_lower(v: StringElement) -> StringElement:
-    """e_r on powers, which acts alike in both models."""
-    return v._like(_run_word("pos", (1,), v.terms))
-
-
 def rank_one_serre_check(M: int = 20) -> CheckReport:
     """Quartic Serre relations on f^m (m <= M) in both models, plus the
     eight intermediate three-letter expansions checked line by line, and
@@ -75,8 +72,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
     if M < 0:
         raise ValueError("M must be >= 0")
     a1 = AffineType("A", 1, 1)
-    lines = []
-    ok = True
+    reports = []
 
     def run(x, model, m):
         return run_expression(x, lambda w, terms: _run_word(model, w, terms),
@@ -84,10 +80,10 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
 
     serres = [serre_expr(i, j, a1) for i, j in ((0, 1), (1, 0))]
     for model in ("pos", "neg"):
-        bad = [m for m in range(M + 1) for x in serres if run(x, model, m)]
-        ok &= not bad
-        lines.append(CheckReport(f"rank1-serre-{model}", not bad,
-                                 f"m <= {M}" if not bad else f"fails at {bad}").line())
+        bad = [m for m in range(M + 1)
+               if any(run(x, model, m) for x in serres)]
+        reports.append(CheckReport(f"rank1-serre-{model}", not bad,
+                                   f"fails at {bad}" if bad else f"m <= {M}"))
 
     # the four raising-model expansion lines, on probes u = f^m:
     # coefficients in terms of s = t = -2m and e_1'(u) = q^{-m+1}[m]f^{m-1}
@@ -97,6 +93,7 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
     def eprime(m):
         return Coefficient.from_laurent(LaurentPoly.q_power(-m + 1) * q_integer(m))
 
+    expansions_ok = True
     for m in range(6):
         s = t = -2 * m
         fm2 = lambda c: StringElement.basis(m + 2, c)
@@ -123,23 +120,22 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
             for word, expected in expansions:
                 got = run(OperatorExpr.basis(word), model, m)
                 if got != expected:
-                    ok = False
-                    lines.append(CheckReport(
+                    expansions_ok = False
+                    reports.append(CheckReport(
                         f"rank1-expansion-{model}-{'.'.join(map(letter_str, word))}"
-                        f"-m{m}", False, f"got {got}, expected {expected}").line())
-    lines.append(CheckReport("rank1-expansions", ok, "both models, m <= 5").line())
+                        f"-m{m}", False, f"got {got}, expected {expected}"))
+    reports.append(CheckReport("rank1-expansions", expansions_ok,
+                               "both models, m <= 5"))
 
     # k_j e_i k_j^{-1} = q^{a_ji} e_i for all four pairs
     conjugations = [k_e_conjugation_expr(j, i, a1) for j in (0, 1) for i in (0, 1)]
     conj_ok = not any(run(x, model, m) for model in ("pos", "neg")
                       for x in conjugations for m in range(6))
-    ok &= conj_ok
-    lines.append(CheckReport("rank1-k-conjugation", conj_ok,
-                             "both models, m <= 5").line())
+    reports.append(CheckReport("rank1-k-conjugation", conj_ok,
+                               "both models, m <= 5"))
 
-    report = CheckReport("rank1-suite", ok)
-    report.lines = lines
-    return report
+    return CheckReport("rank1-suite", all(r.passed for r in reports),
+                       lines=[r.line() for r in reports])
 
 
 # ---------------------------------------------------------------------
@@ -168,23 +164,20 @@ class StringEngine(LevelEngine):
     def __init__(self, t: AffineType, model: str):
         super().__init__()
         self.t = t
-        self.model = model
-        self.E1_0, self.E1_1 = base_scalars(t, model)
+        self._scalars = [c.terms[()] for c in base_scalars(t, model)]
 
-    def E1(self, v: StringElement) -> StringElement:
-        out = StringElement.zero()
-        for m, c in v.terms.items():
+    def _E1(self, r, terms):
+        for m in terms:
             if m > 1:
                 raise DomainViolation(f"E_(delta-alpha_r) needed on f^{m}")
-            scalar = self.E1_1 if m else self.E1_0
-            out = out + StringElement.basis(m + 1, scalar).scale(c, v.deg)
-        return out
+        return {m + 1: c * self._scalars[m] for m, c in terms.items()}
+
+    def _e(self, r, terms):
+        """e_r, which acts alike in both models."""
+        return _run_word("pos", (1,), terms)
 
     def E(self, k: int, v: StringElement) -> StringElement:
-        return self._level(self.t.r, k, v)
-
-    def _steps(self, r, k):
-        return self.E1, _e_lower, lambda u: self.E(k - 1, u)
+        return StringElement._of(self._level(self.t.r, k, v.terms), v.deg + k)
 
 
 def string_recurrence(t: AffineType, model: str, K: int):
@@ -216,17 +209,13 @@ def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
     if K < 1:
         raise ValueError("K must be >= 1")
     eng = StringEngine(t, "neg")
-    o = o_sign(t, t.r)
-    one = StringElement.basis(0)
+    geometric = -(Coefficient.a_power(1) * c_r(t))
     coeffs = [Coefficient.one()]
     for k in range(1, K + 1):
-        w = psi_bracket(lambda u: eng.E(k, u), _e_lower, one)
+        power = coeffs[-1] * geometric   # geometric ** k: all earlier match
         # k_r is the identity on the vacuum (weight zero)
-        coeffs.append(vacuum_eigenvalue(w.scale(QMQ * (o ** k)), 0, t.r, k))
-    geometric = -(Coefficient.a_power(1) * c_r(t))
-    power = Coefficient.one()
-    for k in range(1, K + 1):
-        power = power * geometric   # geometric ** k
+        w = StringElement._of(eng._psi(t.r, k, {0: _ONE}), k)
+        coeffs.append(vacuum_eigenvalue(w, 0, t.r, k))
         if coeffs[k] != power:
             raise AssertionError(
                 f"psi_{t.r},{k} = {coeffs[k]} differs from geometric {power}")

@@ -86,6 +86,34 @@ def test_E1_is_the_bracket(t):
                 assert eng.E1(i, v).is_zero(), (i, c)
 
 
+def test_E1_bracket_is_memoised_per_partial_bracket_and_datum(monkeypatch):
+    # every partial bracket u_j(c) is computed once: on a random D7r1
+    # datum, where the unmemoised walk repeats up to 3 * 2^10 - 2 e-steps,
+    # the one-letter _run_word calls (e-steps) and the e_on_datum calls
+    # are each at most two per (j, datum) memo entry, plus one
+    t = AffineType("D", 7, 1)
+    mod = get_module(t)
+    c = random_datum(t, random.Random(11), max_entry=10)
+    counts = {"e_on_datum": 0, "_run_word": 0}
+    for name in counts:
+        def counted(*args, f=getattr(mod, name), name=name):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(mod, name, counted)
+    eng = CurrentEngine(t)
+    out = eng.E1(t.r, Element.basis(c))
+    entries = len(eng._memo)
+    assert entries and not out.is_zero()
+    assert counts["_run_word"] <= 2 * entries + 1, (counts, entries)
+    assert counts["e_on_datum"] <= 2 * entries + 1, (counts, entries)
+
+
+def test_E1_is_the_bracket_on_a_random_D5r5_datum():
+    t = AffineType("D", 5, 5)
+    v = Element.basis(random_datum(t, random.Random(3), max_entry=6))
+    assert CurrentEngine(t).E1(t.r, v) == evaluate(bracket_E(t), t, v)
+
+
 def test_E_level_requires_positive_k():
     eng = CurrentEngine(AffineType("A", 2, 1))
     with pytest.raises(ValueError):
@@ -149,13 +177,22 @@ def test_vacuum_eigenvalue_reads_the_vacuum_line_only():
 
 def four_term_step(E1, e, Ek, v):
     """The four-term step of the drinfeld docstring, written out term by
-    term: the reference that raise_level's commutator form must match."""
+    term: the reference that raise_level's commutator form must match.
+    The steps act on term maps, which this reference sums as elements."""
+    E1, e, Ek = (lambda u, f=f: Element._of(f(u.terms)) for f in (E1, e, Ek))
+    v = Element._of(v)
     q_inv2 = Coefficient.q_power(-2)
     four = (E1(e(Ek(v)))
             - e(E1(Ek(v))).scale(q_inv2)
             - Ek(E1(e(v)))
             + Ek(e(E1(v))).scale(q_inv2))
-    return -four.exact_divide(q_integer(2))
+    return (-four.exact_divide(q_integer(2))).terms
+
+
+def steps(eng, i, k):
+    """The engine's E_{d-a_i}, e_i and E_{(k-1)d-a_i} on term maps."""
+    return (lambda u: eng._E1(i, u), lambda u: eng._e(i, u),
+            lambda u: eng._level(i, k - 1, u))
 
 
 @pytest.mark.parametrize("t", [AffineType("A", 3, 2), AffineType("D", 4, 4)],
@@ -166,27 +203,27 @@ def test_raise_level_is_the_four_term_step_on_the_lattice(t):
     vectors = [alpha_r_string(t, m) for m in range(3)]
     vectors += [vectors[0] + vectors[1].scale(Coefficient.q_power(3)),
                 Element.basis(random_datum(t, rng, max_entry=2))]
+    vectors = [v.terms for v in vectors]
     other = 1 if t.r != 1 else 2
     for k in (2, 3, 4):
         for i in (t.r, other):
-            steps = eng._steps(i, k)
             for v in vectors:
-                got = raise_level(*steps, v)
-                assert got == four_term_step(*steps, v), (i, k, v)
-                assert eng.E(i, k, v) == got
+                got = raise_level(*steps(eng, i, k), v)
+                assert got == four_term_step(*steps(eng, i, k), v), (i, k, v)
+                assert eng.E(i, k, Element._of(v)).terms == got
     # On L^+ every level >= 2 vanishes (the l-weight is polynomial), so
     # the identity is also checked on other linear maps: each of the four
     # terms has one E1, so (q + q^{-1}) E1 keeps the division exact, and
     # e_0 with e_r or k_r for E_k gives nonzero values.
-    E1 = eng._steps(t.r, 2)[0]
-    E1q = lambda u: E1(u).scale(q_integer(2))
-    e0 = lambda u: mod.apply_e(0, u)
+    E1q = lambda u: {c: q_integer(2) * p for c, p in eng._E1(t.r, u).items()}
+    e0 = lambda u: mod._run_word((0,), u)
     nonzero = 0
-    for Ek in (lambda u: mod.apply_e(t.r, u), lambda u: mod.apply_k(t.r, 1, u)):
+    for Ek in (lambda u: mod._run_word((t.r,), u),
+               lambda u: mod._run_word((("k", t.r, 1),), u)):
         for v in vectors:
             got = raise_level(E1q, e0, Ek, v)
             assert got == four_term_step(E1q, e0, Ek, v), v
-            nonzero += not got.is_zero()
+            nonzero += bool(got)
     assert nonzero == 2 * len(vectors)
 
 
@@ -194,17 +231,16 @@ def test_raise_level_is_the_four_term_step_on_the_lattice(t):
 def test_raise_level_is_the_four_term_step_on_the_string(model):
     t = AffineType("A", 3, 2)
     eng = StringEngine(t, model)
-    one, f = StringElement.basis(0), StringElement.basis(1)
+    one, f = {0: LaurentPoly.one()}, {1: LaurentPoly.one()}
     for k in (2, 3, 4):
-        steps = eng._steps(t.r, k)
-        got = raise_level(*steps, one)
-        assert got == four_term_step(*steps, one)
-        assert eng.E(k, one) == got
-        assert got.is_zero() == (model == "pos")
+        got = raise_level(*steps(eng, t.r, k), one)
+        assert got == four_term_step(*steps(eng, t.r, k), one)
+        assert eng.E(k, StringElement._of(one)).terms == got
+        assert (not got) == (model == "pos")
         # both forms reject f beyond level one, with the same message
         messages = []
         for step in (raise_level, four_term_step):
             with pytest.raises(DomainViolation) as exc:
-                step(*steps, f)
+                step(*steps(eng, t.r, k), f)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]

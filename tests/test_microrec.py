@@ -3,7 +3,8 @@ import pytest
 from qborel import microrec
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
 from qborel.drinfeld import c_r
-from qborel.microrec import (StringElement, StringEngine, _e_lower, _run_word,
+from qborel.opalg import OperatorExpr
+from qborel.microrec import (StringElement, StringEngine, _run_word,
                              base_scalars, negative_closed_form,
                              negative_ell_weight, rank_one_serre_check,
                              string_recurrence)
@@ -37,10 +38,10 @@ def test_rank_one_generators():
     # a word applies its letters in order: e_1 then e_0 on f^2
     assert _run_word("pos", (1, 0), f2) == {
         2: LaurentPoly.q_power(1) * q_integer(2)}
-    # e_r on string vectors is the one-letter call, keeping the a-degree
-    v = StringElement.basis(2, Coefficient.a_power(3))
-    assert _e_lower(v) == StringElement.basis(1, Coefficient.from_laurent(
-        LaurentPoly.q_power(-1) * q_integer(2), 3))
+    # the string engine's e_r is the one-letter call, alike in both models
+    for model in ("pos", "neg"):
+        eng = StringEngine(AffineType("A", 1, 1), model)
+        assert eng._e(1, f2) == {1: LaurentPoly.q_power(-1) * q_integer(2)}
 
 
 @pytest.mark.parametrize("model", ["bogus", "POS", ""])
@@ -107,6 +108,23 @@ def test_rank_one_suite_catches_a_k1_sign_flip(monkeypatch):
     assert lines["rank1-k-conjugation"] == \
         "CHECK rank1-k-conjugation FAIL both models, m <= 5"
     assert " PASS" in lines["rank1-serre-pos"] and " PASS" in lines["rank1-serre-neg"]
+
+
+def test_rank_one_lines_are_built_from_their_own_results(monkeypatch):
+    # a Serre relation replaced by e_0 fails at every m, each m listed
+    # once, and leaves the expansion line alone
+    monkeypatch.setattr(microrec, "serre_expr",
+                        lambda i, j, t: OperatorExpr.e(0))
+    rep = rank_one_serre_check(3)
+    lines = _lines(rep)
+    for model in ("pos", "neg"):
+        assert lines[f"rank1-serre-{model}"] == \
+            f"CHECK rank1-serre-{model} FAIL fails at [0, 1, 2, 3]"
+    assert lines["rank1-expansions"] == \
+        "CHECK rank1-expansions PASS both models, m <= 5"
+    assert " PASS" in lines["rank1-k-conjugation"]
+    assert not rep.passed
+    assert rep.line() == "CHECK rank1-suite FAIL"
 
 
 def test_string_recurrence_positive_terminates():

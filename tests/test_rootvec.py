@@ -2,7 +2,7 @@ import pytest
 
 from qborel.coeffring import Coefficient, LaurentPoly
 from qborel.latticemod import Element
-from qborel.opalg import evaluate
+from qborel.opalg import OperatorExpr, evaluate
 from qborel.rootdata import (AffineType, dual_coxeter, positive_roots_wr,
                              simple_root, theta)
 from qborel.rootvec import (Unsupported, _path, alpha_r_string, bracket_E,
@@ -132,6 +132,33 @@ def test_string_span_values_on_string():
                 t, evaluate(op, t, alpha_r_string(t, 0)), 1) == v1
             assert string_coefficient(
                 t, evaluate(op, t, alpha_r_string(t, 1)), 2) == v2
+
+
+def test_string_coefficient_rejects_a_vector_off_the_string():
+    # e_0 on the vacuum lies wholly off the alpha_r-string on A3r2: no
+    # string coefficient, so a ValueError rather than zero
+    t = AffineType("A", 3, 2)
+    vac = alpha_r_string(t, 0)
+    off = evaluate(OperatorExpr.e(0), t, vac)
+    (c,) = off.terms
+    assert c != alpha_r_string(t, 1).support().pop()
+    for v in (Element.basis(c), off, Element.basis(c) + alpha_r_string(t, 1)):
+        with pytest.raises(ValueError, match="not a single string vector"):
+            string_coefficient(t, v, 1)
+    assert string_coefficient(t, Element.zero(), 1) == Coefficient.zero()
+    assert string_coefficient(t, alpha_r_string(t, 1), 1) == Coefficient.one()
+
+
+def test_domain_check_reports_a_value_off_the_string(monkeypatch):
+    # an operator whose values leave the alpha_r-string is a FAIL line
+    # with its values, not a ValueError from string_coefficient
+    import qborel.rootvec as rootvec
+    t = AffineType("A", 3, 2)
+    monkeypatch.setattr(rootvec, "bracket_E", lambda t: OperatorExpr.e(0))
+    rep = verified_domain_check(t)
+    assert not rep.passed
+    assert rep.detail.startswith("E.1 = (a) * [0,0,0,1], expected ")
+    assert "; E.f_r = (a) * [1,0,0,1], expected " in rep.detail
 
 
 def test_string_span_value_shape():
