@@ -19,9 +19,11 @@ Two structures:
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
-evaluated at ``X = 2^b``, with ``c_0 != 0``; the digit width ``b``, a
-multiple of 64 bits; and a tracked bound ``m >= ||p||_1 = sum_k |c_k|``.
-Zero is ``(0, 0, 64, 0)``.  The invariant
+evaluated at ``X = 2^b``, with ``c_0 != 0``; the digit width ``b``; and
+a tracked bound ``m >= ||p||_1 = sum_k |c_k|``.  The width follows one
+rule, ``_width_for``: 16 bits while ``m < 2^15``, otherwise the least
+multiple of 64 bits that holds ``m``.  Zero is ``(0, 0, 16, 0)`` and one
+is ``(1, 0, 16, 1)``.  The invariant
 
     ||p||_1 <= m < 2^(b-1)
 
@@ -33,7 +35,9 @@ bound follows ``m(pq) = m(p) m(q)`` and ``m(p +- q) = m(p) + m(q)``;
 when a result's bound would reach ``2^(b-1)``, the operands' exact
 norms replace their bounds and, if that is still not enough, the
 operands are repacked at a wider width.  The bound is tracked, never
-assumed.
+assumed.  CPython multiplies integers of a few dozen digits by
+schoolbook, in time quadratic in their bit length, so the narrow digit
+makes the common product, of coefficients far below 2^15, cheap.
 
 A power ``p ** k`` is one big-integer power, at the width of the bound
 ``m^k``, taken from the exact norm when the tracked bound would widen
@@ -64,12 +68,19 @@ class NotDivisible(ArithmeticError):
 
 # -- packed digits -------------------------------------------------------
 
-_BIG_ENDIAN = sys.byteorder == "big"   # array("q") words are native-endian
+_BIG_ENDIAN = sys.byteorder == "big"   # array words are native-endian
+
+# the signed array typecode of each item width in bits, read off its
+# itemsize: a digit width found here is read and written as one array
+_TYPECODES = {array(t).itemsize * 8: t for t in "hilq"}
 
 
 def _width_for(m: int) -> int:
-    """The least multiple of 64 bits b >= 64 with m < 2^(b-1)."""
-    return max(64, (m.bit_length() + 64) // 64 * 64)
+    """The digit width for a bound m: 16 bits while m < 2^15, otherwise
+    the least multiple of 64 bits b with m < 2^(b-1)."""
+    if not m >> 15:
+        return 16
+    return (m.bit_length() + 64) // 64 * 64
 
 
 def _offset(size: int, b: int) -> int:
@@ -90,8 +101,9 @@ def _digits(n: int, b: int, spare: int = 0) -> list:
     size = n.bit_length() // b + 1 + spare
     h = _offset(size, b)
     raw = ((n + h) ^ h).to_bytes(size * b // 8, "little")
-    if b == 64:
-        words = array("q", raw)
+    code = _TYPECODES.get(b)
+    if code:
+        words = array(code, raw)
         if _BIG_ENDIAN:
             words.byteswap()
         out = words.tolist()
@@ -106,8 +118,9 @@ def _digits(n: int, b: int, spare: int = 0) -> list:
 
 def _pack(digits, b: int) -> int:
     """Inverse of _digits: every |digit| must be below 2^(b-1)."""
-    if b == 64:
-        words = array("q", digits)
+    code = _TYPECODES.get(b)
+    if code:
+        words = array(code, digits)
         if _BIG_ENDIAN:
             words.byteswap()
         raw = words.tobytes()
@@ -176,7 +189,7 @@ def _sum(p, q):
     if lo == qlo:
         n = pn + qn
         if not n:
-            return _make(0, 0, 64, 0)
+            return _make(0, 0, 16, 0)
         if not n & ((1 << b) - 1):   # cancellation in the lowest digits
             shift = ((n & -n).bit_length() - 1) // b
             n >>= b * shift
@@ -195,7 +208,7 @@ class LaurentPoly:
     def __init__(self, terms=None):
         terms = {k: c for k, c in dict(terms or {}).items() if c}
         if not terms:
-            self.n, self.lo, self.b, self.m = 0, 0, 64, 0
+            self.n, self.lo, self.b, self.m = 0, 0, 16, 0
             return
         lo = min(terms)
         digits = [terms.get(k, 0) for k in range(lo, max(terms) + 1)]
@@ -220,16 +233,16 @@ class LaurentPoly:
 
     @staticmethod
     def zero():
-        return _make(0, 0, 64, 0)
+        return _make(0, 0, 16, 0)
 
     @staticmethod
     def one():
-        return _make(1, 0, 64, 1)
+        return _make(1, 0, 16, 1)
 
     @staticmethod
     def q_power(k, coeff=1):
         if not coeff:
-            return _make(0, 0, 64, 0)
+            return _make(0, 0, 16, 0)
         m = abs(coeff)
         return _make(coeff, k, _width_for(m), m)
 
@@ -256,7 +269,7 @@ class LaurentPoly:
                 return NotImplemented
         m = self.m * other.m
         if not m:
-            return _make(0, 0, 64, 0)
+            return _make(0, 0, 16, 0)
         b = self.b
         if other.b == b and not m >> (b - 1):
             p = _new(LaurentPoly)
@@ -279,7 +292,7 @@ class LaurentPoly:
         if k < 0:
             raise ValueError("LaurentPoly power needs k >= 0")
         if not k:
-            return _make(1, 0, 64, 1)
+            return _make(1, 0, 16, 1)
         if not self.n:
             return self
         m = self.m ** k

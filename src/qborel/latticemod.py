@@ -29,9 +29,11 @@ per node keyed by the datum itself.  Each distinct value is stored once:
 the data of the cache, keys and move targets alike, pass through one
 intern table of the module, so equal data reached along different paths
 share one tuple, and each move coefficient q^e [m]_q comes from the
-shared table of ``coeffring.q_integer``.  The cache and the intern table
-live exactly as long as the module, which ``get_module`` keeps for the
-life of the process.
+shared table of ``coeffring.q_integer``.  A miss checks its datum with
+``check_data`` unless the datum is the very object of the intern table,
+which was checked or built by a move from a checked datum.  The cache
+and the intern table live exactly as long as the module, which
+``get_module`` keeps for the life of the process.
 
 Every generator acts a-homogeneously, so an ``Element`` is a
 ``GradedCombination``: one a-degree, the number of e_0 letters applied,
@@ -149,10 +151,13 @@ class LatticeModule:
         pairs; for i = 0 the factor a is left to the caller.
 
         The result is cached in node i's dict under the datum.  On a miss
-        the datum is checked (``check_data``), and it and every datum the
-        moves produce are interned, so the cache holds one tuple per
-        distinct datum; the coefficients come from ``q_integer``'s table
-        when m < 64 and -64 <= e < 64."""
+        the datum is checked (``check_data``) unless it is the very object
+        held in the intern table: that one was checked on entry or made by
+        a move from a checked datum, while any other object, an equal
+        tuple included, is checked.  It and every datum the moves produce
+        are then interned, so the cache holds one tuple per distinct
+        datum; the coefficients come from ``q_integer``'s table when
+        m < 64 and -64 <= e < 64."""
         try:
             cache = self._e_cache[i]
         except KeyError:
@@ -161,11 +166,15 @@ class LatticeModule:
         hit = cache.get(c)
         if hit is not None:
             return hit
-        self.check_data((c,))
-        intern = self._interned.setdefault
+        interned = self._interned
+        if interned.get(c) is not c:
+            self.check_data((c,))
+        intern = interned.setdefault
         out = []
+        # every target is read off one scratch copy of c, restored after
+        # each move
+        d = list(c)
         if i == 0:
-            d = list(c)
             d[self.theta_idx] += 1
             d = tuple(d)
             # the k_0 exponent minus c_theta
@@ -179,12 +188,15 @@ class LatticeModule:
             for src, tgt in self._moves[i]:
                 m = c[src]
                 if m:
-                    d = list(c)
-                    d[src] -= 1
-                    if tgt is not None:
+                    d[src] = m - 1
+                    if tgt is None:
+                        t = tuple(d)
+                    else:
                         d[tgt] += 1
-                    d = tuple(d)
-                    out.append((q_integer(m, e), intern(d, d)))
+                        t = tuple(d)
+                        d[tgt] -= 1
+                    d[src] = m
+                    out.append((q_integer(m, e), intern(t, t)))
                 if tgt is not None:
                     e += c[tgt] - m
         out = tuple(out)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.coeffring import (Coefficient, LaurentPoly, NotDivisible,
-                              parse_coefficient, q_binomial, q_factorial,
-                              q_integer)
+                              _width_for, parse_coefficient, q_binomial,
+                              q_factorial, q_integer)
 
 
 def lp(d):
@@ -41,6 +41,15 @@ def test_q_integer_inside_and_beyond_the_table(m):
     # the small q-integers come from a fixed table, larger ones are built
     assert q_integer(m) == lp({k: 1 for k in range(1 - m, m, 2)})
     assert q_integer(m) * q_integer(2) == q_integer(m + 1) + q_integer(m - 1)
+
+
+@pytest.mark.parametrize("m", [2 ** 15 - 1, 2 ** 15])
+def test_q_integer_at_the_narrow_width_boundary(m):
+    # ||[m]_q||_1 = m: 16-bit digits hold it below 2^15, 64-bit ones above
+    p = q_integer(m)
+    assert p.b == (16 if m < 2 ** 15 else 64) == _width_for(m)
+    assert dict(p.terms) == {k: 1 for k in range(1 - m, m, 2)}
+    assert p.eval_at_one() == m
 
 
 @pytest.mark.parametrize("e", [-65, -64, 0, 63, 64])
@@ -173,7 +182,7 @@ def test_q_integer_multiplicative_divisibility(m, k):
         == Coefficient.from_laurent(prod)
 
 
-# -- the packed kernel past one 64-bit digit ------------------------------
+# -- the packed kernel across digit widths --------------------------------
 #
 # A dict of q-exponent -> coefficient is the reference: every operation of
 # the packed kernel must agree with these few lines of schoolbook
@@ -194,11 +203,18 @@ def ref_mul(x, y):
     return {k: v for k, v in out.items() if v}
 
 
-# coefficients just below a digit width's half, where a sum or product
-# must move to a wider digit
-near_width = st.builds(lambda j, sign, e: sign * (2 ** (64 * j - 2) + e),
-                       st.integers(1, 4), st.sampled_from([1, -1]),
-                       st.integers(-1, 1))
+# coefficients near a digit width's half, where a sum or product must
+# move to a wider digit: +-(2^(64j-2) +- 1) for the 64-bit multiples,
+# and for the 16-bit digit +-(2^14 +- 1), whose sums cross 2^15,
+# +-(2^15 +- 1) on either side of it, and +-(2^7 +- 1) and +-(2^8 +- 1),
+# whose products cross it
+near_width = st.one_of(
+    st.builds(lambda j, sign, e: sign * (2 ** (64 * j - 2) + e),
+              st.integers(1, 4), st.sampled_from([1, -1]),
+              st.integers(-1, 1)),
+    st.builds(lambda k, sign, e: sign * (2 ** k + e),
+              st.sampled_from([7, 8, 14, 15]), st.sampled_from([1, -1]),
+              st.integers(-1, 1)))
 big_int = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200),
                     near_width)
 big_terms = st.dictionaries(st.integers(-60, 60), big_int.filter(bool),
@@ -322,12 +338,28 @@ def test_exact_divide_falls_back_when_digits_may_carry(monkeypatch):
     assert len(seen) == 1
 
 
+def test_exact_divide_falls_back_when_16_bit_digits_may_carry(monkeypatch):
+    # (1 - 2q) sum_{k<14} 2^k q^k = 1 - 2^14 q^14 packs at width 16, but
+    # the quotient's norm times 3 passes 2^15: its digits could carry
+    seen = _count_long_divisions(monkeypatch)
+    den = lp({0: 1, 1: -2})
+    quot = lp({k: 2 ** k for k in range(14)})
+    num = lp({0: 1, 14: -(2 ** 14)})
+    assert num == den * quot and num.b == den.b == 16
+    assert num.exact_divide(den) == quot
+    assert len(seen) == 1
+
+
 def test_exact_divide_rejects_a_whole_integer_quotient_that_carries(
         monkeypatch):
-    # 1 - X^65 is a multiple of 1 - 2X at X = 2^64, since 2^65 = 1 modulo
-    # 2^65 - 1, but 1 - q^65 has no root at q = 1/2
+    # at the operands' width b, 1 - X^(b+1) is a multiple of 1 - 2X at
+    # X = 2^b, since 2^(b(b+1)) = 1 modulo 2^(b+1) - 1, but 1 - q^(b+1)
+    # has no root at q = 1/2
     seen = _count_long_divisions(monkeypatch)
-    num, den = lp({0: 1, 65: -1}), lp({0: 1, 1: -2})
+    den = lp({0: 1, 1: -2})
+    b = den.b
+    num = lp({0: 1, b + 1: -1})
+    assert num.b == b
     assert not num.n % den.n
     with pytest.raises(NotDivisible):
         num.exact_divide(den)
@@ -365,5 +397,5 @@ def test_power_after_a_cancellation_runs_at_the_norm_width():
     assert x.m > 2 ** 600
     y = x ** 12
     assert y == (LaurentPoly.one() + q) ** 12
-    assert y.b == 64
+    assert y.b == _width_for(4096)
     assert dict(y.terms) == {k: math.comb(12, k) for k in range(13)}

@@ -9,7 +9,7 @@ from qborel.coeffring import Coefficient, LaurentPoly, q_integer
 from qborel.latticemod import Element, LatticeModule, get_module, random_datum
 from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
                           k_commutation_expr, k_e_conjugation_expr,
-                          serre_expr)
+                          run_expression, serre_expr)
 from qborel.rootdata import (AffineType, pairing, positive_roots_wr,
                              simple_root, theta)
 
@@ -366,6 +366,88 @@ def test_cache_info_equals_a_recount(swept_d5r5):
     assert mod.cache_info() == {
         "entries": tuple(len(cache[i]) for i in range(6)),
         "moves": len(moves), "data": len(data)}
+
+
+# -- which misses check their datum ---------------------------------------
+
+def _sweep(mod, seed, count=12, max_entry=4):
+    """Every relation of mod's type on seeded random data, each datum a
+    new tuple object for each relation, with no check of evaluate's."""
+    rng = random.Random(seed)
+    data = [random_datum(mod.t, rng, max_entry) for _ in range(count)]
+    for x in _relation_exprs(mod.t):
+        for c in data:
+            v = Element.basis(tuple(list(c)))
+            assert run_expression(x, mod._run_word, v).is_zero()
+
+
+def _count_checks(monkeypatch, mod):
+    """Record, for each datum check_data sees, whether it was the object
+    held in the intern table at the time; and count the misses of
+    e_on_datum on objects that were not."""
+    seen, foreign = [], []
+    check_data, e_on_datum = mod.check_data, mod.e_on_datum
+
+    def counted_check(data):
+        for c in data:
+            seen.append(mod._interned.get(c) is c)
+        return check_data(data)
+
+    def counted_e(i, c):
+        if c not in mod._e_cache[i] and mod._interned.get(c) is not c:
+            foreign.append(c)
+        return e_on_datum(i, c)
+
+    monkeypatch.setattr(mod, "check_data", counted_check)
+    monkeypatch.setattr(mod, "e_on_datum", counted_e)
+    return seen, foreign
+
+
+@pytest.mark.parametrize("t", [A3R2, AffineType("D", 4, 4)], ids=str)
+def test_swept_cache_holds_only_interned_objects(t):
+    mod = LatticeModule(t)
+    _sweep(mod, seed=7)
+    interned = mod._interned
+    assert interned
+    for cache in mod._e_cache.values():
+        for c, moves in cache.items():
+            assert interned[c] is c
+            for _, d in moves:
+                assert interned[d] is d
+
+
+@pytest.mark.parametrize("t", [A3R2, AffineType("D", 4, 4)], ids=str)
+def test_a_miss_checks_only_data_not_yet_interned(monkeypatch, t):
+    mod = LatticeModule(t)
+    seen, foreign = _count_checks(monkeypatch, mod)
+    c = tuple(random_datum(t, random.Random(3), 4))
+    mod.e_on_datum(1, c)
+    assert seen == [False]           # a new object is checked once
+    mod.e_on_datum(1, c)             # a hit
+    mod.e_on_datum(2, c)             # a miss on the interned object
+    (_, d), *_ = mod.e_on_datum(0, c)
+    mod.e_on_datum(1, d)             # a miss on an interned move target
+    assert seen == [False]
+    mod.e_on_datum(3, tuple(list(c)))   # a miss on an equal new tuple
+    assert seen == [False, False]
+    # over a relation sweep, every check is of a datum not yet interned,
+    # and every miss on such a datum is checked
+    _sweep(mod, seed=5)
+    assert not any(seen) and len(seen) == len(foreign) > 2
+
+
+def test_a_float_twin_of_an_interned_datum_is_rejected_on_a_miss():
+    mod = LatticeModule(A3R2)
+    (_, d), = mod.e_on_datum(0, mod.vacuum)
+    assert mod._interned[d] is d and d[mod.theta_idx] == 1
+    twin = tuple(float(x) if p == mod.theta_idx else x
+                 for p, x in enumerate(d))
+    assert twin == d and hash(twin) == hash(d)
+    for i in range(A3R2.n + 1):
+        with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+            mod.e_on_datum(i, twin)
+    assert mod.cache_info()["entries"] == (1, 0, 0, 0)
+    assert mod.e_on_datum(0, d)
 
 
 @st.composite
