@@ -15,7 +15,11 @@ Two structures:
   combinations over ``Coefficient``.  One core thus serves every level
   of the coefficient tower, and one rule rejects a sum of two nonzero
   values of different a-degrees with ValueError.  One routine,
-  ``_add_terms``, adds one term map into another in place.
+  ``_add_terms``, is the sum rule for term maps {label: value}: it adds
+  (label, value) pairs into a map in place and deletes every sum that
+  cancels.  ``Combination`` addition and ``collect``, the word-trie sums
+  of ``opalg``, the level steps of ``drinfeld`` and the multi-term
+  e-step of ``LatticeModule._run_word`` all add through it.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -487,7 +491,7 @@ class Combination:
     @classmethod
     def collect(cls, pairs):
         """The sum of the (label, coefficient) pairs, equal labels added."""
-        return cls(_accumulate({}, pairs))
+        return cls(_add_terms({}, pairs))
 
     def __add__(self, other):
         mine, theirs = self.terms, other.terms
@@ -495,7 +499,7 @@ class Combination:
             return self
         if not mine:
             return other
-        return self._like(_add_terms(dict(mine), theirs))
+        return self._like(_add_terms(dict(mine), theirs.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -545,24 +549,14 @@ class Combination:
     __repr__ = __str__
 
 
-def _accumulate(terms, pairs):
-    """Add each (label, coefficient) pair into the map terms, in place.
-
-    A sum that cancels stays in place as a zero, so that labels keep the
-    order of their first appearance; the Combination constructor drops
-    it."""
-    get = terms.get
-    for k, v in pairs:
-        s = get(k)
-        terms[k] = v if s is None else s + v
-    return terms
-
-
-def _add_terms(out, terms, p=None):
-    """Add the map terms into the map out in place, each value times p
-    when p is given, deleting every sum that cancels; return out."""
+def _add_terms(out, pairs, p=None):
+    """Add the (label, value) pairs into the term map out in place, each
+    value times p when p is given, deleting every sum that cancels;
+    return out.  This is the one sum rule for term maps: a map is added
+    as its ``.items()``, never as itself, whose keys a 2-tuple datum
+    (A2r1) would unpack as pairs without an error."""
     get = out.get
-    for k, v in terms.items():
+    for k, v in pairs:
         if p is not None:
             v = p * v
         s = get(k)
@@ -629,11 +623,6 @@ class GradedCombination(Combination):
             return cls._of({key: _ONE})
         p, d = _homogeneous(coeff)
         return cls._of({key: p} if p else {}, d)
-
-    @classmethod
-    def collect(cls, pairs, deg=0):
-        """The sum of the (label, LaurentPoly) pairs, times a^deg."""
-        return cls(_accumulate({}, pairs), deg)
 
     def __add__(self, other):
         if self.deg != other.deg and self.terms and other.terms:
@@ -765,17 +754,20 @@ _MONO_RE = re.compile(
 
 def parse_coefficient(text: str) -> Coefficient:
     """Parse the canonical text form produced by Coefficient.__str__;
-    ValueError on text that is not of that form, or has two a-degrees."""
+    ValueError on text that is not of that form, or has two a-degrees:
+    empty text and an empty monomial, such as a dangling or doubled
+    sign, are rejected."""
     text = text.strip()
+    if not text:
+        raise ValueError("empty coefficient text")
     if text == "0":
         return Coefficient.zero()
-    # normalize "x - y" into "x + -y" then split on +
-    text = text.replace("- ", "+ -").replace("+ +", "+")
     out = Coefficient.zero()
-    for raw in text.split("+"):
+    # normalize "x - y" into "x + -y" then split on +
+    for raw in text.replace("- ", "+ -").split("+"):
         mono = raw.strip().replace(" ", "")
         if not mono:
-            continue
+            raise ValueError(f"empty monomial in {text!r}")
         neg = mono.startswith("-") and not mono[1:2].isdigit()
         if neg:
             mono = mono[1:]

@@ -63,7 +63,7 @@ def c_r(t: AffineType) -> Coefficient:
 
 def _q_commutator(x, y, s):
     """x - q^s y on term maps, summed into x in place."""
-    return _add_terms(x, {c: -p.shift(s) for c, p in y.items()})
+    return _add_terms(x, ((c, -p.shift(s)) for c, p in y.items()))
 
 
 def psi_bracket(Ek, e, terms):
@@ -113,7 +113,7 @@ class LevelEngine:
             hit = memo.get((key, c))
             if hit is None:
                 hit = memo[key, c] = rule(c)
-            _add_terms(out, hit, None if p is _ONE else p)
+            _add_terms(out, hit.items(), None if p is _ONE else p)
         return out
 
     def _level(self, i, k, terms):
@@ -131,7 +131,7 @@ class LevelEngine:
         psi_bracket times (q - q^{-1}) o(i)^k."""
         w = psi_bracket(lambda u: self._level(i, k, u),
                         lambda u: self._e(i, u), terms)
-        return _add_terms({}, w, _QMQ * o_sign(self.t, i) ** k)
+        return _add_terms({}, w.items(), _QMQ * o_sign(self.t, i) ** k)
 
 
 class CurrentEngine(LevelEngine):

@@ -40,17 +40,20 @@ Every generator acts a-homogeneously, so an ``Element`` is a
 and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
 each move, and ``apply_e(0, .)`` raises the degree by one.
 
-``_run_word`` is the one routine that applies letters to a plain term
-map {datum: LaurentPoly}: ``apply_e`` and ``apply_k`` are one-letter
-calls of it on an element's map, ``opalg.evaluate`` runs each trie
-segment through it by ``run_expression``, ``drinfeld.CurrentEngine``
+``e_on_datum`` returns the items of the term map e_i(c), a tuple of
+(datum, LaurentPoly) pairs, so that ``dict(e_on_datum(i, c))`` is that
+map.  ``_run_word`` is the one routine that applies letters to a plain
+term map {datum: LaurentPoly}: ``apply_e`` and ``apply_k`` are
+one-letter calls of it on an element's map, ``opalg.evaluate`` runs each
+trie segment through it by ``run_expression``, ``drinfeld.CurrentEngine``
 each e- and k-step of its levels and its bracket.  Almost every step of a
 relation check acts on a map of one term, which ``_run_word`` walks as
 one (datum, coefficient) pair until an e-letter gives two or more
-terms; a map of several terms takes each letter in one pass, and the
-walk resumes once the map is down to one term.  ``e_on_datum`` is the
-per-term call on every route.  A coefficient that is the shared 1 is
-never multiplied on the walk: the move coefficients are mapped as they
+terms; a map of several terms takes each letter in one pass, each term's
+pairs added by ``coeffring._add_terms``, the one sum rule for term maps,
+and the walk resumes once the map is down to one term.  ``e_on_datum`` is
+the per-term call on every route.  A coefficient that is the shared 1 is
+never multiplied on the walk: the move coefficients are taken as they
 are.
 
 ``walk_data`` is the one recursion over the data within the caps: it
@@ -66,7 +69,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from .coeffring import _ONE, GradedCombination, q_integer
+from .coeffring import _ONE, GradedCombination, _add_terms, q_integer
 from .rootdata import (AffineType, positive_roots_wr, root_str,
                        simple_pairings, simple_root, theta)
 
@@ -147,8 +150,10 @@ class LatticeModule:
     # -- generator actions ----------------------------------------------
 
     def e_on_datum(self, i, c):
-        """e_i applied to a basis datum, as a tuple of (LaurentPoly, datum)
-        pairs; for i = 0 the factor a is left to the caller.
+        """e_i applied to a basis datum, as the items of the term map
+        e_i(c): a tuple of (datum, LaurentPoly) pairs with distinct data and
+        nonzero coefficients, so dict() of it is that map; for i = 0 the
+        factor a is left to the caller.
 
         The result is cached in node i's dict under the datum.  On a miss
         the datum is checked (``check_data``) unless it is the very object
@@ -180,7 +185,7 @@ class LatticeModule:
             # the k_0 exponent minus c_theta
             plus, minus = self._k_getters[0]
             e = sum(plus(c)) - sum(minus(c)) - c[self.theta_idx]
-            out.append((q_integer(1, e), intern(d, d)))
+            out.append((intern(d, d), q_integer(1, e)))
         else:
             # e is the running sum of c[tgt] - c[src] over the earlier
             # moves, always over the input datum c
@@ -196,7 +201,7 @@ class LatticeModule:
                         t = tuple(d)
                         d[tgt] -= 1
                     d[src] = m
-                    out.append((q_integer(m, e), intern(t, t)))
+                    out.append((intern(t, t), q_integer(m, e)))
                 if tgt is not None:
                     e += c[tgt] - m
         out = tuple(out)
@@ -206,7 +211,7 @@ class LatticeModule:
     def cache_info(self):
         """What the e_on_datum cache holds: ``entries``, the number of
         cached data of each node (a tuple indexed by node), ``moves``, the
-        number of stored (coefficient, datum) pairs, and ``data``, the
+        number of stored (datum, coefficient) pairs, and ``data``, the
         number of interned data."""
         return {"entries": tuple(map(len, self._e_cache.values())),
                 "moves": sum(len(v) for cache in self._e_cache.values()
@@ -223,11 +228,12 @@ class LatticeModule:
         one (datum, coefficient) pair until an e-letter gives two or more
         terms: the moves of e_i on one datum have distinct sources, hence
         distinct targets, and Z[q^{+-1}] has no zero divisors, so that
-        map needs no sum and no zero filter.  A map of several terms
-        takes each letter in one pass: ``e_on_datum`` once per term, the
-        images summed and filtered for zeros only when two targets met,
-        or every coefficient shifted by its k-exponent.  Once the map is
-        down to one term, the walk resumes with the next letter."""
+        map is dict() of the moves, or each move's coefficient times the
+        walk's.  A map of several terms takes each letter in one pass:
+        ``e_on_datum`` once per term, its pairs times the term's
+        coefficient added into one new map by ``_add_terms``, or every
+        coefficient shifted by its k-exponent.  Once the map is down to
+        one term, the walk resumes with the next letter."""
         if not word:
             return terms
         letters = iter(word)
@@ -243,13 +249,13 @@ class LatticeModule:
                         continue
                     moves = e_on_datum(letter, c)
                     if len(moves) == 1:
-                        (mc, c), = moves
+                        (c, mc), = moves
                         coef = mc if coef is _ONE else coef * mc
                     elif not moves:
                         return {}
                     else:
-                        terms = ({md: mc for mc, md in moves} if coef is _ONE
-                                 else {md: coef * mc for mc, md in moves})
+                        terms = (dict(moves) if coef is _ONE
+                                 else {d: coef * mc for d, mc in moves})
                         break
                 else:
                     return {c: coef}
@@ -262,18 +268,10 @@ class LatticeModule:
                              for c, coef in terms.items()}
                     continue
                 out = {}
-                get = out.get
-                met = False
                 for c, coef in terms.items():
-                    for mc, md in e_on_datum(letter, c):
-                        x = coef * mc
-                        s = get(md)
-                        if s is None:
-                            out[md] = x
-                        else:
-                            out[md] = s + x
-                            met = True
-                terms = {d: p for d, p in out.items() if p} if met else out
+                    _add_terms(out, e_on_datum(letter, c),
+                               None if coef is _ONE else coef)
+                terms = out
                 if len(terms) < 2:
                     break
             else:

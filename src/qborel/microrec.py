@@ -5,9 +5,10 @@ model multiplies by the loop generator on the right with a weight
 q-power, the lowering model multiplies on the left with no q-power.
 In higher rank the lowering-model module is not constructed here; only
 its alpha_r-string consequences are, with the two level-one scalars
-taken as quoted input data.  Reports therefore
-label lowering-model results as conditional on that base data, except
-at rank one where everything closes unconditionally.
+taken as quoted input data.  So every lowering-model result above rank
+one rests on that base data, and only at rank one does everything close
+unconditionally.  No report says so: ``lweight --model neg`` and
+``recurrence --model neg`` print no such label.
 
 Basis vectors are powers f^m of the node-r lowering generator, with
 e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
@@ -205,7 +206,12 @@ def negative_closed_form(t: AffineType, k: int) -> Coefficient:
 
 def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
     """psi+_{r,k}-eigenvalues of the vacuum in the lowering model,
-    computed on the string span and matched to the geometric series."""
+    computed on the string span and matched to the geometric series.
+
+    Only node r is computed.  Every other node i is filled with the
+    series 1, 0, 0, ... and tagged ``trivial`` without any computation:
+    the string span carries no operator at i != r, so that tag is not a
+    result."""
     if K < 1:
         raise ValueError("K must be >= 1")
     eng = StringEngine(t, "neg")

@@ -124,7 +124,7 @@ def _run_trie(edges, terms, run_word):
         if not out and p is None and u is not terms:
             out = u
         else:
-            _add_terms(out, u, p)
+            _add_terms(out, u.items(), p)
     return out
 
 

@@ -143,6 +143,10 @@ def test_parse_roundtrip_fixed():
     for s in ["1 + q^1*a", "q^-1*a^2 - a^3"]:
         with pytest.raises(ValueError):
             parse_coefficient(s)
+    # nor is empty text, or text with an empty monomial
+    for s in ["", "  ", "+", "q^1 +", "+ q^1", "q^1 + + q^2"]:
+        with pytest.raises(ValueError):
+            parse_coefficient(s)
 
 
 # a^d p with one a-degree d and p a small Laurent polynomial

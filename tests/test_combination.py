@@ -84,7 +84,8 @@ def test_graded_combination_carries_one_degree(data):
     p1, p2, s = data.draw(pairs), data.draw(pairs), data.draw(laurents())
     d, e = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     zero = LaurentPoly.zero()
-    x, y = GradedCombination.collect(p1, d), GradedCombination.collect(p2, d)
+    x = GradedCombination(_add_terms({}, p1), d)
+    y = GradedCombination(_add_terms({}, p2), d)
     rx, ry = reference(p1, zero), reference(p2, zero)
     assert x.terms == rx
     for k in LABELS:
@@ -186,20 +187,35 @@ def test_add_terms_mutates_scales_and_deletes_cancelling_sums():
     q = LaurentPoly.q_power
     out = {"x": q(1), "y": q(2)}
     terms = {"x": -q(1), "z": q(3)}
-    got = _add_terms(out, terms)
+    got = _add_terms(out, terms.items())
     assert got is out
     assert out == {"y": q(2), "z": q(3)}
     assert terms == {"x": -q(1), "z": q(3)}
     # p scales each value before it is added, and a scaled sum can cancel
     p = LaurentPoly({0: 1, 1: 1})
-    assert _add_terms(out, {"y": q(1), "z": q(4)}, p) is out
+    assert _add_terms(out, {"y": q(1), "z": q(4)}.items(), p) is out
     assert out == {"y": q(2) + p * q(1), "z": q(3) + p * q(4)}
-    assert _add_terms(out, {"y": -q(1)}, p * q(1)) is out
+    assert _add_terms(out, {"y": -q(1)}.items(), p * q(1)) is out
     assert out == {"y": q(2) + p * q(1) - p * q(2), "z": q(3) + p * q(4)}
     out = {"y": -(p * q(2))}
-    assert _add_terms(out, {"y": q(2)}, p) == {}
-    assert _add_terms({}, {"w": q(0)}, p) == {"w": p}
-    assert _add_terms(out, {}) is out == {}
+    assert _add_terms(out, {"y": q(2)}.items(), p) == {}
+    assert _add_terms({}, {"w": q(0)}.items(), p) == {"w": p}
+    assert _add_terms(out, ()) is out == {}
+
+
+def test_add_terms_takes_any_iterable_of_pairs():
+    q = LaurentPoly.q_power
+    # a generator, read once, with labels repeated within it
+    pairs = ((k, q(e)) for k, e in [("x", 1), ("y", 2), ("x", 3)])
+    assert _add_terms({"y": q(0)}, pairs) == {"x": q(1) + q(3),
+                                              "y": q(0) + q(2)}
+    assert next(pairs, None) is None
+    # a label that cancels and then reappears holds its last value
+    p = LaurentPoly({0: 1, 2: -1})
+    assert _add_terms({}, [("x", p), ("x", -p), ("x", p)]) == {"x": p}
+    assert _add_terms({}, [("x", p), ("x", -p)]) == {}
+    assert _add_terms({}, [("x", q(1)), ("x", -q(1)), ("x", q(1))],
+                      p) == {"x": p * q(1)}
 
 
 @given(st.dictionaries(st.sampled_from(LABELS), laurents().filter(bool)),
@@ -208,9 +224,8 @@ def test_add_terms_mutates_scales_and_deletes_cancelling_sums():
 @settings(max_examples=60, deadline=None)
 def test_add_terms_is_the_sum_of_combinations(a, b, p):
     # p is nonzero, as every caller's scalar is
-    want = Combination.collect(
-        [(k, Coefficient.from_laurent(v)) for k, v in a.items()]
-        + [(k, Coefficient.from_laurent(p * v)) for k, v in b.items()])
-    got = _add_terms(dict(a), b, p)
+    want = reference(list(a.items()) + [(k, p * v) for k, v in b.items()],
+                     LaurentPoly.zero())
+    got = _add_terms(dict(a), b.items(), p)
     assert all(got.values())
-    assert {k: Coefficient.from_laurent(v) for k, v in got.items()} == want.terms
+    assert got == want

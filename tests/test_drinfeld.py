@@ -168,7 +168,7 @@ def test_vacuum_eigenvalue_reads_the_vacuum_line_only():
     w = Element.basis(vac, Coefficient.q_power(3))
     assert vacuum_eigenvalue(w, vac, 2, 1) == Coefficient.q_power(3)
     assert vacuum_eigenvalue(Element.zero(), vac, 2, 1) == Coefficient.zero()
-    other = mod.e_on_datum(0, vac)[0][1]
+    (other, _), = mod.e_on_datum(0, vac)
     with pytest.raises(NotEigenvector, match="psi\\+_2,1 does not preserve"):
         vacuum_eigenvalue(w + Element.basis(other), vac, 2, 1)
 

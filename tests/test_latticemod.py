@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.chars import module_character
-from qborel.coeffring import Coefficient, LaurentPoly, q_integer
+from qborel.coeffring import _ONE, Coefficient, LaurentPoly, q_integer
 from qborel.latticemod import Element, LatticeModule, get_module, random_datum
 from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
                           k_commutation_expr, k_e_conjugation_expr,
@@ -334,7 +334,7 @@ def test_cached_data_are_interned(swept_d5r5):
     for entries in cache.values():
         for c, moves in entries.items():
             assert interned[c] is c
-            for _, d in moves:
+            for d, _ in moves:
                 assert interned[d] is d
     # the Serre words reach equal data along different paths
     info = mod.cache_info()
@@ -346,7 +346,7 @@ def test_cached_coefficients_come_from_the_table(swept_d5r5):
     shared = 0
     for entries in cache.values():
         for moves in entries.values():
-            for p, _ in moves:
+            for _, p in moves:
                 # every coefficient is q^e [m]_q: m unit terms around q^e
                 exps = sorted(p.terms)
                 m, e = len(exps), (exps[0] + exps[-1]) // 2
@@ -362,7 +362,7 @@ def test_cache_info_equals_a_recount(swept_d5r5):
     moves = [mv for entries in cache.values() for mvs in entries.values()
              for mv in mvs]
     data = {id(c) for entries in cache.values() for c in entries}
-    data |= {id(d) for _, d in moves}
+    data |= {id(d) for d, _ in moves}
     assert mod.cache_info() == {
         "entries": tuple(len(cache[i]) for i in range(6)),
         "moves": len(moves), "data": len(data)}
@@ -412,7 +412,7 @@ def test_swept_cache_holds_only_interned_objects(t):
     for cache in mod._e_cache.values():
         for c, moves in cache.items():
             assert interned[c] is c
-            for _, d in moves:
+            for d, _ in moves:
                 assert interned[d] is d
 
 
@@ -425,7 +425,7 @@ def test_a_miss_checks_only_data_not_yet_interned(monkeypatch, t):
     assert seen == [False]           # a new object is checked once
     mod.e_on_datum(1, c)             # a hit
     mod.e_on_datum(2, c)             # a miss on the interned object
-    (_, d), *_ = mod.e_on_datum(0, c)
+    (d, _), *_ = mod.e_on_datum(0, c)
     mod.e_on_datum(1, d)             # a miss on an interned move target
     assert seen == [False]
     mod.e_on_datum(3, tuple(list(c)))   # a miss on an equal new tuple
@@ -438,7 +438,7 @@ def test_a_miss_checks_only_data_not_yet_interned(monkeypatch, t):
 
 def test_a_float_twin_of_an_interned_datum_is_rejected_on_a_miss():
     mod = LatticeModule(A3R2)
-    (_, d), = mod.e_on_datum(0, mod.vacuum)
+    (d, _), = mod.e_on_datum(0, mod.vacuum)
     assert mod._interned[d] is d and d[mod.theta_idx] == 1
     twin = tuple(float(x) if p == mod.theta_idx else x
                  for p, x in enumerate(d))
@@ -497,7 +497,7 @@ def test_moves_match_golden_values(t):
     mod = get_module(t)
     for k, c in enumerate(golden_data(mod.nroots)):
         for i in range(1, t.n + 1):
-            got = {d: str(coeff) for coeff, d in mod.e_on_datum(i, c)}
+            got = {d: str(coeff) for d, coeff in mod.e_on_datum(i, c)}
             assert got == MOVE_GOLDEN[(str(t), i, k)], (i, c)
 
 
@@ -694,7 +694,7 @@ def _e_step_reference(mod, i, terms):
     """e_i on a term map, summed move by move and filtered for zeros."""
     out = {}
     for c, coef in terms.items():
-        for mc, md in mod.e_on_datum(i, c):
+        for md, mc in mod.e_on_datum(i, c):
             out[md] = out.get(md, LaurentPoly.zero()) + coef * mc
     return {d: p for d, p in out.items() if p}
 
@@ -702,7 +702,7 @@ def _e_step_reference(mod, i, terms):
 def _cancelling_map(mod, i, c):
     """A two-term map on c and another datum whose e_i images cancel at a
     common target, or None if there is no such datum."""
-    for mc, md in mod.e_on_datum(i, c):
+    for md, mc in mod.e_on_datum(i, c):
         for src, tgt in (mod._moves[i] if i else ()):
             other = list(md)
             other[src] += 1
@@ -711,7 +711,7 @@ def _cancelling_map(mod, i, c):
             other = tuple(other)
             if min(other) < 0 or other == c:
                 continue
-            for mo, mdo in mod.e_on_datum(i, other):
+            for mdo, mo in mod.e_on_datum(i, other):
                 if mdo == md:
                     return {c: mo, other: -mc}
     return None
@@ -748,6 +748,25 @@ def test_e_step_is_the_sum_of_the_moves(case):
     assert all(out.values())
 
 
+@pytest.mark.parametrize("t", [AffineType("A", 4, 2), AffineType("D", 5, 5)],
+                         ids=str)
+def test_e_on_datum_yields_the_items_of_the_e_step(t):
+    # dict() of the pairs is the term map e_i(c): distinct data, nonzero
+    # coefficients, the one-letter _run_word on c
+    mod = LatticeModule(t)
+    rng = random.Random(str(t))
+    p = LaurentPoly({-1: 2, 1: -1})
+    for c in [mod.vacuum] + [random_datum(t, rng, 4) for _ in range(12)]:
+        for i in range(t.n + 1):
+            moves = mod.e_on_datum(i, c)
+            assert type(moves) is tuple
+            assert all(len(mv) == 2 and mv[1] for mv in moves)
+            assert len(dict(moves)) == len(moves)
+            assert dict(moves) == mod._run_word((i,), {c: _ONE}), (i, c)
+            assert ({d: p * mc for d, mc in moves}
+                    == mod._run_word((i,), {c: p})), (i, c)
+
+
 def test_e_step_drops_a_cancelled_target():
     mod = get_module(AffineType("A", 4, 2))
     rng = random.Random(5)
@@ -760,7 +779,7 @@ def test_e_step_drops_a_cancelled_target():
             continue
         out = mod._run_word((i,), terms)
         assert out == _e_step_reference(mod, i, terms)
-        targets = {md for d in terms for _, md in mod.e_on_datum(i, d)}
+        targets = {md for d in terms for md, _ in mod.e_on_datum(i, d)}
         cancelled += len(targets) - len(out)
     assert cancelled
 
@@ -806,7 +825,7 @@ def test_e0_exponent_is_the_k0_exponent_minus_c_theta():
             d = list(c)
             d[mod.theta_idx] += 1
             e = -pairing(t, theta(t), _wt(mod, c)) - c[mod.theta_idx]
-            assert mod.e_on_datum(0, c) == ((q_integer(1, e), tuple(d)),), \
+            assert mod.e_on_datum(0, c) == ((tuple(d), q_integer(1, e)),), \
                 (t, c)
 
 
