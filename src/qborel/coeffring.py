@@ -756,7 +756,9 @@ def parse_coefficient(text: str) -> Coefficient:
     """Parse the canonical text form produced by Coefficient.__str__;
     ValueError on text that is not of that form, or has two a-degrees:
     empty text and an empty monomial, such as a dangling or doubled
-    sign, are rejected."""
+    sign, are rejected, and so is any text, stripped, that its parse
+    does not print back to, such as unsorted or repeated powers, a
+    written 1, 0 or exponent 1, or spaces inside a monomial."""
     text = text.strip()
     if not text:
         raise ValueError("empty coefficient text")
@@ -781,4 +783,6 @@ def parse_coefficient(text: str) -> Coefficient:
         has_a = "a" in mono
         d = int(m.group("a")) if m.group("a") is not None else (1 if has_a else 0)
         out = out + Coefficient.from_laurent(LaurentPoly.q_power(k, c), d)
+    if str(out) != text:
+        raise ValueError(f"{text!r} is not canonical: it reads {out}")
     return out

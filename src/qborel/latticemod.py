@@ -29,10 +29,12 @@ per node keyed by the datum itself.  Each distinct value is stored once:
 the data of the cache, keys and move targets alike, pass through one
 intern table of the module, so equal data reached along different paths
 share one tuple, and each move coefficient q^e [m]_q comes from the
-shared table of ``coeffring.q_integer``.  A miss checks its datum with
-``check_data`` unless the datum is the very object of the intern table,
-which was checked or built by a move from a checked datum.  The cache
-and the intern table live exactly as long as the module, which
+shared table of ``coeffring.q_integer``.  ``check_data`` skips a datum
+that is the very object of the intern table, which was checked or built
+by a move from a checked datum, and checks every other object, an equal
+one included; a miss calls ``check_data`` only when its datum is not
+that object, so a miss on an interned datum makes no call.  The cache and
+the intern table live exactly as long as the module, which
 ``get_module`` keeps for the life of the process.
 
 Every generator acts a-homogeneously, so an ``Element`` is a
@@ -52,9 +54,13 @@ one (datum, coefficient) pair until an e-letter gives two or more
 terms; a map of several terms takes each letter in one pass, each term's
 pairs added by ``coeffring._add_terms``, the one sum rule for term maps,
 and the walk resumes once the map is down to one term.  ``e_on_datum`` is
-the per-term call on every route.  A coefficient that is the shared 1 is
-never multiplied on the walk: the move coefficients are taken as they
-are.
+the per-term call on every route.  The one-term walk adds each k-letter's
+exponent, read off the datum that letter acts on, to one integer and
+shifts the coefficient by it once, when the walk returns or branches;
+so a coefficient stays the shared 1 through k letters, and the shared 1
+is never multiplied on the walk: the move coefficients are taken as
+they are.  This is no weight tracking: every exponent is still read
+from the current datum.
 
 ``walk_data`` is the one recursion over the data within the caps: it
 packs each depth vector in one integer and calls a leaf at every datum,
@@ -229,7 +235,12 @@ class LatticeModule:
         terms: the moves of e_i on one datum have distinct sources, hence
         distinct targets, and Z[q^{+-1}] has no zero divisors, so that
         map is dict() of the moves, or each move's coefficient times the
-        walk's.  A map of several terms takes each letter in one pass:
+        walk's.  On that walk each k letter adds its exponent on the
+        current datum to one integer sh, and the coefficient is shifted
+        by sh once, when the walk returns or branches, and not at all
+        when sh is 0: q^sh commutes with every move coefficient, and the
+        walk's coefficient stays the shared 1 through k letters.  A map
+        of several terms takes each letter in one pass:
         ``e_on_datum`` once per term, its pairs times the term's
         coefficient added into one new map by ``_add_terms``, or every
         coefficient shifted by its k-exponent.  Once the map is down to
@@ -241,11 +252,12 @@ class LatticeModule:
         while terms:
             if len(terms) == 1:
                 (c, coef), = terms.items()
+                # the k-exponents so far, shifted into coef at the end
+                sh = 0
                 for letter in letters:
                     if letter.__class__ is tuple:
                         plus, minus = getters[letter[1]]
-                        e = sum(plus(c)) - sum(minus(c))
-                        coef = coef.shift(letter[2] * e)
+                        sh += letter[2] * (sum(plus(c)) - sum(minus(c)))
                         continue
                     moves = e_on_datum(letter, c)
                     if len(moves) == 1:
@@ -254,11 +266,13 @@ class LatticeModule:
                     elif not moves:
                         return {}
                     else:
+                        if sh:
+                            coef = coef.shift(sh)
                         terms = (dict(moves) if coef is _ONE
                                  else {d: coef * mc for d, mc in moves})
                         break
                 else:
-                    return {c: coef}
+                    return {c: coef.shift(sh) if sh else coef}
             for letter in letters:
                 if letter.__class__ is tuple:
                     plus, minus = getters[letter[1]]
@@ -289,9 +303,17 @@ class LatticeModule:
     def check_data(self, data):
         """ValueError unless every datum has one nonnegative int entry per
         positive root of this type.  A float or str entry makes the sum a
-        non-int or raises TypeError; a bool entry passes, as an int."""
+        non-int or raises TypeError; a bool entry passes, as an int.
+
+        A datum that is the very object held in the intern table is
+        skipped, by the rule of ``e_on_datum``'s misses: it was checked
+        on entry or made by a move from a checked datum.  Any other
+        object, an equal tuple or a float twin included, is checked."""
         n = self.nroots
+        interned = self._interned
         for c in data:
+            if interned.get(c) is c:
+                continue
             if len(c) == n:
                 try:
                     if min(c) >= 0 and type(sum(c)) is int:

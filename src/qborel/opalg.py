@@ -157,9 +157,15 @@ def run_expression(x: OperatorExpr, run_word, v):
 
 def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
     """``run_expression`` on the lattice module of t, once every letter
-    and every datum of v is checked to be one of t's (ValueError)."""
+    and every datum of v is checked to be one of t's (ValueError).
+
+    The letters are one subset test, and ``check_letters`` runs only to
+    raise; ``check_data`` skips a datum that is the very object of the
+    module's intern table and checks every other."""
     mod = get_module(t)
-    mod.check_letters(x._program[1])
+    letters = x._program[1]
+    if not mod.letters.issuperset(letters):
+        mod.check_letters(letters)
     mod.check_data(v.terms)
     return run_expression(x, mod._run_word, v)
 

@@ -147,6 +147,11 @@ def test_parse_roundtrip_fixed():
     for s in ["", "  ", "+", "q^1 +", "+ q^1", "q^1 + + q^2"]:
         with pytest.raises(ValueError):
             parse_coefficient(s)
+    # nor is text that parses but does not print back to itself
+    for s in ["q^2 + q^1", "q^1 + q^1", "1*q^1", "q^0", "a^1", "0*q^1",
+              "q^1+q^2", "q ^ 1"]:
+        with pytest.raises(ValueError, match="not canonical"):
+            parse_coefficient(s)
 
 
 # a^d p with one a-degree d and p a small Laurent polynomial

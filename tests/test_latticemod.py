@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qborel.chars import module_character
-from qborel.coeffring import _ONE, Coefficient, LaurentPoly, q_integer
+from qborel.coeffring import (_ONE, _Q_INTEGERS, Coefficient, LaurentPoly,
+                              _build_q_integer, q_integer)
 from qborel.latticemod import Element, LatticeModule, get_module, random_datum
 from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
                           k_commutation_expr, k_e_conjugation_expr,
@@ -448,6 +449,28 @@ def test_a_float_twin_of_an_interned_datum_is_rejected_on_a_miss():
             mod.e_on_datum(i, twin)
     assert mod.cache_info()["entries"] == (1, 0, 0, 0)
     assert mod.e_on_datum(0, d)
+
+
+@pytest.mark.parametrize("entry", [float, str], ids=["float", "str"])
+def test_a_twin_of_an_interned_datum_is_rejected_on_entry(entry):
+    # evaluate, apply_e and apply_k skip the check of the very interned
+    # object only: a twin with one float or str entry is checked in full
+    mod = get_module(A3R2)
+    c = (1, 0, 2, 1)
+    evaluate(OperatorExpr.e(2), A3R2, Element.basis(c))
+    held = mod._interned[c]
+    twin = tuple(entry(x) if p == 2 else x for p, x in enumerate(held))
+    if entry is float:
+        assert twin == held and mod._interned.get(twin) is held
+    v = Element.basis(twin)
+    for run in (lambda: evaluate(OperatorExpr.e(1), A3R2, v),
+                lambda: evaluate(OperatorExpr.k(2, -1), A3R2, v),
+                lambda: mod.apply_e(3, v),
+                lambda: mod.apply_k(0, 1, v)):
+        with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+            run()
+    assert not evaluate(k_e_conjugation_expr(1, 2, A3R2), A3R2,
+                        Element.basis(held))
 
 
 @st.composite
@@ -954,3 +977,91 @@ def test_run_word_of_the_empty_word_or_map_is_its_input():
         assert mod._run_word((), terms) is terms
     empty = {}
     assert mod._run_word((0, ("k", 1, 1)), empty) == {}
+
+
+# -- what the one-term walk allocates --------------------------------------
+
+def _single_move_nodes(mod, c):
+    """The nodes whose e-step on c has exactly one move."""
+    return [i for i in range(mod.t.n + 1) if len(mod.e_on_datum(i, c)) == 1]
+
+
+def _counted_arithmetic(monkeypatch):
+    """{"shift": 0, "mul": 0}, counting from now on the calls of
+    LaurentPoly.shift and LaurentPoly.__mul__."""
+    counts = {"shift": 0, "mul": 0}
+    shift, mul = LaurentPoly.shift, LaurentPoly.__mul__
+
+    def counted_shift(self, e):
+        counts["shift"] += 1
+        return shift(self, e)
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "shift", counted_shift)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
+    return counts
+
+
+@pytest.mark.parametrize("t", [A3R2, AffineType("D", 5, 5)], ids=str)
+def test_one_term_walk_shifts_once_and_never_multiplies(monkeypatch, t):
+    # k letters around one e letter of one move on a basis datum: the
+    # k-exponents add up in one integer, shifted into the shared move
+    # coefficient once, and the shared 1 is never multiplied
+    mod = get_module(t)
+    rng = random.Random(11)
+    counts = _counted_arithmetic(monkeypatch)
+    k = lambda: ("k", rng.randint(0, t.n), rng.choice((1, -1)))
+    shifted = 0
+    for _ in range(20):
+        c = random_datum(t, rng, 3)
+        for i in _single_move_nodes(mod, c):
+            word = tuple(k() for _ in range(rng.randint(1, 3))) + (i,) + \
+                tuple(k() for _ in range(rng.randint(0, 3)))
+            expected = _chain(mod, word, Element.basis(c).terms)
+            counts.update(shift=0, mul=0)
+            out = mod._run_word(word, Element.basis(c).terms)
+            assert counts["mul"] == 0 and counts["shift"] <= 1, word
+            assert out == expected, word
+            shifted += counts["shift"]
+    assert shifted > 10
+
+
+@pytest.mark.parametrize("t", [A3R2, AffineType("D", 4, 4)], ids=str)
+def test_a_sweep_leaves_the_shared_coefficients_as_built(t):
+    _sweep(LatticeModule(t), seed=9)
+    fields = lambda p: (p.n, p.lo, p.b, p.m)
+    assert fields(_ONE) == fields(LaurentPoly.one())
+    filled = 0
+    for k, p in enumerate(_Q_INTEGERS):
+        if p is not None:
+            m, e = k >> 7, (k & 127) - 64
+            assert fields(p) == fields(_build_q_integer(m).shift(e)), (m, e)
+            filled += 1
+    assert filled > 10
+
+
+def test_a_word_whose_k_exponents_cancel_keeps_the_move_coefficient():
+    t = AffineType("D", 5, 5)
+    mod = get_module(t)
+    rng = random.Random(5)
+    found = 0
+    for _ in range(20):
+        c = random_datum(t, rng, 3)
+        for j in _single_move_nodes(mod, c):
+            (d, mc), = mod.e_on_datum(j, c)
+            words = []
+            for i in range(t.n + 1):
+                words += [(("k", i, 1), ("k", i, -1), j),
+                          (j, ("k", i, -1), ("k", i, 1))]
+                # k_i^-1 e_j k_i cancels where k_i has one exponent on
+                # c and on e_j(c)
+                if _k_exponent(mod, i, c) == _k_exponent(mod, i, d):
+                    words.append((("k", i, -1), j, ("k", i, 1)))
+            for word in words:
+                out = mod._run_word(word, Element.basis(c).terms)
+                assert out == {d: mc} and out[d] is mc, word
+                found += 1
+    assert found > 100
