@@ -554,7 +554,8 @@ def _add_terms(out, pairs, p=None):
     value times p when p is given, deleting every sum that cancels;
     return out.  This is the one sum rule for term maps: a map is added
     as its ``.items()``, never as itself, whose keys a 2-tuple datum
-    (A2r1) would unpack as pairs without an error."""
+    (A2r1) would unpack as pairs without an error; a flat tuple
+    (k1, v1, k2, v2, ...) as ``zip(it, it)`` with ``it = iter(flat)``."""
     get = out.get
     for k, v in pairs:
         if p is not None:

@@ -133,6 +133,11 @@ class LevelEngine:
                         lambda u: self._e(i, u), terms)
         return _add_terms({}, w.items(), _QMQ * o_sign(self.t, i) ** k)
 
+    def cache_info(self):
+        """The memo's number of ``entries`` and the ``terms`` they hold."""
+        memo = self._memo
+        return {"entries": len(memo), "terms": sum(map(len, memo.values()))}
+
 
 class CurrentEngine(LevelEngine):
     """E_{k delta - alpha_i} and psi+_{i,k} on the lattice module."""

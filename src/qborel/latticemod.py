@@ -42,9 +42,10 @@ Every generator acts a-homogeneously, so an ``Element`` is a
 and coefficients in ``LaurentPoly``.  ``e_on_datum`` gives the q-part of
 each move, and ``apply_e(0, .)`` raises the degree by one.
 
-``e_on_datum`` returns the items of the term map e_i(c), a tuple of
-(datum, LaurentPoly) pairs, so that ``dict(e_on_datum(i, c))`` is that
-map.  ``_run_word`` is the one routine that applies letters to a plain
+``e_on_datum`` returns the term map e_i(c) flat, as one tuple
+(d1, p1, d2, p2, ...) with no tuple per move: a one-move result is the
+pair (d, p) itself, and zip(it, it) over it = iter(moves) yields the
+items.  ``_run_word`` is the one routine that applies letters to a plain
 term map {datum: LaurentPoly}: ``apply_e`` and ``apply_k`` are
 one-letter calls of it on an element's map, ``opalg.evaluate`` runs each
 trie segment through it by ``run_expression``, ``drinfeld.CurrentEngine``
@@ -156,9 +157,10 @@ class LatticeModule:
     # -- generator actions ----------------------------------------------
 
     def e_on_datum(self, i, c):
-        """e_i applied to a basis datum, as the items of the term map
-        e_i(c): a tuple of (datum, LaurentPoly) pairs with distinct data and
-        nonzero coefficients, so dict() of it is that map; for i = 0 the
+        """e_i applied to a basis datum, as the term map e_i(c) held flat:
+        one tuple (d1, p1, d2, p2, ...) of distinct data, each followed by
+        its nonzero LaurentPoly coefficient, with no tuple per move; a
+        one-move result is (d, p) and no move gives ().  For i = 0 the
         factor a is left to the caller.
 
         The result is cached in node i's dict under the datum.  On a miss
@@ -181,7 +183,6 @@ class LatticeModule:
         if interned.get(c) is not c:
             self.check_data((c,))
         intern = interned.setdefault
-        out = []
         # every target is read off one scratch copy of c, restored after
         # each move
         d = list(c)
@@ -191,8 +192,9 @@ class LatticeModule:
             # the k_0 exponent minus c_theta
             plus, minus = self._k_getters[0]
             e = sum(plus(c)) - sum(minus(c)) - c[self.theta_idx]
-            out.append((intern(d, d), q_integer(1, e)))
+            out = intern(d, d), q_integer(1, e)
         else:
+            out = []
             # e is the running sum of c[tgt] - c[src] over the earlier
             # moves, always over the input datum c
             e = 0
@@ -207,21 +209,22 @@ class LatticeModule:
                         t = tuple(d)
                         d[tgt] -= 1
                     d[src] = m
-                    out.append((intern(t, t), q_integer(m, e)))
+                    out.append(intern(t, t))
+                    out.append(q_integer(m, e))
                 if tgt is not None:
                     e += c[tgt] - m
-        out = tuple(out)
+            out = tuple(out)
         cache[intern(c, c)] = out
         return out
 
     def cache_info(self):
         """What the e_on_datum cache holds: ``entries``, the number of
         cached data of each node (a tuple indexed by node), ``moves``, the
-        number of stored (datum, coefficient) pairs, and ``data``, the
-        number of interned data."""
+        number of stored moves (half the entries' lengths), and ``data``,
+        the number of interned data."""
         return {"entries": tuple(map(len, self._e_cache.values())),
                 "moves": sum(len(v) for cache in self._e_cache.values()
-                             for v in cache.values()),
+                             for v in cache.values()) // 2,
                 "data": len(self._interned)}
 
     def _run_word(self, word, terms):
@@ -234,9 +237,9 @@ class LatticeModule:
         one (datum, coefficient) pair until an e-letter gives two or more
         terms: the moves of e_i on one datum have distinct sources, hence
         distinct targets, and Z[q^{+-1}] has no zero divisors, so that
-        map is dict() of the moves, or each move's coefficient times the
-        walk's.  On that walk each k letter adds its exponent on the
-        current datum to one integer sh, and the coefficient is shifted
+        map is dict() of the moves' pairs, or each move's coefficient
+        times the walk's.  On that walk each k letter adds its exponent on
+        the current datum to one integer sh, and the coefficient is shifted
         by sh once, when the walk returns or branches, and not at all
         when sh is 0: q^sh commutes with every move coefficient, and the
         walk's coefficient stays the shared 1 through k letters.  A map
@@ -260,16 +263,17 @@ class LatticeModule:
                         sh += letter[2] * (sum(plus(c)) - sum(minus(c)))
                         continue
                     moves = e_on_datum(letter, c)
-                    if len(moves) == 1:
-                        (c, mc), = moves
+                    if len(moves) == 2:
+                        c, mc = moves
                         coef = mc if coef is _ONE else coef * mc
                     elif not moves:
                         return {}
                     else:
                         if sh:
                             coef = coef.shift(sh)
-                        terms = (dict(moves) if coef is _ONE
-                                 else {d: coef * mc for d, mc in moves})
+                        it = iter(moves)
+                        terms = (dict(zip(it, it)) if coef is _ONE
+                                 else {d: coef * mc for d, mc in zip(it, it)})
                         break
                 else:
                     return {c: coef.shift(sh) if sh else coef}
@@ -283,7 +287,8 @@ class LatticeModule:
                     continue
                 out = {}
                 for c, coef in terms.items():
-                    _add_terms(out, e_on_datum(letter, c),
+                    it = iter(e_on_datum(letter, c))
+                    _add_terms(out, zip(it, it),
                                None if coef is _ONE else coef)
                 terms = out
                 if len(terms) < 2:
@@ -302,24 +307,20 @@ class LatticeModule:
 
     def check_data(self, data):
         """ValueError unless every datum has one nonnegative int entry per
-        positive root of this type.  A float or str entry makes the sum a
-        non-int or raises TypeError; a bool entry passes, as an int.
+        positive root of this type.  An entry whose type is not int itself,
+        a bool, float or str, is rejected.
 
         A datum that is the very object held in the intern table is
         skipped, by the rule of ``e_on_datum``'s misses: it was checked
         on entry or made by a move from a checked datum.  Any other
-        object, an equal tuple or a float twin included, is checked."""
+        object, an equal tuple or a float or bool twin included, is
+        checked."""
         n = self.nroots
         interned = self._interned
         for c in data:
-            if interned.get(c) is c:
+            if interned.get(c) is c or (len(c) == n and {int}.issuperset(
+                    map(type, c)) and min(c) >= 0):
                 continue
-            if len(c) == n:
-                try:
-                    if min(c) >= 0 and type(sum(c)) is int:
-                        continue
-                except TypeError:
-                    pass
             raise ValueError(
                 f"{c} is not a datum of {self.t}: a datum has {n} "
                 f"nonnegative int entries, one per positive root")

@@ -11,6 +11,7 @@ from qborel.microrec import StringElement, StringEngine
 from qborel.opalg import evaluate
 from qborel.rootdata import AffineType, o_sign
 from qborel.rootvec import alpha_r_string, bracket_E
+from test_latticemod import move_pairs
 
 
 def test_c_r_values():
@@ -108,6 +109,25 @@ def test_E1_bracket_is_memoised_per_partial_bracket_and_datum(monkeypatch):
     assert counts["e_on_datum"] <= 2 * entries + 1, (counts, entries)
 
 
+def test_engine_cache_info_equals_a_recount(monkeypatch):
+    import qborel.drinfeld as drinfeld
+    engines = []
+
+    class Recorded(CurrentEngine):
+        def __init__(self, t):
+            super().__init__(t)
+            engines.append(self)
+
+    monkeypatch.setattr(drinfeld, "CurrentEngine", Recorded)
+    ell_weight_of_vacuum(AffineType("D", 5, 5), 3)
+    (eng,) = engines
+    memo = eng._memo
+    info = eng.cache_info()
+    assert info == {"entries": len(memo),
+                    "terms": sum(len(v) for v in memo.values())}
+    assert info["entries"] and info["terms"]
+
+
 def test_E1_is_the_bracket_on_a_random_D5r5_datum():
     t = AffineType("D", 5, 5)
     v = Element.basis(random_datum(t, random.Random(3), max_entry=6))
@@ -168,7 +188,7 @@ def test_vacuum_eigenvalue_reads_the_vacuum_line_only():
     w = Element.basis(vac, Coefficient.q_power(3))
     assert vacuum_eigenvalue(w, vac, 2, 1) == Coefficient.q_power(3)
     assert vacuum_eigenvalue(Element.zero(), vac, 2, 1) == Coefficient.zero()
-    (other, _), = mod.e_on_datum(0, vac)
+    (other, _), = move_pairs(mod.e_on_datum(0, vac))
     with pytest.raises(NotEigenvector, match="psi\\+_2,1 does not preserve"):
         vacuum_eigenvalue(w + Element.basis(other), vac, 2, 1)
 

@@ -1,9 +1,12 @@
+import gc
 import random
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qborel import latticemod
 from qborel.chars import module_character
 from qborel.coeffring import (_ONE, _Q_INTEGERS, Coefficient, LaurentPoly,
                               _build_q_integer, q_integer)
@@ -13,6 +16,14 @@ from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
                           run_expression, serre_expr)
 from qborel.rootdata import (AffineType, pairing, positive_roots_wr,
                              simple_root, theta)
+
+
+def move_pairs(entry):
+    """The (datum, coefficient) pairs of an e_on_datum entry, which holds
+    them flat as (d1, p1, d2, p2, ...)."""
+    assert len(entry) % 2 == 0, entry
+    it = iter(entry)
+    return tuple(zip(it, it))
 
 
 def _wt(mod, c):
@@ -259,10 +270,13 @@ NOT_DATA_OF_A3R2 = [(OperatorExpr.e(0), (0, 0, 0, 0, 7)),
                     (OperatorExpr.k(1), (0, "a", 0, 0)),
                     (OperatorExpr.e(1), (1.0, 0, 0, 0)),
                     (OperatorExpr.k(1), (300.0, 0, 0, 0)),
-                    (OperatorExpr.e(1), (0, -300, 0, 0))]
+                    (OperatorExpr.e(1), (0, -300, 0, 0)),
+                    (OperatorExpr.k(1), (True, 0, 0, 0)),
+                    (OperatorExpr.e(2), (0, 0, 1, False))]
 NOT_DATA_IDS = ["too-long", "negative-k", "too-short", "negative-e",
                 "half-entry-k", "str-entry-k", "float-entry-e",
-                "large-float-k", "large-negative-e"]
+                "large-float-k", "large-negative-e", "bool-entry-k",
+                "bool-entry-e"]
 
 
 @pytest.mark.parametrize("x, c", NOT_DATA_OF_A3R2, ids=NOT_DATA_IDS)
@@ -335,7 +349,7 @@ def test_cached_data_are_interned(swept_d5r5):
     for entries in cache.values():
         for c, moves in entries.items():
             assert interned[c] is c
-            for d, _ in moves:
+            for d, _ in move_pairs(moves):
                 assert interned[d] is d
     # the Serre words reach equal data along different paths
     info = mod.cache_info()
@@ -347,7 +361,7 @@ def test_cached_coefficients_come_from_the_table(swept_d5r5):
     shared = 0
     for entries in cache.values():
         for moves in entries.values():
-            for _, p in moves:
+            for _, p in move_pairs(moves):
                 # every coefficient is q^e [m]_q: m unit terms around q^e
                 exps = sorted(p.terms)
                 m, e = len(exps), (exps[0] + exps[-1]) // 2
@@ -361,12 +375,68 @@ def test_cached_coefficients_come_from_the_table(swept_d5r5):
 def test_cache_info_equals_a_recount(swept_d5r5):
     mod, cache = swept_d5r5
     moves = [mv for entries in cache.values() for mvs in entries.values()
-             for mv in mvs]
+             for mv in move_pairs(mvs)]
     data = {id(c) for entries in cache.values() for c in entries}
     data |= {id(d) for d, _ in moves}
     assert mod.cache_info() == {
         "entries": tuple(len(cache[i]) for i in range(6)),
         "moves": len(moves), "data": len(data)}
+
+
+def test_cache_entries_are_flat(swept_d5r5):
+    # each entry is (d1, p1, d2, p2, ...): interned data alternating with
+    # their coefficients, and no tuple per move
+    mod, cache = swept_d5r5
+    interned = mod._interned
+    flat = 0
+    for entries in cache.values():
+        for moves in entries.values():
+            assert type(moves) is tuple and len(moves) % 2 == 0
+            for d, p in move_pairs(moves):
+                assert type(d) is tuple and len(d) == mod.nroots
+                assert interned[d] is d and {type(x) for x in d} == {int}
+                assert type(p) is LaurentPoly
+            flat += len(moves) > 2
+    assert flat
+
+
+def _sweep_bytes_per_move(t, height):
+    """Every relation of type t on every datum of height <= height, run
+    on a fresh module, and the bytes that latticemod allocated and still
+    holds after the sweep, per stored move, by tracemalloc.  The cycle
+    collector is off and its full collection has emptied the free lists
+    before, so only the sweep's own allocations are counted."""
+    mod = LatticeModule(t)
+    data = mod.enumerate_data(height=height)
+    exprs = _relation_exprs(t)
+    enabled, tracing = gc.isenabled(), tracemalloc.is_tracing()
+    gc.collect()
+    gc.disable()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for x in exprs:
+            for c in data:
+                v = Element.basis(c)
+                assert run_expression(x, mod._run_word, v).is_zero()
+        after = tracemalloc.take_snapshot()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    only = [tracemalloc.Filter(True, latticemod.__file__)]
+    held = sum(s.size_diff for s in after.filter_traces(only).compare_to(
+        before.filter_traces(only), "filename"))
+    return held / mod.cache_info()["moves"]
+
+
+def test_the_swept_cache_holds_few_bytes_per_move():
+    # D5r5, height <= 6, 397 stored moves: about 218 bytes per move on
+    # Python 3.11 and 227 on 3.10 with flat entries, 266 and 275 with a
+    # (datum, coefficient) tuple per move
+    assert _sweep_bytes_per_move(AffineType("D", 5, 5), 6) < 245
 
 
 # -- which misses check their datum ---------------------------------------
@@ -413,7 +483,7 @@ def test_swept_cache_holds_only_interned_objects(t):
     for cache in mod._e_cache.values():
         for c, moves in cache.items():
             assert interned[c] is c
-            for d, _ in moves:
+            for d, _ in move_pairs(moves):
                 assert interned[d] is d
 
 
@@ -426,7 +496,7 @@ def test_a_miss_checks_only_data_not_yet_interned(monkeypatch, t):
     assert seen == [False]           # a new object is checked once
     mod.e_on_datum(1, c)             # a hit
     mod.e_on_datum(2, c)             # a miss on the interned object
-    (d, _), *_ = mod.e_on_datum(0, c)
+    (d, _), *_ = move_pairs(mod.e_on_datum(0, c))
     mod.e_on_datum(1, d)             # a miss on an interned move target
     assert seen == [False]
     mod.e_on_datum(3, tuple(list(c)))   # a miss on an equal new tuple
@@ -439,7 +509,7 @@ def test_a_miss_checks_only_data_not_yet_interned(monkeypatch, t):
 
 def test_a_float_twin_of_an_interned_datum_is_rejected_on_a_miss():
     mod = LatticeModule(A3R2)
-    (d, _), = mod.e_on_datum(0, mod.vacuum)
+    (d, _), = move_pairs(mod.e_on_datum(0, mod.vacuum))
     assert mod._interned[d] is d and d[mod.theta_idx] == 1
     twin = tuple(float(x) if p == mod.theta_idx else x
                  for p, x in enumerate(d))
@@ -471,6 +541,34 @@ def test_a_twin_of_an_interned_datum_is_rejected_on_entry(entry):
             run()
     assert not evaluate(k_e_conjugation_expr(1, 2, A3R2), A3R2,
                         Element.basis(held))
+
+
+def test_a_bool_twin_of_an_interned_datum_is_rejected():
+    # (True, 0, 2, 1) == (1, 0, 2, 1) and hashes alike, so it finds the
+    # interned datum in every table, and is checked in full all the same
+    mod = get_module(A3R2)
+    c = (1, 0, 2, 1)
+    evaluate(OperatorExpr.e(2), A3R2, Element.basis(c))
+    held = mod._interned[c]
+    twin = (True,) + held[1:]
+    assert twin == held and mod._interned.get(twin) is held
+    v = Element.basis(twin)
+    for run in (lambda: evaluate(OperatorExpr.e(1), A3R2, v),
+                lambda: evaluate(OperatorExpr.k(2, -1), A3R2, v),
+                lambda: mod.apply_e(3, v),
+                lambda: mod.apply_k(0, 1, v)):
+        with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+            run()
+    # a miss of e_on_datum on a bool twin, as on a float one
+    mod = LatticeModule(A3R2)
+    (d, _), = move_pairs(mod.e_on_datum(0, mod.vacuum))
+    twin = tuple(bool(x) if p == mod.theta_idx else x
+                 for p, x in enumerate(d))
+    assert twin == d and mod._interned.get(twin) is d
+    for i in range(A3R2.n + 1):
+        with pytest.raises(ValueError, match=r"is not a datum of A3r2"):
+            mod.e_on_datum(i, twin)
+    assert mod.cache_info()["entries"] == (1, 0, 0, 0)
 
 
 @st.composite
@@ -520,7 +618,8 @@ def test_moves_match_golden_values(t):
     mod = get_module(t)
     for k, c in enumerate(golden_data(mod.nroots)):
         for i in range(1, t.n + 1):
-            got = {d: str(coeff) for d, coeff in mod.e_on_datum(i, c)}
+            got = {d: str(coeff)
+                   for d, coeff in move_pairs(mod.e_on_datum(i, c))}
             assert got == MOVE_GOLDEN[(str(t), i, k)], (i, c)
 
 
@@ -717,7 +816,7 @@ def _e_step_reference(mod, i, terms):
     """e_i on a term map, summed move by move and filtered for zeros."""
     out = {}
     for c, coef in terms.items():
-        for md, mc in mod.e_on_datum(i, c):
+        for md, mc in move_pairs(mod.e_on_datum(i, c)):
             out[md] = out.get(md, LaurentPoly.zero()) + coef * mc
     return {d: p for d, p in out.items() if p}
 
@@ -725,7 +824,7 @@ def _e_step_reference(mod, i, terms):
 def _cancelling_map(mod, i, c):
     """A two-term map on c and another datum whose e_i images cancel at a
     common target, or None if there is no such datum."""
-    for md, mc in mod.e_on_datum(i, c):
+    for md, mc in move_pairs(mod.e_on_datum(i, c)):
         for src, tgt in (mod._moves[i] if i else ()):
             other = list(md)
             other[src] += 1
@@ -734,7 +833,7 @@ def _cancelling_map(mod, i, c):
             other = tuple(other)
             if min(other) < 0 or other == c:
                 continue
-            for mdo, mo in mod.e_on_datum(i, other):
+            for mdo, mo in move_pairs(mod.e_on_datum(i, other)):
                 if mdo == md:
                     return {c: mo, other: -mc}
     return None
@@ -781,8 +880,9 @@ def test_e_on_datum_yields_the_items_of_the_e_step(t):
     p = LaurentPoly({-1: 2, 1: -1})
     for c in [mod.vacuum] + [random_datum(t, rng, 4) for _ in range(12)]:
         for i in range(t.n + 1):
-            moves = mod.e_on_datum(i, c)
-            assert type(moves) is tuple
+            entry = mod.e_on_datum(i, c)
+            assert type(entry) is tuple
+            moves = move_pairs(entry)
             assert all(len(mv) == 2 and mv[1] for mv in moves)
             assert len(dict(moves)) == len(moves)
             assert dict(moves) == mod._run_word((i,), {c: _ONE}), (i, c)
@@ -802,7 +902,8 @@ def test_e_step_drops_a_cancelled_target():
             continue
         out = mod._run_word((i,), terms)
         assert out == _e_step_reference(mod, i, terms)
-        targets = {md for d in terms for md, _ in mod.e_on_datum(i, d)}
+        targets = {md for d in terms
+                   for md, _ in move_pairs(mod.e_on_datum(i, d))}
         cancelled += len(targets) - len(out)
     assert cancelled
 
@@ -848,7 +949,8 @@ def test_e0_exponent_is_the_k0_exponent_minus_c_theta():
             d = list(c)
             d[mod.theta_idx] += 1
             e = -pairing(t, theta(t), _wt(mod, c)) - c[mod.theta_idx]
-            assert mod.e_on_datum(0, c) == ((tuple(d), q_integer(1, e)),), \
+            assert (move_pairs(mod.e_on_datum(0, c))
+                    == ((tuple(d), q_integer(1, e)),)), \
                 (t, c)
 
 
@@ -921,7 +1023,7 @@ def test_run_word_whose_first_e_step_branches():
     for _ in range(40):
         c = tuple(rng.randint(0, 3) for _ in range(mod.nroots))
         i = rng.randint(1, 5)
-        if len(mod.e_on_datum(i, c)) < 2:
+        if len(move_pairs(mod.e_on_datum(i, c))) < 2:
             continue
         word = (("k", 0, 1), i, ("k", i, -1), rng.randint(0, 5), 0)
         for terms in (Element.basis(c).terms, {c: LaurentPoly.q_power(-2, 3)}):
@@ -983,7 +1085,8 @@ def test_run_word_of_the_empty_word_or_map_is_its_input():
 
 def _single_move_nodes(mod, c):
     """The nodes whose e-step on c has exactly one move."""
-    return [i for i in range(mod.t.n + 1) if len(mod.e_on_datum(i, c)) == 1]
+    return [i for i in range(mod.t.n + 1)
+            if len(move_pairs(mod.e_on_datum(i, c))) == 1]
 
 
 def _counted_arithmetic(monkeypatch):
@@ -1051,7 +1154,7 @@ def test_a_word_whose_k_exponents_cancel_keeps_the_move_coefficient():
     for _ in range(20):
         c = random_datum(t, rng, 3)
         for j in _single_move_nodes(mod, c):
-            (d, mc), = mod.e_on_datum(j, c)
+            (d, mc), = move_pairs(mod.e_on_datum(j, c))
             words = []
             for i in range(t.n + 1):
                 words += [(("k", i, 1), ("k", i, -1), j),
