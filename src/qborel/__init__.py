@@ -18,9 +18,9 @@ from .rootvec import (Unsupported, alpha_r_string, bracket_E,
                       string_span_values, verified_domain_check)
 from .drinfeld import (CurrentEngine, DomainViolation, EllWeight,
                        NotEigenvector, c_r, ell_weight_of_vacuum)
-from .microrec import (StringElement, StringEngine, base_scalars,
-                       negative_closed_form, negative_ell_weight,
-                       rank_one_serre_check, string_recurrence)
+from .microrec import (StringElement, StringEngine, negative_closed_form,
+                       negative_ell_weight, rank_one_serre_check,
+                       string_recurrence)
 from .chars import (character_identity_check, dump_csv, module_character,
                     positive_roots_simple, product_character)
 

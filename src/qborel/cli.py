@@ -154,8 +154,9 @@ def cmd_recurrence(args) -> int:
             "closed-form residuals all 0" if not bad
             else f"mismatch at k = {bad}")
     else:
-        # the raising-model string recursion terminates: gamma_k = 0 past
-        # the polynomial l-weight's single nontrivial coefficient
+        # the raising model's gammas, read off the lattice module,
+        # terminate: gamma_k = 0 past the polynomial l-weight's single
+        # nontrivial coefficient
         ok = all(g == Coefficient.zero() for g in gammas[1:])
         rep = CheckReport(
             f"recurrence-pos-{t}-K{args.K}", ok,

@@ -318,7 +318,7 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.from_int(other)
         elif not isinstance(other, LaurentPoly):
-            return False
+            return NotImplemented
         if self.lo != other.lo:
             return False
         if self.b == other.b:

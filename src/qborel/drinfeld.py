@@ -13,9 +13,9 @@ that is B E_k - E_k B with B = E_{d-a_i} e_i - q^{-2} e_i E_{d-a_i}
 values; a subclass gives only its level one ``_E1`` and its step ``_e``.
 ``CurrentEngine`` runs on the lattice module, where E_{d-a_r} is the
 q-bracket along ``rootvec._path`` with each partial bracket in the memo,
-and ``microrec.StringEngine`` on the alpha_r-string.  The division by
-q + q^{-1} must be exact; a failure is a hard error: the base operator
-data is wrong.
+and ``microrec.StringEngine`` on the lowering model's alpha_r-string.
+The division by q + q^{-1} must be exact; a failure is a hard error: the
+base operator data is wrong.
 
 The central element acts trivially on every module here, so no
 C^{1/2} bookkeeping appears anywhere.
@@ -191,12 +191,6 @@ class CurrentEngine(LevelEngine):
         self._check(i, v)
         w = self.mod._run_word((("k", i, 1),), self._psi(i, k, v.terms))
         return Element._of(w, v.deg + k)
-
-    def x_minus_on_vacuum(self, i: int, k: int) -> Element:
-        check_node(self.t, i)
-        w = self._level(i, k, {self.mod.vacuum: _ONE})
-        w = self.mod._run_word((("k", i, 1),), w)
-        return Element._of(w, k).scale(-(o_sign(self.t, i) ** k))
 
 
 def ell_weight_of_vacuum(t: AffineType, K: int = 6) -> EllWeight:

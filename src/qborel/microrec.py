@@ -1,14 +1,16 @@
-"""Rank-one laboratory and the alpha_r-string recurrence engine.
+"""Rank-one laboratory and the lowering model's alpha_r-string engine.
 
 Rank one (n = 1) carries both module structures in full: the raising
 model multiplies by the loop generator on the right with a weight
 q-power, the lowering model multiplies on the left with no q-power.
 In higher rank the lowering-model module is not constructed here; only
-its alpha_r-string consequences are, with the two level-one scalars
-taken as quoted input data.  So every lowering-model result above rank
-one rests on that base data, and only at rank one does everything close
-unconditionally.  No report says so: ``lweight --model neg`` and
-``recurrence --model neg`` print no such label.
+its alpha_r-string consequences are, with the level-one scalar on 1 and
+on f taken as quoted input data.  So every lowering-model result above
+rank one rests on that base data, and only at rank one does everything
+close unconditionally.  No report says so: ``lweight --model neg`` and
+``recurrence --model neg`` print no such label.  The raising model needs
+no string span: ``string_recurrence(t, "pos", K)`` reads its scalars off
+``drinfeld.CurrentEngine`` on the lattice module.
 
 Basis vectors are powers f^m of the node-r lowering generator, with
 e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
@@ -17,7 +19,7 @@ applies the rank-one letters to term maps on the powers, and
 ``rank_one_serre_check`` runs opalg's relations on it through
 ``opalg.run_expression``, each report line from its own results.
 ``StringEngine`` is a ``LevelEngine`` that gives only its level one, the
-two base scalars, and its step, e_r as a one-letter ``_run_word`` call,
+quoted scalar, and its step, e_r as a one-letter ``_run_word`` call,
 both on term maps; ``negative_ell_weight`` reads psi+ from the engine's
 ``_psi``.  A string vector, like a module element, is a
 ``GradedCombination``: one a-degree and coefficients in ``LaurentPoly``.
@@ -29,13 +31,13 @@ from __future__ import annotations
 
 from .coeffring import (_ONE, Coefficient, GradedCombination, LaurentPoly,
                         q_integer)
-from .drinfeld import (QMQ, DomainViolation, EllWeight, LevelEngine, c_r,
-                       vacuum_eigenvalue)
+from .drinfeld import (QMQ, CurrentEngine, DomainViolation, EllWeight,
+                       LevelEngine, c_r, vacuum_eigenvalue)
 from .latticemod import letter_str
 from .opalg import (CheckReport, OperatorExpr, k_e_conjugation_expr,
                     run_expression, serre_expr)
 from .rootdata import AffineType, dual_coxeter
-from .rootvec import string_span_values
+from .rootvec import alpha_r_string, string_span_values
 
 
 class StringElement(GradedCombination):
@@ -143,55 +145,54 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
 # the general string recurrence
 # ---------------------------------------------------------------------
 
-def base_scalars(t: AffineType, model: str):
-    """(E.1 scalar against f, E.f scalar against f^2) for E_{d-alpha_r}.
-
-    Raising model: the lattice-module scalars of
-    ``rootvec.string_span_values``, which ``verified_domain_check``
-    confirms by evaluating ``bracket_E``.  Lowering model: quoted input
-    data, the raising model's first scalar twice.  ValueError otherwise.
-    """
-    if model not in ("pos", "neg"):
-        raise ValueError("model must be pos or neg")
-    v1, v2 = string_span_values(t)
-    return (v1, v2) if model == "pos" else (v1, v1)
-
-
 class StringEngine(LevelEngine):
-    """E_{k delta - alpha_r} into span{1, f, f^2}.  Every level reaches E1,
-    which rejects f^2, on each power it is given, so f^m (m >= 2) raises
-    DomainViolation at every level, and so does f at k >= 2."""
+    """The lowering model's E_{k delta - alpha_r} into span{1, f, f^2}.  Its
+    level one is the quoted scalar ``string_span_values(t)[0]`` on 1 and on
+    f.  Every level reaches E1, which rejects f^2, on each power it is
+    given, so f^m (m >= 2) raises DomainViolation at every level, and so
+    does f at k >= 2."""
 
-    def __init__(self, t: AffineType, model: str):
+    def __init__(self, t: AffineType):
         super().__init__()
         self.t = t
-        self._scalars = [c.terms[()] for c in base_scalars(t, model)]
+        self._scalar = string_span_values(t)[0].terms[()]
 
     def _E1(self, r, terms):
         for m in terms:
             if m > 1:
                 raise DomainViolation(f"E_(delta-alpha_r) needed on f^{m}")
-        return {m + 1: c * self._scalars[m] for m, c in terms.items()}
+        return {m + 1: c * self._scalar for m, c in terms.items()}
 
     def _e(self, r, terms):
-        """e_r, which acts alike in both models."""
-        return _run_word("pos", (1,), terms)
+        return _run_word("neg", (1,), terms)
 
     def E(self, k: int, v: StringElement) -> StringElement:
         return StringElement._of(self._level(self.t.r, k, v.terms), v.deg + k)
 
 
 def string_recurrence(t: AffineType, model: str, K: int):
-    """The scalars gamma_k with E_{k delta - alpha_r}.1 = gamma_k f."""
+    """The scalars gamma_k with E_{k delta - alpha_r}.1 = gamma_k f, k <= K:
+    in the raising model ``CurrentEngine.E`` on the lattice module's vacuum,
+    read at the unit vector at alpha_r, which is f (its factor q^{m(m-1)/2}
+    is 1 at m = 1); in the lowering model ``StringEngine.E`` on f^0.
+    AssertionError if E_k.1 has any other term."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    eng = StringEngine(t, model)
+    if model == "pos":
+        eng, one = CurrentEngine(t), alpha_r_string(t, 0)
+        (f,) = alpha_r_string(t, 1).terms
+        level = lambda k: eng.E(t.r, k, one)
+    elif model == "neg":
+        eng, one, f = StringEngine(t), StringElement.basis(0), 1
+        level = lambda k: eng.E(k, one)
+    else:
+        raise ValueError("model must be pos or neg")
     out = []
     for k in range(1, K + 1):
-        v = eng.E(k, StringElement.basis(0))
-        if not set(v.terms) <= {1}:
+        v = level(k)
+        if v.terms.keys() - {f}:
             raise AssertionError(f"E_{k}.1 is not a multiple of f: {v}")
-        out.append(v.coefficient(1))
+        out.append(v.coefficient(f))
     return out
 
 
@@ -214,7 +215,7 @@ def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
     result."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    eng = StringEngine(t, "neg")
+    eng = StringEngine(t)
     geometric = -(Coefficient.a_power(1) * c_r(t))
     coeffs = [Coefficient.one()]
     for k in range(1, K + 1):

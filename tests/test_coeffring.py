@@ -124,6 +124,13 @@ def test_coefficient_ring_ops():
     assert c - c == Coefficient.zero()
     # zero has no degree
     assert (c - c) + Coefficient.one() == Coefficient.one() == 1
+    # a LaurentPoly and a Coefficient of degree 0 compare alike both ways
+    assert LaurentPoly.one() == Coefficient.one() == LaurentPoly.one()
+    assert not LaurentPoly.one() != Coefficient.one()
+    assert not Coefficient.one() != LaurentPoly.one()
+    assert lp({1: 1}) != Coefficient.one() and Coefficient.one() != lp({1: 1})
+    assert lp({0: 1}) != a and a != lp({0: 1})
+    assert LaurentPoly.one() != "1" and not LaurentPoly.one() == None
     assert (a ** 3) * (a ** 2) == Coefficient.a_power(5)
     assert Coefficient.from_laurent(lp({2: 3}), 4) == (
         Coefficient.from_int(3) * q ** 2 * a ** 4)

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from qborel.coeffring import (Coefficient, LaurentPoly, parse_coefficient,
-                              q_integer)
+from qborel.coeffring import Coefficient, LaurentPoly, q_integer
 from qborel.drinfeld import (CurrentEngine, DomainViolation, c_r,
                              ell_weight_of_vacuum, raise_level)
 from qborel.latticemod import Element, get_module, random_datum
@@ -48,18 +47,6 @@ def test_ell_weight_first_coefficient_is_minus_acr():
         for i in ell.psi:
             if i != t.r:
                 assert ell.closed_form[i] == "trivial"
-
-
-def test_x_minus_on_vacuum():
-    t = AffineType("A", 3, 2)
-    eng = CurrentEngine(t)
-    mod = get_module(t)
-    out = eng.x_minus_on_vacuum(2, 1)
-    key = tuple(1 if p == mod.alpha_r_idx else 0 for p in range(mod.nroots))
-    assert set(out.terms) == {key}
-    assert out.coefficient(key) == parse_coefficient("q^-4*a")
-    assert eng.x_minus_on_vacuum(2, 2).is_zero()
-    assert eng.x_minus_on_vacuum(1, 1).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -169,7 +156,7 @@ def test_engines_hold_no_reference_cycle(family, n, r):
         ref = weakref.ref(eng)
         del eng
         assert ref() is None
-        eng = StringEngine(t, "neg")
+        eng = StringEngine(t)
         eng.E(3, StringElement.basis(0))
         assert eng._memo
         ref = weakref.ref(eng)
@@ -247,10 +234,10 @@ def test_raise_level_is_the_four_term_step_on_the_lattice(t):
     assert nonzero == 2 * len(vectors)
 
 
-@pytest.mark.parametrize("model", ["pos", "neg"])
+@pytest.mark.parametrize("model", ["neg"])   # the string engine's model
 def test_raise_level_is_the_four_term_step_on_the_string(model):
     t = AffineType("A", 3, 2)
-    eng = StringEngine(t, model)
+    eng = StringEngine(t)
     one, f = {0: LaurentPoly.one()}, {1: LaurentPoly.one()}
     for k in (2, 3, 4):
         got = raise_level(*steps(eng, t.r, k), one)

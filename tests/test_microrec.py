@@ -2,12 +2,11 @@ import pytest
 
 from qborel import microrec
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
-from qborel.drinfeld import c_r
+from qborel.drinfeld import CurrentEngine, c_r
 from qborel.opalg import OperatorExpr
 from qborel.microrec import (StringElement, StringEngine, _run_word,
-                             base_scalars, negative_closed_form,
-                             negative_ell_weight, rank_one_serre_check,
-                             string_recurrence)
+                             negative_closed_form, negative_ell_weight,
+                             rank_one_serre_check, string_recurrence)
 from qborel.rootdata import AffineType, dual_coxeter, o_sign
 from qborel.rootvec import string_span_values
 
@@ -38,20 +37,15 @@ def test_rank_one_generators():
     # a word applies its letters in order: e_1 then e_0 on f^2
     assert _run_word("pos", (1, 0), f2) == {
         2: LaurentPoly.q_power(1) * q_integer(2)}
-    # the string engine's e_r is the one-letter call, alike in both models
-    for model in ("pos", "neg"):
-        eng = StringEngine(AffineType("A", 1, 1), model)
-        assert eng._e(1, f2) == {1: LaurentPoly.q_power(-1) * q_integer(2)}
+    # the string engine's e_r is the one-letter call
+    eng = StringEngine(AffineType("A", 1, 1))
+    assert eng._e(1, f2) == {1: LaurentPoly.q_power(-1) * q_integer(2)}
 
 
 @pytest.mark.parametrize("model", ["bogus", "POS", ""])
 def test_unknown_model_is_rejected(model):
-    t = AffineType("A", 3, 2)
-    for job in (lambda: base_scalars(t, model),
-                lambda: StringEngine(t, model),
-                lambda: string_recurrence(t, model, 3)):
-        with pytest.raises(ValueError, match="model must be pos or neg"):
-            job()
+    with pytest.raises(ValueError, match="model must be pos or neg"):
+        string_recurrence(AffineType("A", 3, 2), model, 3)
 
 
 def _mutant(letter_map):
@@ -128,11 +122,27 @@ def test_rank_one_lines_are_built_from_their_own_results(monkeypatch):
 
 
 def test_string_recurrence_positive_terminates():
-    # raising model: only gamma_1 is nonzero
-    for t in [AffineType("A", 3, 1), AffineType("D", 5, 5)]:
-        g = string_recurrence(t, "pos", 5)
-        assert g[0] == base_scalars(t, "pos")[0]
-        assert all(c.is_zero() for c in g[1:])
+    # raising model, read off the lattice module: gamma_1 is the closed
+    # form and every later gamma_k is zero (the l-weight is polynomial)
+    types = ([AffineType("A", n, r) for n in range(1, 7)
+              for r in range(1, n + 1)]
+             + [AffineType("D", n, r) for n in range(4, 7)
+                for r in (1, n - 1, n)])
+    for t in types:
+        g = string_recurrence(t, "pos", 6)
+        assert g[0] == string_span_values(t)[0], t
+        assert len(g) == 6 and all(c.is_zero() for c in g[1:]), t
+
+
+@pytest.mark.parametrize("model", ["pos", "neg"])
+def test_string_recurrence_rejects_a_term_off_f(model, monkeypatch):
+    # each model's engine with a^k 1 added to E_k.1
+    engine = {"pos": CurrentEngine, "neg": StringEngine}[model]
+    E = engine.E
+    monkeypatch.setattr(engine, "E",
+                        lambda self, *a: E(self, *a) + a[-1].scale(1, a[-2]))
+    with pytest.raises(AssertionError, match=r"E_1\.1 is not a multiple of f"):
+        string_recurrence(AffineType("A", 3, 2), model, 2)
 
 
 def test_string_recurrence_negative_closed_forms():
@@ -178,17 +188,17 @@ def test_negative_A1_unconditional_k20():
 
 def test_string_engine_rejects_overflow():
     from qborel.drinfeld import DomainViolation
-    eng = StringEngine(AffineType("A", 2, 1), "neg")
+    eng = StringEngine(AffineType("A", 2, 1))
     with pytest.raises(DomainViolation, match=r"needed on f\^3$"):
         eng.E(1, StringElement.basis(3))
 
 
-@pytest.mark.parametrize("model", ["pos", "neg"])
+@pytest.mark.parametrize("model", ["neg"])   # the string engine's model
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_string_engine_rejects_powers_beyond_f(k, m, model):
     from qborel.drinfeld import DomainViolation
-    eng = StringEngine(AffineType("A", 3, 2), model)
+    eng = StringEngine(AffineType("A", 3, 2))
     # a level already memoised on 1 still rejects f^m beside it
     eng.E(k, StringElement.basis(0))
     for v in (StringElement.basis(m),
@@ -198,7 +208,7 @@ def test_string_engine_rejects_powers_beyond_f(k, m, model):
 
 
 def test_string_engine_rejects_level_zero():
-    eng = StringEngine(AffineType("A", 2, 1), "neg")
+    eng = StringEngine(AffineType("A", 2, 1))
     with pytest.raises(ValueError, match="level must be >= 1"):
         eng.E(0, StringElement.basis(0))
 
