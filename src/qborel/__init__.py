@@ -16,9 +16,9 @@ from .opalg import (CheckReport, OperatorExpr, central_element_expr,
 from .rootvec import (Unsupported, alpha_r_string, bracket_E,
                       hardcoded_full_E, leading_E, string_coefficient,
                       string_span_values, verified_domain_check)
-from .drinfeld import (CurrentEngine, DomainViolation, EllWeight,
-                       NotEigenvector, c_r, ell_weight_of_vacuum)
-from .microrec import (StringElement, StringEngine, negative_closed_form,
+from .drinfeld import (CurrentEngine, EllWeight, NotEigenvector, c_r,
+                       ell_weight_of_vacuum, string_closure)
+from .microrec import (StringElement, negative_closed_form,
                        negative_ell_weight, rank_one_serre_check,
                        string_recurrence)
 from .chars import (character_identity_check, dump_csv, module_character,

@@ -23,6 +23,7 @@ from .opalg import (CheckReport, central_element_expr, k_commutation_expr,
 from .rootdata import (AffineType, braid_equivalent, convex_order,
                        positive_roots, reading_words, reduced_word_wr,
                        root_str, simple_root, theta)
+from .rootvec import string_span_values
 
 
 def _emit(args, lines, passed):
@@ -154,13 +155,16 @@ def cmd_recurrence(args) -> int:
             "closed-form residuals all 0" if not bad
             else f"mismatch at k = {bad}")
     else:
-        # the raising model's gammas, read off the lattice module,
-        # terminate: gamma_k = 0 past the polynomial l-weight's single
-        # nontrivial coefficient
-        ok = all(g == Coefficient.zero() for g in gammas[1:])
-        rep = CheckReport(
-            f"recurrence-pos-{t}-K{args.K}", ok,
-            "gamma_k = 0 for k >= 2" if ok else "unexpected tail")
+        # the raising model's gammas, read off the lattice module, are
+        # the closed form at k = 1 and terminate: gamma_k = 0 past the
+        # polynomial l-weight's single nontrivial coefficient
+        want, bad = string_span_values(t)[0], []
+        if gammas[0] != want:
+            bad.append(f"gamma_1 = {gammas[0]}, expected {want}")
+        if not all(g == Coefficient.zero() for g in gammas[1:]):
+            bad.append("unexpected tail")
+        rep = CheckReport(f"recurrence-pos-{t}-K{args.K}", not bad,
+                          "; ".join(bad) or "gamma_k = 0 for k >= 2")
     lines.append(rep.line())
     return _emit(args, lines, rep.passed)
 

@@ -327,7 +327,10 @@ class LaurentPoly:
         return _at(self, b) == _at(other, b)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        terms = self.terms
+        if terms.keys() <= {0}:   # a constant equals its int: hash alike
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return self.n != 0
@@ -719,7 +722,8 @@ class Coefficient(GradedCombination):
         return GradedCombination.__eq__(self, other)
 
     def __hash__(self):
-        return hash(frozenset(self.a_terms.items()))
+        p = self.terms.get((), _ZERO)   # degree 0 equals its LaurentPoly
+        return hash((self.deg, p) if self.deg and p else p)
 
     # -- text form ----------------------------------------------------
 

@@ -9,13 +9,13 @@ The level-raising step is the four-term combination
 that is B E_k - E_k B with B = E_{d-a_i} e_i - q^{-2} e_i E_{d-a_i}
 (``psi_bracket``), applied lazily to term maps {label: LaurentPoly}
 (materializing E_k as a word expression would grow exponentially in k).
-``LevelEngine._extend`` extends every such map from one memo of per-label
-values; a subclass gives only its level one ``_E1`` and its step ``_e``.
-``CurrentEngine`` runs on the lattice module, where E_{d-a_r} is the
-q-bracket along ``rootvec._path`` with each partial bracket in the memo,
-and ``microrec.StringEngine`` on the lowering model's alpha_r-string.
+``CurrentEngine`` runs it on the lattice module: ``_extend`` extends
+every such map from one memo of per-label values, and E_{d-a_r} is the
+q-bracket along ``rootvec._path`` with each partial bracket in the memo.
 The division by q + q^{-1} must be exact; a failure is a hard error: the
-base operator data is wrong.
+base operator data is wrong.  On the alpha_r-string 1, f, f^2, ... B is
+diagonal, B f^m = beta_m f^m, so E_k 1 = gamma_1 rho^{k-1} f for every k
+with rho = (beta_0 - beta_1)/(q + q^{-1}) (``string_closure``).
 
 The central element acts trivially on every module here, so no
 C^{1/2} bookkeeping appears anywhere.
@@ -25,14 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeffring import _ONE, Coefficient, LaurentPoly, _add_terms, q_integer
+from .coeffring import (_ONE, _ZERO, Coefficient, LaurentPoly, _add_terms,
+                        q_integer)
 from .latticemod import Element, get_module
 from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import _path, check_node
-
-
-class DomainViolation(RuntimeError):
-    """A level-one operator was needed outside the span it is known on."""
 
 
 class NotEigenvector(RuntimeError):
@@ -79,11 +76,27 @@ def raise_level(E1, e, Ek, terms):
     B = psi_bracket(E1, e, .).
 
     E1, e and Ek apply E_{d-a_i}, e_i and E_{kd-a_i} to term maps, E1 and
-    Ek as new maps.  The order is fixed, E_k v first, so the first
-    DomainViolation a level-one operator raises is always the same."""
+    Ek as new maps."""
     b_ek = psi_bracket(E1, e, Ek(terms))
     x = _q_commutator(Ek(psi_bracket(E1, e, terms)), b_ek, 0)
     return {c: p.exact_divide(_QPQ) for c, p in x.items()}
+
+
+def string_closure(E1, e, one, f):
+    """(gamma_1, rho) of the module docstring as LaurentPolys, from E1 and
+    e, which apply E_{d-a_r} (as a new map) and e_r to term maps, and the
+    labels one and f of 1 and f.  AssertionError if E_1.1 leaves the line
+    of f or B is not diagonal on 1 and f."""
+    g = E1({one: _ONE})
+    if g.keys() - {f}:
+        raise AssertionError(f"E_1.1 is not a multiple of f: {g}")
+    beta = []
+    for c in (one, f):
+        b = psi_bracket(E1, e, {c: _ONE})
+        if b.keys() - {c}:
+            raise AssertionError(f"B is not diagonal on {c}: {b}")
+        beta.append(b.get(c, _ZERO))
+    return g.get(f, _ZERO), (beta[0] - beta[1]).exact_divide(_QPQ)
 
 
 def vacuum_eigenvalue(w, vac, i, k):
@@ -95,13 +108,15 @@ def vacuum_eigenvalue(w, vac, i, k):
     return w.coefficient(vac)
 
 
-class LevelEngine:
-    """E_{k delta - alpha_i} on term maps, from one memo of per-label
-    values.  A subclass gives ``t``, its level one ``_E1(i, terms)`` and
-    its step ``_e(i, terms)``, both as new maps.  The memo's rules are
-    never stored, so no reference cycle keeps it alive after its engine."""
+class CurrentEngine:
+    """E_{k delta - alpha_i} and psi+_{i,k} on the lattice module, from one
+    memo of per-label values.  The memo's rules are never stored, so no
+    reference cycle keeps it alive after its engine."""
 
-    def __init__(self):
+    def __init__(self, t: AffineType):
+        self.t = t
+        self.mod = get_module(t)
+        self._path = _path(t)
         self._memo = {}
 
     def _extend(self, key, rule, terms):
@@ -137,16 +152,6 @@ class LevelEngine:
         """The memo's number of ``entries`` and the ``terms`` they hold."""
         memo = self._memo
         return {"entries": len(memo), "terms": sum(map(len, memo.values()))}
-
-
-class CurrentEngine(LevelEngine):
-    """E_{k delta - alpha_i} and psi+_{i,k} on the lattice module."""
-
-    def __init__(self, t: AffineType):
-        super().__init__()
-        self.t = t
-        self.mod = get_module(t)
-        self._path = _path(t)
 
     def _check(self, i, v):
         check_node(self.t, i)

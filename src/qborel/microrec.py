@@ -1,4 +1,4 @@
-"""Rank-one laboratory and the lowering model's alpha_r-string engine.
+"""Rank-one laboratory and the alpha_r-string inputs of both models.
 
 Rank one (n = 1) carries both module structures in full: the raising
 model multiplies by the loop generator on the right with a weight
@@ -8,9 +8,7 @@ its alpha_r-string consequences are, with the level-one scalar on 1 and
 on f taken as quoted input data.  So every lowering-model result above
 rank one rests on that base data, and only at rank one does everything
 close unconditionally.  No report says so: ``lweight --model neg`` and
-``recurrence --model neg`` print no such label.  The raising model needs
-no string span: ``string_recurrence(t, "pos", K)`` reads its scalars off
-``drinfeld.CurrentEngine`` on the lattice module.
+``recurrence --model neg`` print no such label.
 
 Basis vectors are powers f^m of the node-r lowering generator, with
 e_r f^m = q^{-m+1} [m]_q f^{m-1} and k_r f^m = q^{-2m} f^m; this uses
@@ -18,25 +16,28 @@ only the alpha_r-pairing and is valid in every rank.  ``_run_word``
 applies the rank-one letters to term maps on the powers, and
 ``rank_one_serre_check`` runs opalg's relations on it through
 ``opalg.run_expression``, each report line from its own results.
-``StringEngine`` is a ``LevelEngine`` that gives only its level one, the
-quoted scalar, and its step, e_r as a one-letter ``_run_word`` call,
-both on term maps; ``negative_ell_weight`` reads psi+ from the engine's
-``_psi``.  A string vector, like a module element, is a
-``GradedCombination``: one a-degree and coefficients in ``LaurentPoly``.
-The scalars that leave this module (``string_recurrence``,
-``negative_ell_weight``) are full ``Coefficient``s.
+``string_recurrence`` and ``negative_ell_weight`` take gamma_k =
+gamma_1 rho^{k-1} from ``drinfeld.string_closure``; the model chooses
+only its inputs: in the raising model ``CurrentEngine``'s E_{d-a_r} and
+e_r on the lattice module, in the lowering one the quoted scalar on 1
+and f and e_r as a one-letter ``_run_word`` call.  A string vector, like
+a module element, is a ``GradedCombination``: one a-degree and
+coefficients in ``LaurentPoly``.  The scalars that leave this module
+(``string_recurrence``, ``negative_ell_weight``) are full
+``Coefficient``s.
 """
 
 from __future__ import annotations
 
-from .coeffring import (_ONE, Coefficient, GradedCombination, LaurentPoly,
-                        q_integer)
-from .drinfeld import (QMQ, CurrentEngine, DomainViolation, EllWeight,
-                       LevelEngine, c_r, vacuum_eigenvalue)
+from functools import partial
+
+from .coeffring import Coefficient, GradedCombination, LaurentPoly, q_integer
+from .drinfeld import (_QMQ, QMQ, CurrentEngine, EllWeight, c_r,
+                       psi_bracket, string_closure, vacuum_eigenvalue)
 from .latticemod import letter_str
 from .opalg import (CheckReport, OperatorExpr, k_e_conjugation_expr,
                     run_expression, serre_expr)
-from .rootdata import AffineType, dual_coxeter
+from .rootdata import AffineType, dual_coxeter, o_sign
 from .rootvec import alpha_r_string, string_span_values
 
 
@@ -145,54 +146,39 @@ def rank_one_serre_check(M: int = 20) -> CheckReport:
 # the general string recurrence
 # ---------------------------------------------------------------------
 
-class StringEngine(LevelEngine):
-    """The lowering model's E_{k delta - alpha_r} into span{1, f, f^2}.  Its
-    level one is the quoted scalar ``string_span_values(t)[0]`` on 1 and on
-    f.  Every level reaches E1, which rejects f^2, on each power it is
-    given, so f^m (m >= 2) raises DomainViolation at every level, and so
-    does f at k >= 2."""
+def _times(g):
+    """f^m -> g f^{m+1} on term maps of the powers: the lowering model's
+    E_{d-a_r} on 1 and f for g the quoted scalar, and E_{kd-a_r} on 1 for
+    g = gamma_k."""
+    return lambda terms: {m + 1: p * g for m, p in terms.items()}
 
-    def __init__(self, t: AffineType):
-        super().__init__()
-        self.t = t
-        self._scalar = string_span_values(t)[0].terms[()]
 
-    def _E1(self, r, terms):
-        for m in terms:
-            if m > 1:
-                raise DomainViolation(f"E_(delta-alpha_r) needed on f^{m}")
-        return {m + 1: c * self._scalar for m, c in terms.items()}
-
-    def _e(self, r, terms):
-        return _run_word("neg", (1,), terms)
-
-    def E(self, k: int, v: StringElement) -> StringElement:
-        return StringElement._of(self._level(self.t.r, k, v.terms), v.deg + k)
+_lowering_e = partial(_run_word, "neg", (1,))   # e_r on the powers
 
 
 def string_recurrence(t: AffineType, model: str, K: int):
-    """The scalars gamma_k with E_{k delta - alpha_r}.1 = gamma_k f, k <= K:
-    in the raising model ``CurrentEngine.E`` on the lattice module's vacuum,
-    read at the unit vector at alpha_r, which is f (its factor q^{m(m-1)/2}
-    is 1 at m = 1); in the lowering model ``StringEngine.E`` on f^0.
-    AssertionError if E_k.1 has any other term."""
+    """The scalars gamma_k with E_{k delta - alpha_r}.1 = gamma_k f, k <= K,
+    as gamma_1 rho^{k-1} from ``drinfeld.string_closure``: in the raising
+    model on the lattice module, where 1 is the vacuum and f the unit
+    vector at alpha_r (its factor q^{m(m-1)/2} is 1 at m = 1), in the
+    lowering model on the powers f^m.  AssertionError if E_1.1 has any
+    other term or B is not diagonal on 1 and f."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if model == "pos":
-        eng, one = CurrentEngine(t), alpha_r_string(t, 0)
-        (f,) = alpha_r_string(t, 1).terms
-        level = lambda k: eng.E(t.r, k, one)
+        eng = CurrentEngine(t)
+        E1, e = (lambda u: eng._E1(t.r, u)), (lambda u: eng._e(t.r, u))
+        (one,), (f,) = (alpha_r_string(t, m).terms for m in (0, 1))
     elif model == "neg":
-        eng, one, f = StringEngine(t), StringElement.basis(0), 1
-        level = lambda k: eng.E(k, one)
+        E1, e = _times(string_span_values(t)[0].terms[()]), _lowering_e
+        one, f = 0, 1
     else:
         raise ValueError("model must be pos or neg")
-    out = []
-    for k in range(1, K + 1):
-        v = level(k)
-        if v.terms.keys() - {f}:
-            raise AssertionError(f"E_{k}.1 is not a multiple of f: {v}")
-        out.append(v.coefficient(f))
+    g, rho = string_closure(E1, e, one, f)
+    out = [Coefficient.from_laurent(g, 1)]
+    for k in range(2, K + 1):
+        g *= rho
+        out.append(Coefficient.from_laurent(g, k))
     return out
 
 
@@ -206,23 +192,22 @@ def negative_closed_form(t: AffineType, k: int) -> Coefficient:
 
 
 def negative_ell_weight(t: AffineType, K: int) -> EllWeight:
-    """psi+_{r,k}-eigenvalues of the vacuum in the lowering model,
-    computed on the string span and matched to the geometric series.
+    """psi+_{r,k}-eigenvalues of the vacuum in the lowering model, read
+    off the string closure and matched to the geometric series.
 
     Only node r is computed.  Every other node i is filled with the
     series 1, 0, 0, ... and tagged ``trivial`` without any computation:
     the string span carries no operator at i != r, so that tag is not a
     result."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    eng = StringEngine(t)
+    o = o_sign(t, t.r)
     geometric = -(Coefficient.a_power(1) * c_r(t))
     coeffs = [Coefficient.one()]
-    for k in range(1, K + 1):
+    for k, g in enumerate(string_recurrence(t, "neg", K), start=1):
         power = coeffs[-1] * geometric   # geometric ** k: all earlier match
-        # k_r is the identity on the vacuum (weight zero)
-        w = StringElement._of(eng._psi(t.r, k, {0: _ONE}), k)
-        coeffs.append(vacuum_eigenvalue(w, 0, t.r, k))
+        # psi_bracket on the vacuum with E_k 1 = gamma_k f, times
+        # (q - q^{-1}) o^k; k_r is the identity on the vacuum (weight zero)
+        w = psi_bracket(_times(g.a_terms[k]), _lowering_e, {0: _QMQ * o ** k})
+        coeffs.append(vacuum_eigenvalue(StringElement._of(w, k), 0, t.r, k))
         if coeffs[k] != power:
             raise AssertionError(
                 f"psi_{t.r},{k} = {coeffs[k]} differs from geometric {power}")

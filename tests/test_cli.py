@@ -175,6 +175,21 @@ def test_exit_code_comes_from_reports(monkeypatch):
     assert code == 0
 
 
+def test_recurrence_pos_checks_gamma_1(monkeypatch):
+    # E_{d-a_r} read at a node other than r: gamma_1 = 0 and the tail is
+    # still zero, so only the comparison of gamma_1 can fail the job
+    from qborel.drinfeld import CurrentEngine
+    E1 = CurrentEngine._E1
+    monkeypatch.setattr(CurrentEngine, "_E1",
+                        lambda self, i, terms: E1(self, i % 3 + 1, terms))
+    code, out = run_cli(["recurrence", "--family", "A", "--n", "3", "--r", "2",
+                         "--model", "pos", "--format", "text"])
+    assert code == 1
+    assert out.startswith("gamma_1 = 0\n")
+    assert out.endswith("CHECK recurrence-pos-A3r2-K6 FAIL "
+                        "gamma_1 = 0, expected q^-2*a\n")
+
+
 def test_relations_with_height_and_bound_applies_both():
     from qborel.latticemod import get_module
     from qborel.rootdata import AffineType

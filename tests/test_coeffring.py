@@ -280,6 +280,15 @@ def test_equal_values_at_different_widths(d):
     assert hash(x) == hash(y)
     assert Coefficient.from_laurent(x) == Coefficient.from_laurent(y)
     assert hash(Coefficient.from_laurent(x)) == hash(Coefficient.from_laurent(y))
+    # equal values of the three kinds hash alike, so each set holds one
+    assert len({1, LaurentPoly.one(), Coefficient.one()}) == 1
+    assert len({0, LaurentPoly.zero(), Coefficient.zero(),
+                Coefficient.from_laurent(LaurentPoly.zero(), 3)}) == 1
+    assert len({-5, LaurentPoly.from_int(-5), Coefficient.from_int(-5)}) == 1
+    qmq = LaurentPoly({1: 1, -1: -1})
+    assert len({qmq, Coefficient.from_laurent(qmq)}) == 1
+    assert len({qmq, Coefficient.from_laurent(qmq, 1), 1}) == 3
+    assert {Coefficient.one(): "c"}.get(LaurentPoly.one()) == "c"
 
 
 def test_binomial_power_coefficients():

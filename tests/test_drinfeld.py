@@ -3,13 +3,13 @@ import random
 import pytest
 
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
-from qborel.drinfeld import (CurrentEngine, DomainViolation, c_r,
-                             ell_weight_of_vacuum, raise_level)
+from qborel.drinfeld import (CurrentEngine, c_r, ell_weight_of_vacuum,
+                             raise_level, string_closure)
 from qborel.latticemod import Element, get_module, random_datum
-from qborel.microrec import StringElement, StringEngine
+from qborel.microrec import _lowering_e, _times, negative_closed_form
 from qborel.opalg import evaluate
 from qborel.rootdata import AffineType, o_sign
-from qborel.rootvec import alpha_r_string, bracket_E
+from qborel.rootvec import alpha_r_string, bracket_E, string_span_values
 from test_latticemod import move_pairs
 
 
@@ -144,7 +144,6 @@ def test_engines_hold_no_reference_cycle(family, n, r):
     # cycle collector
     import gc
     import weakref
-    from qborel.microrec import StringElement, StringEngine
     t = AffineType(family, n, r)
     vac = Element.basis(get_module(t).vacuum)
     enabled = gc.isenabled()
@@ -152,12 +151,6 @@ def test_engines_hold_no_reference_cycle(family, n, r):
     try:
         eng = CurrentEngine(t)
         eng.psi_plus(t.r, 3, vac)
-        assert eng._memo
-        ref = weakref.ref(eng)
-        del eng
-        assert ref() is None
-        eng = StringEngine(t)
-        eng.E(3, StringElement.basis(0))
         assert eng._memo
         ref = weakref.ref(eng)
         del eng
@@ -234,20 +227,84 @@ def test_raise_level_is_the_four_term_step_on_the_lattice(t):
     assert nonzero == 2 * len(vectors)
 
 
-@pytest.mark.parametrize("model", ["neg"])   # the string engine's model
-def test_raise_level_is_the_four_term_step_on_the_string(model):
+# -- the string closure ------------------------------------------------------
+
+CRITERION2_TYPES = ([AffineType("A", n, r) for n in range(1, 7)
+                     for r in range(1, n + 1)]
+                    + [AffineType("D", n, r) for n in range(4, 7)
+                       for r in (1, n - 1, n)])
+
+
+def lattice_inputs(t, eng):
+    """string_closure's raising-model inputs: the engine's E_{d-a_r} and
+    e_r, and the labels of 1, f and f^2."""
+    (one,), (f,), (f2,) = (alpha_r_string(t, m).terms for m in range(3))
+    return ((lambda u: eng._E1(t.r, u)), (lambda u: eng._e(t.r, u)),
+            one, f), f2
+
+
+def lowering_inputs(t):
+    """The lowering model's: the quoted scalar on 1 and f, and e_r."""
+    return _times(string_span_values(t)[0].terms[()]), _lowering_e, 0, 1
+
+
+def closure_series(inputs, K=6):
+    g, rho = string_closure(*inputs)
+    return [g * rho ** (k - 1) for k in range(1, K + 1)]
+
+
+def scaled_on(F, label, c):
+    """The term-map function F with its value on label times c (on maps
+    of one label, as the closure applies its inputs)."""
+    return lambda u: ({x: p * c for x, p in F(u).items()} if label in u
+                      else F(u))
+
+
+@pytest.mark.parametrize("t", CRITERION2_TYPES, ids=str)
+def test_string_closure_is_the_level_engine_on_the_lattice(t):
+    # gamma_1 rho^{k-1} is CurrentEngine.E(r, k, 1) read at f, k <= 6: the
+    # level-by-level route is the reference
+    eng = CurrentEngine(t)
+    inputs, _ = lattice_inputs(t, eng)
+    one, f = inputs[2:]
+    for k, g in enumerate(closure_series(inputs), start=1):
+        v = eng.E(t.r, k, Element.basis(one))
+        assert v.terms.keys() <= {f}, (k, v)
+        assert v.coefficient(f) == Coefficient.from_laurent(g, k), k
+
+
+@pytest.mark.parametrize("t", [AffineType("A", 2, 1), AffineType("A", 3, 2),
+                               AffineType("D", 4, 4), AffineType("D", 5, 1)],
+                         ids=str)
+def test_string_closure_catches_wrong_inputs(t):
+    # a wrong e_r coefficient on f^2, a wrong E_{d-a_r} on f and (on the
+    # lattice) E_{d-a_r} read at a node other than r each change the
+    # series, in both models
+    q = LaurentPoly.q_power(1)
+    eng = CurrentEngine(t)
+    (E1, e, one, f), f2 = lattice_inputs(t, eng)
+    other = 1 if t.r != 1 else 2
+    mutants = [(E1, scaled_on(e, f2, q), one, f),
+               (scaled_on(E1, f, q), e, one, f),
+               ((lambda u: eng._E1(other, u)), e, one, f)]
+    reference = closure_series((E1, e, one, f))
+    assert reference[0] == string_span_values(t)[0].a_terms[1]
+    for inputs in mutants:
+        assert closure_series(inputs) != reference
+    E1, e, one, f = lowering_inputs(t)
+    reference = [negative_closed_form(t, k).a_terms[k] for k in range(1, 7)]
+    assert closure_series((E1, e, one, f)) == reference
+    for inputs in [(E1, scaled_on(e, 2, q), one, f),
+                   (scaled_on(E1, f, q), e, one, f)]:
+        assert closure_series(inputs) != reference
+
+
+@pytest.mark.parametrize("model", ["pos", "neg"])
+def test_string_closure_rejects_a_nondiagonal_bracket(model):
+    # e_r f gains a term at f itself, so B f leaves the line of f
     t = AffineType("A", 3, 2)
-    eng = StringEngine(t)
-    one, f = {0: LaurentPoly.one()}, {1: LaurentPoly.one()}
-    for k in (2, 3, 4):
-        got = raise_level(*steps(eng, t.r, k), one)
-        assert got == four_term_step(*steps(eng, t.r, k), one)
-        assert eng.E(k, StringElement._of(one)).terms == got
-        assert (not got) == (model == "pos")
-        # both forms reject f beyond level one, with the same message
-        messages = []
-        for step in (raise_level, four_term_step):
-            with pytest.raises(DomainViolation) as exc:
-                step(*steps(eng, t.r, k), f)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
+    E1, e, one, f = (lattice_inputs(t, CurrentEngine(t))[0] if model == "pos"
+                     else lowering_inputs(t))
+    e_bad = lambda u: {**u, **e(u)} if f in u else e(u)
+    with pytest.raises(AssertionError, match="B is not diagonal on"):
+        string_closure(E1, e_bad, one, f)

@@ -2,11 +2,11 @@ import pytest
 
 from qborel import microrec
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
-from qborel.drinfeld import CurrentEngine, c_r
+from qborel.drinfeld import c_r
 from qborel.opalg import OperatorExpr
-from qborel.microrec import (StringElement, StringEngine, _run_word,
-                             negative_closed_form, negative_ell_weight,
-                             rank_one_serre_check, string_recurrence)
+from qborel.microrec import (_run_word, negative_closed_form,
+                             negative_ell_weight, rank_one_serre_check,
+                             string_recurrence)
 from qborel.rootdata import AffineType, dual_coxeter, o_sign
 from qborel.rootvec import string_span_values
 
@@ -37,9 +37,6 @@ def test_rank_one_generators():
     # a word applies its letters in order: e_1 then e_0 on f^2
     assert _run_word("pos", (1, 0), f2) == {
         2: LaurentPoly.q_power(1) * q_integer(2)}
-    # the string engine's e_r is the one-letter call
-    eng = StringEngine(AffineType("A", 1, 1))
-    assert eng._e(1, f2) == {1: LaurentPoly.q_power(-1) * q_integer(2)}
 
 
 @pytest.mark.parametrize("model", ["bogus", "POS", ""])
@@ -136,11 +133,11 @@ def test_string_recurrence_positive_terminates():
 
 @pytest.mark.parametrize("model", ["pos", "neg"])
 def test_string_recurrence_rejects_a_term_off_f(model, monkeypatch):
-    # each model's engine with a^k 1 added to E_k.1
-    engine = {"pos": CurrentEngine, "neg": StringEngine}[model]
-    E = engine.E
-    monkeypatch.setattr(engine, "E",
-                        lambda self, *a: E(self, *a) + a[-1].scale(1, a[-2]))
+    # each model's closure with the input term map added to E_{d-a_r}'s
+    # value, so that E_1.1 gains the term 1
+    closure = microrec.string_closure
+    monkeypatch.setattr(microrec, "string_closure", lambda E1, *rest: closure(
+        lambda u: {**u, **E1(u)}, *rest))
     with pytest.raises(AssertionError, match=r"E_1\.1 is not a multiple of f"):
         string_recurrence(AffineType("A", 3, 2), model, 2)
 
@@ -184,33 +181,6 @@ def test_negative_A1_unconditional_k20():
             LaurentPoly.q_power(-2 * k + 2, (-1) ** (k - 1)))
             * (qmq ** (k - 1)) * Coefficient.a_power(k))
         assert g[k - 1] == expected
-
-
-def test_string_engine_rejects_overflow():
-    from qborel.drinfeld import DomainViolation
-    eng = StringEngine(AffineType("A", 2, 1))
-    with pytest.raises(DomainViolation, match=r"needed on f\^3$"):
-        eng.E(1, StringElement.basis(3))
-
-
-@pytest.mark.parametrize("model", ["neg"])   # the string engine's model
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_string_engine_rejects_powers_beyond_f(k, m, model):
-    from qborel.drinfeld import DomainViolation
-    eng = StringEngine(AffineType("A", 3, 2))
-    # a level already memoised on 1 still rejects f^m beside it
-    eng.E(k, StringElement.basis(0))
-    for v in (StringElement.basis(m),
-              StringElement.basis(0) + StringElement.basis(m)):
-        with pytest.raises(DomainViolation, match=rf"needed on f\^{m}$"):
-            eng.E(k, v)
-
-
-def test_string_engine_rejects_level_zero():
-    eng = StringEngine(AffineType("A", 2, 1))
-    with pytest.raises(ValueError, match="level must be >= 1"):
-        eng.E(0, StringElement.basis(0))
 
 
 @pytest.mark.parametrize("K", [0, -3])
