@@ -444,13 +444,16 @@ def q_factorial(m: int) -> LaurentPoly:
 
 
 def q_binomial(m: int, k: int) -> LaurentPoly:
-    """The Gaussian binomial [m choose k]_q, by exact Laurent division."""
+    """The Gaussian binomial [m choose k]_q, row by row by the q-Pascal
+    rule [j choose i] = q^{-i} [j-1 choose i] + q^{j-i} [j-1 choose i-1]:
+    shifts and sums only."""
     if not 0 <= k <= m:
         raise ValueError("q_binomial needs 0 <= k <= m")
-    num = LaurentPoly.one()
-    for j in range(m - k + 1, m + 1):
-        num = num * q_integer(j)
-    return num.exact_divide(q_factorial(k))
+    row = [_ONE] + [_ZERO] * k   # [0 choose i] for i = 0..k
+    for j in range(1, m + 1):
+        for i in range(min(j, k), 0, -1):
+            row[i] = row[i].shift(-i) + row[i - 1].shift(j - i)
+    return row[k]
 
 
 class Combination:

@@ -23,8 +23,6 @@ C^{1/2} bookkeeping appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coeffring import (_ONE, _ZERO, Coefficient, LaurentPoly, _add_terms,
                         q_integer)
 from .latticemod import Element, get_module
@@ -38,11 +36,13 @@ class NotEigenvector(RuntimeError):
         self.residual = residual
 
 
-@dataclass
 class EllWeight:
-    """Truncated l-weight: per node i, coefficients (Psi_{i,0},...,Psi_{i,K})."""
-    psi: dict
-    closed_form: dict = field(default_factory=dict)
+    """Truncated l-weight: per node i, coefficients (Psi_{i,0},...,Psi_{i,K}),
+    and per node the tag of its closed form."""
+
+    def __init__(self, psi: dict, closed_form: dict = None):
+        self.psi = psi
+        self.closed_form = {} if closed_form is None else closed_form
 
 
 _QMQ = LaurentPoly({1: 1, -1: -1})  # q - q^{-1}

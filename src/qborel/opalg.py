@@ -16,7 +16,6 @@ module's letter and datum checks followed by one ``run_expression``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .coeffring import (Coefficient, Combination, _add_terms, _homogeneous,
                         q_binomial)
@@ -172,45 +171,56 @@ def evaluate(x: OperatorExpr, t: AffineType, v: Element) -> Element:
 
 def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     """The denominator-cleared quantum Serre relation for the pair (i, j):
-    sum_m (-1)^m [1-a_ij choose m]_q e_i^{1-a_ij-m} e_j e_i^m."""
+    sum_m (-1)^m [1-a_ij choose m]_q e_i^{1-a_ij-m} e_j e_i^m, its words
+    by increasing m."""
     if i == j:
         raise ValueError("need i != j")
-    aij = cartan_entry(t, i, j)
-    N = 1 - aij
-    out = OperatorExpr.zero()
+    N = 1 - cartan_entry(t, i, j)
+    terms = {}
     for m in range(N + 1):
-        word = (i,) * (N - m) + (j,) + (i,) * m
-        coeff = Coefficient.from_laurent(q_binomial(N, m) * ((-1) ** m))
-        out = out + OperatorExpr.basis(word, coeff)
-    return out
+        b = q_binomial(N, m)
+        terms[(i,) * (N - m) + (j,) + (i,) * m] = Coefficient.from_laurent(
+            -b if m & 1 else b)
+    return OperatorExpr._of(terms)
 
 
 def k_e_conjugation_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     """k_i e_j k_i^{-1} - q^{a_ij} e_j (zero in the algebra)."""
     aij = cartan_entry(t, i, j)
-    return (OperatorExpr.k(i) * OperatorExpr.e(j) * OperatorExpr.k(i, -1)
-            - OperatorExpr.e(j).scale(Coefficient.q_power(aij)))
+    return OperatorExpr._of({
+        (("k", i, 1), j, ("k", i, -1)): Coefficient.one(),
+        (j,): -Coefficient.q_power(aij)})
 
 
 def k_commutation_expr(i: int, j: int) -> OperatorExpr:
-    return OperatorExpr.k(i) * OperatorExpr.k(j) - OperatorExpr.k(j) * OperatorExpr.k(i)
+    """k_i k_j - k_j k_i (zero in the algebra; the zero expression for
+    i = j)."""
+    if i == j:
+        return OperatorExpr.zero()
+    ki, kj = ("k", i, 1), ("k", j, 1)
+    return OperatorExpr._of({(ki, kj): Coefficient.one(),
+                             (kj, ki): Coefficient.from_int(-1)})
 
 
 def central_element_expr(t: AffineType) -> OperatorExpr:
     """k_0 * prod k_i^{a_i} - 1, with a_i the marks; acts as zero."""
-    x = OperatorExpr.k(0)
+    word = (("k", 0, 1),)
     for i, a in enumerate(marks(t), start=1):
-        for _ in range(a):
-            x = x * OperatorExpr.k(i)
-    return x - OperatorExpr.identity()
+        word += (("k", i, 1),) * a
+    return OperatorExpr._of({word: Coefficient.one(),
+                             (): Coefficient.from_int(-1)})
 
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: bool
-    detail: str = ""
-    lines: list = field(default_factory=list)
+    """The outcome of one check: its name, whether it passed, a detail
+    and the text lines of its report."""
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 lines: list = None):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.lines = [] if lines is None else lines
 
     def line(self):
         tail = f" {self.detail}" if self.detail else ""

@@ -15,7 +15,6 @@ Epsilon-coordinates are only the print form of ``root_str``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
 
@@ -24,23 +23,49 @@ class NotReduced(ValueError):
     """A word whose beta-sequence repeats or leaves the positive roots."""
 
 
-@dataclass(frozen=True)
 class AffineType:
-    family: str  # "A" or "D"
-    n: int
-    r: int
+    """A supported type: family "A" or "D", rank n and node r.  Immutable
+    and hashable; equal types compare and hash alike."""
 
-    def __post_init__(self):
-        if type(self.n) is not int or type(self.r) is not int:
+    __slots__ = ("family", "n", "r")
+
+    def __init__(self, family: str, n: int, r: int):
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "n", n)
+        init(self, "r", r)
+        if type(n) is not int or type(r) is not int:
             raise ValueError(f"bad type {self}")
-        if self.family == "A":
-            if self.n < 1 or not 1 <= self.r <= self.n:
+        if family == "A":
+            if n < 1 or not 1 <= r <= n:
                 raise ValueError(f"bad type {self}")
-        elif self.family == "D":
-            if self.n < 4 or self.r not in (1, self.n - 1, self.n):
+        elif family == "D":
+            if n < 4 or r not in (1, n - 1, n):
                 raise ValueError(f"bad type {self}")
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return AffineType, (self.family, self.n, self.r)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineType:
+            return NotImplemented
+        return (self.family == other.family and self.n == other.n
+                and self.r == other.r)
+
+    def __hash__(self):
+        return hash((self.family, self.n, self.r))
+
+    def __repr__(self):
+        return (f"AffineType(family={self.family!r}, n={self.n!r}, "
+                f"r={self.r!r})")
 
     def __str__(self):
         return f"{self.family}{self.n}r{self.r}"

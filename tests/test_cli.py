@@ -1,5 +1,7 @@
 import io
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,16 @@ def run_cli(argv):
     finally:
         sys.stdout = old
     return code, buf.getvalue()
+
+
+def test_import_needs_neither_dataclasses_nor_inspect():
+    # -S: site, and the .pth files it runs, may import either module
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qborel, qborel.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_relations_pass():

@@ -85,6 +85,20 @@ def test_q_binomial_symmetry_and_counting():
             assert b.eval_at_one() == math.comb(n, k)
 
 
+def binomial_by_division(m, k):
+    """[m choose k]_q as [m-k+1]_q ... [m]_q divided exactly by [k]_q!."""
+    num = LaurentPoly.one()
+    for j in range(m - k + 1, m + 1):
+        num = num * q_integer(j)
+    return num.exact_divide(q_factorial(k))
+
+
+def test_q_binomial_is_the_quotient_of_q_factorials():
+    for m in range(13):
+        for k in range(m + 1):
+            assert q_binomial(m, k) == binomial_by_division(m, k), (m, k)
+
+
 def test_q_factorial_degree():
     f = q_factorial(4)
     assert f.eval_at_one() == 24

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
-from qborel.drinfeld import (CurrentEngine, c_r, ell_weight_of_vacuum,
-                             raise_level, string_closure)
+from qborel.drinfeld import (CurrentEngine, EllWeight, c_r,
+                             ell_weight_of_vacuum, raise_level,
+                             string_closure)
 from qborel.latticemod import Element, get_module, random_datum
 from qborel.microrec import _lowering_e, _times, negative_closed_form
 from qborel.opalg import evaluate
@@ -23,6 +24,14 @@ def test_c_r_values():
     t = AffineType("D", 4, 4)
     assert c_r(t) == Coefficient.from_laurent(
         qmq * LaurentPoly.q_power(-6, o_sign(t, 4)))
+
+
+def test_ell_weights_do_not_share_a_default_closed_form():
+    x, y = EllWeight({1: ()}), EllWeight(psi={2: ()})
+    x.closed_form[1] = "trivial"
+    assert y.closed_form == {} and x.closed_form == {1: "trivial"}
+    form = {}
+    assert EllWeight({}, form).closed_form is form
 
 
 def test_ell_weight_A1_verbatim():

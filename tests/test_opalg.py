@@ -8,8 +8,10 @@ from qborel.latticemod import Element, get_module, random_datum
 from qborel.opalg import (CheckReport, OperatorExpr, central_element_expr,
                           check_identity_on_basis, evaluate, k_commutation_expr,
                           k_e_conjugation_expr, q_bracket, serre_expr)
-from qborel.rootdata import AffineType
+from qborel.rootdata import AffineType, cartan_entry, marks
 from qborel.rootvec import bracket_E
+from test_coeffring import binomial_by_division
+from test_rootdata import all_types
 
 
 def types_for_relations():
@@ -28,6 +30,7 @@ def test_expr_algebra():
     y = OperatorExpr.e(2) * OperatorExpr.e(1)
     assert x != y
     assert (x - x).is_zero()
+    assert k_commutation_expr(2, 2).is_zero()
     assert q_bracket(OperatorExpr.e(1), OperatorExpr.e(2)).support() \
         == {(1, 2), (2, 1)}
 
@@ -50,6 +53,65 @@ def test_serre_expr_shape():
     y = serre_expr(0, 1, t1)
     assert x is not y and len(y.support()) == 4
     assert all(len(w) == 4 for w in y.support())
+
+
+def product_built_relations(t):
+    """Each relation of t as (builder's expression, reference), the
+    reference built from products of OperatorExpr.k and .e, scale and -,
+    its Serre coefficients by exact division."""
+    k, e = OperatorExpr.k, OperatorExpr.e
+    out = []
+    for i in range(t.n + 1):
+        for j in range(t.n + 1):
+            aij = cartan_entry(t, i, j)
+            if i != j:
+                N = 1 - aij
+                ref = OperatorExpr.zero()
+                for m in range(N + 1):
+                    word = OperatorExpr.identity()
+                    for x in (i,) * (N - m) + (j,) + (i,) * m:
+                        word = word * e(x)
+                    ref = ref + word.scale(Coefficient.from_laurent(
+                        binomial_by_division(N, m) * (-1) ** m))
+                out.append((serre_expr(i, j, t), ref))
+            out.append((k_e_conjugation_expr(i, j, t),
+                        k(i) * e(j) * k(i, -1)
+                        - e(j).scale(Coefficient.q_power(aij))))
+            if i < j:
+                out.append((k_commutation_expr(i, j),
+                            k(i) * k(j) - k(j) * k(i)))
+    ref = k(0)
+    for i, a in enumerate(marks(t), start=1):
+        for _ in range(a):
+            ref = ref * k(i)
+    out.append((central_element_expr(t), ref - OperatorExpr.identity()))
+    return out
+
+
+def same_expression(x, y):
+    """The same words with the same coefficients, in the same order."""
+    return (type(x) is type(y) is OperatorExpr
+            and list(x.terms.items()) == list(y.terms.items())
+            and str(x) == str(y))
+
+
+@pytest.mark.parametrize("t", all_types(6), ids=str)
+def test_relation_builders_equal_the_product_built_relations(t):
+    for x, ref in product_built_relations(t):
+        assert same_expression(x, ref), (x, ref)
+
+
+def test_a_wrong_q_power_fails_the_comparison():
+    t = AffineType("D", 4, 4)
+    x = k_e_conjugation_expr(2, 1, t)
+    ref = (OperatorExpr.k(2) * OperatorExpr.e(1) * OperatorExpr.k(2, -1)
+           - OperatorExpr.e(1).scale(Coefficient.q_power(-1)))
+    assert same_expression(x, ref)
+    wrong = dict(x.terms)
+    wrong[(1,)] = -Coefficient.q_power(-2)
+    assert not same_expression(OperatorExpr(wrong), ref)
+    swapped = dict(reversed(list(x.terms.items())))
+    assert not same_expression(OperatorExpr(swapped), ref)
 
 
 def test_defining_relations_sample_sweep():
@@ -83,6 +145,15 @@ def test_check_identity_reports_counterexample():
 def test_check_report_lines():
     assert CheckReport("x", True).line() == "CHECK x PASS"
     assert CheckReport("x", False, "boom").line() == "CHECK x FAIL boom"
+
+
+def test_check_reports_do_not_share_a_default_lines_list():
+    x, y = CheckReport("x", True), CheckReport(name="y", passed=False)
+    x.lines.append("one")
+    assert y.lines == [] and x.lines == ["one"]
+    lines = []
+    rep = CheckReport("z", True, detail="d", lines=lines)
+    assert rep.lines is lines and rep.line() == "CHECK z PASS d"
 
 
 # -- letters ----------------------------------------------------------------

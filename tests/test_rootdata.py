@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -41,6 +43,39 @@ def test_type_validation():
 def test_type_rejects_non_int_rank_and_node(args):
     with pytest.raises(ValueError, match="bad type"):
         AffineType(*args)
+
+
+TYPE_ERRORS = {   # message -> arguments
+    "bad type D3r1": ("D", 3, 1), "bad type D5r2": ("D", 5, 2),
+    "bad type A3r4": ("A", 3, 4), "bad type A0r1": ("A", 0, 1),
+    "unknown family 'B'": ("B", 2, 1), "bad type A3rTrue": ("A", 3, True),
+    "bad type A3r2.0": ("A", 3, 2.0), "bad type A3.0r2": ("A", 3.0, 2),
+    "bad type DTruer1": ("D", True, 1)}
+
+
+@pytest.mark.parametrize("message", TYPE_ERRORS)
+def test_type_validation_messages(message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AffineType(*TYPE_ERRORS[message])
+
+
+def test_type_is_an_immutable_value():
+    t = AffineType("A", 3, 2)
+    u = AffineType(family="A", n=3, r=2)
+    assert t is not u and t == u and hash(t) == hash(u)
+    assert hash(t) == hash(("A", 3, 2))
+    assert t != ("A", 3, 2) and ("A", 3, 2) != t
+    assert t != AffineType("A", 3, 1) and t != AffineType("D", 4, 4)
+    assert (t.family, t.n, t.r) == ("A", 3, 2)
+    assert repr(t) == "AffineType(family='A', n=3, r=2)"
+    assert str(t) == "A3r2"
+    for attempt in (lambda: setattr(t, "n", 4), lambda: delattr(t, "n"),
+                    lambda: setattr(t, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert t.n == 3
+    assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+    assert len({t, u, AffineType("A", 3, 1)}) == 2
 
 
 def test_cartan_matrices_small():
