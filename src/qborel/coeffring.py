@@ -16,10 +16,11 @@ Two structures:
   of the coefficient tower, and one rule rejects a sum of two nonzero
   values of different a-degrees with ValueError.  One routine,
   ``_add_terms``, is the sum rule for term maps {label: value}: it adds
-  (label, value) pairs into a map in place and deletes every sum that
-  cancels.  ``Combination`` addition and ``collect``, the word-trie sums
-  of ``opalg``, the level steps of ``drinfeld`` and the multi-term
-  e-step of ``LatticeModule._run_word`` all add through it.
+  (label, value) pairs, each times an optional scale p, into a map in
+  place and deletes every sum that cancels.  ``Combination`` addition
+  and ``collect``, the word-trie sums of ``opalg``, the level steps and
+  q-commutators of ``drinfeld`` and the e-steps of
+  ``LatticeModule._run_word`` all add through it.
 
 Packed format.  A nonzero Laurent polynomial ``p = q^lo * sum_k c_k q^k``
 is stored as four integers ``(n, lo, b, m)``: ``n = sum_k c_k X^k``
@@ -34,7 +35,8 @@ is ``(1, 0, 16, 1)``.  The invariant
 makes the signed base-``2^b`` digits of ``n`` exactly the coefficients
 ``c_k``, so ``n`` determines ``p`` at a given width: the zero test is
 ``n == 0`` and equality is equality of ``(lo, n)`` at a common width.
-A product is one big-integer product and a sum one shift and add.  The
+A product is one big-integer product and a sum one shift and add; a sum
+whose lowest digits cancel has them shifted out into ``lo``.  The
 bound follows ``m(pq) = m(p) m(q)`` and ``m(p +- q) = m(p) + m(q)``;
 when a result's bound would reach ``2^(b-1)``, the operands' exact
 norms replace their bounds and, if that is still not enough, the
@@ -42,6 +44,12 @@ operands are repacked at a wider width.  The bound is tracked, never
 assumed.  CPython multiplies integers of a few dozen digits by
 schoolbook, in time quadratic in their bit length, so the narrow digit
 makes the common product, of coefficients far below 2^15, cheap.
+
+Sum rule.  ``_add_terms`` holds the one packed sum: on LaurentPolys it
+is a fused multiply-add s + p v on the fields ``(n, lo, b, m)``, which
+builds no intermediate product and at most one new LaurentPoly per
+pair.  ``+`` and ``-`` add through it, as a map of one label and one
+pair; they take an int on either side, as ``*`` and ``==`` do.
 
 A power ``p ** k`` is one big-integer power, at the width of the bound
 ``m^k``, taken from the exact norm when the tracked bound would widen
@@ -179,29 +187,19 @@ def _widen(p, q, m, combine):
 
 
 def _sum(p, q):
-    if not q.m:
-        return p
-    if not p.m:
+    """p + q for LaurentPolys, by the packed sum of ``_add_terms``."""
+    if not p.n:
         return q
-    b = p.b
-    m = p.m + q.m
-    pn, qn = p.n, q.n
-    if q.b != b or m >> (b - 1):
-        b, m = _widen(p, q, m, operator.add)
-        pn, qn = _at(p, b), _at(q, b)
-    lo, qlo = p.lo, q.lo
-    if lo == qlo:
-        n = pn + qn
-        if not n:
-            return _make(0, 0, 16, 0)
-        if not n & ((1 << b) - 1):   # cancellation in the lowest digits
-            shift = ((n & -n).bit_length() - 1) // b
-            n >>= b * shift
-            lo += shift
-        return _make(n, lo, b, m)
-    if lo < qlo:
-        return _make(pn + (qn << (b * (qlo - lo))), lo, b, m)
-    return _make((pn << (b * (lo - qlo))) + qn, qlo, b, m)
+    return _add_terms({0: p}, ((0, q),)).get(0, _ZERO)
+
+
+def _operand(x):
+    """x as a LaurentPoly, an int converted; None for any other type."""
+    if isinstance(x, LaurentPoly):
+        return x
+    if isinstance(x, int):
+        return LaurentPoly.from_int(x)
+    return None
 
 
 class LaurentPoly:
@@ -257,19 +255,32 @@ class LaurentPoly:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return _sum(self, other)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return _sum(self, -other)
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _sum(other, -self)
 
     def __neg__(self):
         return _make(-self.n, self.lo, self.b, self.m)
 
     def __mul__(self, other):
         if other.__class__ is not LaurentPoly:
-            if isinstance(other, int):
-                other = LaurentPoly.from_int(other)
-            elif not isinstance(other, LaurentPoly):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
         m = self.m * other.m
         if not m:
@@ -315,9 +326,8 @@ class LaurentPoly:
         return _make(self.n, self.lo + e, self.b, self.m)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        elif not isinstance(other, LaurentPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         if self.lo != other.lo:
             return False
@@ -561,18 +571,91 @@ def _add_terms(out, pairs, p=None):
     return out.  This is the one sum rule for term maps: a map is added
     as its ``.items()``, never as itself, whose keys a 2-tuple datum
     (A2r1) would unpack as pairs without an error; a flat tuple
-    (k1, v1, k2, v2, ...) as ``zip(it, it)`` with ``it = iter(flat)``."""
+    (k1, v1, k2, v2, ...) as ``zip(it, it)`` with ``it = iter(flat)``.
+
+    On LaurentPolys it is a fused multiply-add on the packed fields, and
+    the one packed sum of the library (``_sum`` adds through it).  A
+    product p v of one width whose bound stays below 2^(b-1) is one
+    integer product; otherwise ``_widen`` picks the width.  The sum with
+    the stored value s is one shift and add at s's width when the widths
+    agree and the bound m(s) + m(p v) stays below 2^(b-1), else at the
+    width ``_widen`` picks; a sum that cancels in its lowest digits has
+    them shifted out, and one that cancels fully deletes its label.
+    Zero values are skipped, so out stores no zero.  At most one new
+    LaurentPoly is built per pair.  Any other value, a Coefficient or an
+    operator word's, and any other scale p, is added as s + p * v."""
     get = out.get
+    fused = p.__class__ is LaurentPoly
+    if fused:
+        if not p.m:
+            return out
+        pn, plo, pb, pm = p.n, p.lo, p.b, p.m
+    elif p is not None:   # a Coefficient or int scale
+        pairs = ((k, p * v) for k, v in pairs)
     for k, v in pairs:
-        if p is not None:
-            v = p * v
-        s = get(k)
-        if s is None:
-            out[k] = v
-        elif s := s + v:
-            out[k] = s
+        if v.__class__ is not LaurentPoly:
+            if fused:
+                v = p * v
+            s = get(k)
+            if s is None:
+                if v:
+                    out[k] = v
+            elif s := s + v:
+                out[k] = s
+            else:
+                del out[k]
+            continue
+        if fused:
+            m = pm * v.m
+            if not m:
+                continue
+            b = pb
+            if v.b == b and not m >> (b - 1):
+                n = pn * v.n
+            else:
+                b, m = _widen(p, v, m, operator.mul)
+                n = _at(p, b) * _at(v, b)
+            lo = plo + v.lo
+            v = None
         else:
-            del out[k]
+            m = v.m
+            if not m:
+                continue
+            n, lo, b = v.n, v.lo, v.b
+        s = get(k)
+        if s is not None:
+            sm = s.m + m
+            if s.b == b and not sm >> (b - 1):
+                sn = s.n
+            else:
+                t = _make(n, lo, b, m) if v is None else v
+                b, sm = _widen(s, t, sm, operator.add)
+                sn, n = _at(s, b), _at(t, b)
+            slo = s.lo
+            if slo == lo:
+                n += sn
+                if not n:
+                    del out[k]
+                    continue
+                if not n & ((1 << b) - 1):   # cancellation in the lowest digits
+                    shift = ((n & -n).bit_length() - 1) // b
+                    n >>= b * shift
+                    lo += shift
+            elif slo < lo:
+                n = sn + (n << (b * (lo - slo)))
+                lo = slo
+            else:
+                n += sn << (b * (slo - lo))
+            m = sm
+        elif v is not None:
+            out[k] = v
+            continue
+        r = _new(LaurentPoly)
+        r.n = n
+        r.lo = lo
+        r.b = b
+        r.m = m
+        out[k] = r
     return out
 
 

@@ -60,7 +60,7 @@ def c_r(t: AffineType) -> Coefficient:
 
 def _q_commutator(x, y, s):
     """x - q^s y on term maps, summed into x in place."""
-    return _add_terms(x, ((c, -p.shift(s)) for c, p in y.items()))
+    return _add_terms(x, y.items(), LaurentPoly.q_power(s, -1))
 
 
 def psi_bracket(Ek, e, terms):

@@ -237,12 +237,13 @@ class LatticeModule:
         one (datum, coefficient) pair until an e-letter gives two or more
         terms: the moves of e_i on one datum have distinct sources, hence
         distinct targets, and Z[q^{+-1}] has no zero divisors, so that
-        map is dict() of the moves' pairs, or each move's coefficient
-        times the walk's.  On that walk each k letter adds its exponent on
-        the current datum to one integer sh, and the coefficient is shifted
-        by sh once, when the walk returns or branches, and not at all
-        when sh is 0: q^sh commutes with every move coefficient, and the
-        walk's coefficient stays the shared 1 through k letters.  A map
+        map is dict() of the moves' pairs, or the moves' pairs scaled by
+        the walk's coefficient into a new map by ``_add_terms``.  On that
+        walk each k letter adds its exponent on the current datum to one
+        integer sh, and the coefficient is shifted by sh once, when the
+        walk returns or branches, and not at all when sh is 0: q^sh
+        commutes with every move coefficient, and the walk's coefficient
+        stays the shared 1 through k letters.  A map
         of several terms takes each letter in one pass:
         ``e_on_datum`` once per term, its pairs times the term's
         coefficient added into one new map by ``_add_terms``, or every
@@ -273,7 +274,7 @@ class LatticeModule:
                             coef = coef.shift(sh)
                         it = iter(moves)
                         terms = (dict(zip(it, it)) if coef is _ONE
-                                 else {d: coef * mc for d, mc in zip(it, it)})
+                                 else _add_terms({}, zip(it, it), coef))
                         break
                 else:
                     return {c: coef.shift(sh) if sh else coef}

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qborel.coeffring import (Coefficient, LaurentPoly, NotDivisible,
-                              _width_for, parse_coefficient, q_binomial,
-                              q_factorial, q_integer)
+                              _add_terms, _make, _pack, _width_for,
+                              parse_coefficient, q_binomial, q_factorial,
+                              q_integer)
 
 
 def lp(d):
@@ -438,3 +440,127 @@ def test_power_after_a_cancellation_runs_at_the_norm_width():
     assert y == (LaurentPoly.one() + q) ** 12
     assert y.b == _width_for(4096)
     assert dict(y.terms) == {k: math.comb(12, k) for k in range(13)}
+
+
+@pytest.mark.parametrize("c", [0, 1, -3, 2 ** 70])
+def test_add_and_subtract_an_int_on_either_side(c):
+    x = lp({1: 1, -2: 4})
+    assert x + c == c + x == x + LaurentPoly.from_int(c)
+    assert x - c == x - LaurentPoly.from_int(c)
+    assert c - x == LaurentPoly.from_int(c) - x == -(x - c)
+    assert sum([x, x, x]) == x * 3
+    assert (x - c) + c == x
+
+
+@pytest.mark.parametrize("other", [None, "1", 1.0, Fraction(1, 2)])
+def test_add_and_subtract_reject_other_types(other):
+    x = lp({1: 1})
+    for op in (lambda: x + other, lambda: other + x,
+               lambda: x - other, lambda: other - x):
+        with pytest.raises(TypeError):
+            op()
+
+
+# -- the fused kernel of _add_terms ----------------------------------------
+
+def signed_digits(n, b):
+    """The signed base-2^b digits of n, lowest first, by plain division."""
+    out = []
+    while n:
+        r = n & ((1 << b) - 1)
+        if r >> (b - 1):
+            r -= 1 << b
+        out.append(r)
+        n = (n - r) >> b
+    return out
+
+
+def plain(p):
+    """p's map exponent -> nonzero coefficient, decoded apart from the
+    library."""
+    return {p.lo + k: c for k, c in enumerate(signed_digits(p.n, p.b)) if c}
+
+
+def assert_packed(p):
+    """The packed invariant: lowest digit nonzero, ||p||_1 <= m < 2^(b-1)."""
+    digits = signed_digits(p.n, p.b)
+    assert digits and digits[0], p
+    assert sum(map(abs, digits)) <= p.m < 2 ** (p.b - 1), p
+
+
+def packed(digits, lo, b, m=None):
+    """q^lo sum_k digits[k] q^k at width b with bound m (its norm by
+    default), which may be far above the norm, as after a cancellation."""
+    norm = sum(map(abs, digits))
+    if not norm:
+        return LaurentPoly.zero()
+    m = norm if m is None else m
+    assert digits[0] and norm <= m < 2 ** (b - 1)
+    return _make(_pack(digits, b), lo, b, m)
+
+
+EDGE = 2 ** 15 - 1   # the largest bound of the 16-bit width
+
+
+@st.composite
+def packed_values(draw):
+    """Values at widths 16, 64 and 128, zero included, with small digits
+    so that sums cancel often, fully or in their lowest digits, and with
+    digits and bounds at the 16-bit edge, where products and sums widen."""
+    b = draw(st.sampled_from([16, 64, 128]))
+    top = 2 ** (b - 1) - 1
+    big = [c for c in (2 ** 14, EDGE, 2 ** 40, 2 ** 62, 2 ** 100)
+           if c <= top]
+    digits = draw(st.lists(st.integers(-2, 2)
+                           | st.sampled_from(big + [-c for c in big]),
+                           max_size=4))
+    while digits and not digits[0]:
+        digits.pop(0)
+    while sum(map(abs, digits)) > top:
+        digits.pop()
+    norm = sum(map(abs, digits))
+    bounds = sorted({m for m in (norm, 2 * norm, EDGE, 2 ** 15, top)
+                     if norm <= m <= top})
+    return packed(digits, draw(st.integers(-2, 2)), b,
+                  draw(st.sampled_from(bounds)))
+
+
+LABELS = ("x", "y")
+term_maps = st.dictionaries(st.sampled_from(LABELS),
+                            packed_values().filter(bool))
+pair_lists = st.lists(st.tuples(st.sampled_from(LABELS), packed_values()),
+                      max_size=6)
+
+
+@given(term_maps, pair_lists, st.none() | packed_values())
+@example({"x": packed([1, 1], 0, 16)}, [("x", packed([-1, 1], 0, 16))], None)
+@example({"x": packed([1, 1], 0, 64)}, [("x", packed([-1, 1], 0, 64))], None)
+@example({"x": packed([1, 1], 0, 128)},
+         [("x", packed([1, -1], 0, 16))], packed([-1], 0, 16))
+@example({"x": packed([1], 0, 16, EDGE)}, [("x", packed([1], 1, 16, 2))],
+         None)
+@example({}, [("x", packed([3], 0, 16, 2 ** 8)), ("y", packed([1], 0, 64))],
+         packed([2], 0, 16, 2 ** 7))
+@example({"y": packed([1, 2], 0, 16)},
+         [("y", packed([1], 1, 16)), ("y", packed([-1, -3], 0, 16)),
+          ("x", LaurentPoly.zero())], None)
+@settings(max_examples=300, deadline=None)
+def test_add_terms_is_the_fold_of_products_and_sums(start, pairs, p):
+    # the public * and + fold, and the same fold on plain dicts
+    want, ref = dict(start), {k: plain(v) for k, v in start.items()}
+    for k, v in pairs:
+        t = v if p is None else p * v
+        want[k] = want.get(k, LaurentPoly.zero()) + t
+        r = ref.setdefault(k, {})
+        for e, c in plain(v).items():
+            for f, d in (plain(p) if p is not None else {0: 1}).items():
+                r[e + f] = r.get(e + f, 0) + c * d
+    want = {k: v for k, v in want.items() if v}
+    ref = {k: {e: c for e, c in r.items() if c} for k, r in ref.items()}
+    ref = {k: r for k, r in ref.items() if r}
+    out = dict(start)
+    assert _add_terms(out, pairs, p) is out
+    assert out == want
+    assert {k: plain(v) for k, v in out.items()} == ref
+    for v in out.values():
+        assert_packed(v)

@@ -218,6 +218,22 @@ def test_add_terms_takes_any_iterable_of_pairs():
                       p) == {"x": p * q(1)}
 
 
+def test_add_terms_scales_and_adds_values_of_any_ring():
+    c, a = Coefficient.q_power, Coefficient.a_power(1)
+    # Coefficient values, by an int, a LaurentPoly or a Coefficient scale;
+    # a zero value is not stored
+    out = {"x": c(1) * a}
+    assert _add_terms(out, [("x", -c(1) * a), ("y", c(2)),
+                            ("z", Coefficient.zero())], 3) is out
+    assert out == {"x": -2 * c(1) * a, "y": 3 * c(2)}
+    assert _add_terms(out, [("x", c(1) * a)], LaurentPoly.from_int(2)) == {
+        "y": 3 * c(2)}
+    assert _add_terms(out, [("y", c(0))], c(2)) == {"y": 4 * c(2)}
+    # LaurentPoly values by a Coefficient scale are Coefficients
+    assert _add_terms({}, [("w", LaurentPoly.q_power(1))], a) == {
+        "w": c(1) * a}
+
+
 @given(st.dictionaries(st.sampled_from(LABELS), laurents().filter(bool)),
        st.dictionaries(st.sampled_from(LABELS), laurents().filter(bool)),
        laurents().filter(bool))
