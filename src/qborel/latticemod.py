@@ -352,16 +352,22 @@ class LatticeModule:
         within a height cap and/or a simple-root box, in lexicographic
         order, and return s: code is the depth vector sum c_beta beta,
         coordinate j in the s bits from s*j up, s the bit length of the
-        height cap, which bounds every coordinate."""
+        height cap, which bounds every coordinate.  The caps are ints; a
+        float or bool cap or box entry is rejected with ValueError."""
         if height is None and box is None:
             raise ValueError("need a height cap or a box")
-        if height is not None and height < 0:
-            raise ValueError("height cap must be nonnegative")
+        if height is not None:
+            if type(height) is not int:
+                raise ValueError("height cap must be an int")
+            if height < 0:
+                raise ValueError("height cap must be nonnegative")
         if box is not None:
             box = tuple(box)
             if len(box) != self.t.n:
                 raise ValueError(f"box bound has {len(box)} entries; "
                                  f"{self.t} has rank {self.t.n}")
+            if not all(type(b) is int for b in box):
+                raise ValueError("box bound entries must be ints")
             if any(b < 0 for b in box):
                 raise ValueError("box bound entries must be nonnegative")
         # the height is the total of the used depths, so a height cap

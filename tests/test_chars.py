@@ -73,9 +73,22 @@ def test_dump_csv_format():
     ([(1, 0)], [1], {"height": -1}, "height cap"),
     ([(1, 0)], [1], {"bound": (2, -1)}, "box bound entries"),
     ([], [], {"height": 3}, "at least one root"),
+    # caps, exponents and coordinates are counts: a float one would fail
+    # deep inside the pass, and a bool one is an int that counts nothing
+    ([(1, 0)], [1], {"height": 3.0}, "height cap must be an int"),
+    ([(1, 0)], [1], {"height": True}, "height cap must be an int"),
+    ([(1, 0)], [1], {"bound": (2, 2.0)}, "box bound entries must be ints"),
+    ([(1, 0)], [1], {"bound": (False, 2)}, "box bound entries must be ints"),
+    ([(1, 0)], [2.0], {"height": 3}, "exponents must be ints"),
+    ([(1, 0)], [True], {"height": 3}, "exponents must be ints"),
+    ([(1.0, 0)], [1], {"height": 3}, "root coordinates must be ints"),
+    ([(1, 0), (True, 1)], [1, 1], {"height": 3},
+     "root coordinates must be ints"),
 ], ids=["zero-root", "zero-root-later", "negative-coordinate",
         "ragged-roots", "long-box", "short-box", "negative-height",
-        "negative-box-entry", "no-roots"])
+        "negative-box-entry", "no-roots", "float-height", "bool-height",
+        "float-box-entry", "bool-box-entry", "float-exponent",
+        "bool-exponent", "float-coordinate", "bool-coordinate"])
 def test_product_character_rejects_malformed_input(roots, exponents,
                                                     kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -126,6 +139,18 @@ def test_product_character_matches_dense_pass(inputs):
     roots, exponents, kwargs = inputs
     assert (product_character(roots, exponents, **kwargs)
             == dense_product_character(roots, exponents, **kwargs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_inputs(), st.data())
+def test_product_character_is_independent_of_the_factor_order(inputs, data):
+    # the pass sorts its factors tallest root first, equal heights in
+    # the order given; any order given must come to the same coefficients
+    roots, exponents, kwargs = inputs
+    factors = data.draw(st.permutations(list(zip(roots, exponents))))
+    shuffled_roots, shuffled_exponents = map(list, zip(*factors))
+    assert (product_character(shuffled_roots, shuffled_exponents, **kwargs)
+            == product_character(roots, exponents, **kwargs))
 
 
 def test_identity_A8r4_height_12():

@@ -564,3 +564,17 @@ def test_add_terms_is_the_fold_of_products_and_sums(start, pairs, p):
     assert {k: plain(v) for k, v in out.items()} == ref
     for v in out.values():
         assert_packed(v)
+
+
+# -- a monomial times a wider value ----------------------------------------
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_monomial_product_widens_when_the_bound_does_not_fit(side):
+    # the bound 2^63 does not fit 64-bit digits, so the product widens
+    wide = packed([2 ** 61, 2 ** 61], 0, 64)
+    two = packed([2], 0, 16)
+    pair = (two, wide) if side == "left" else (wide, two)
+    out = _add_terms({}, [("x", pair[1])], pair[0])
+    for p in (pair[0] * pair[1], out["x"]):
+        assert p.b == 128 and plain(p) == {0: 2 ** 62, 1: 2 ** 62}
+        assert_packed(p)

@@ -140,6 +140,22 @@ def test_enumerate_data_rejects_negative_caps(kwargs):
         mod.enumerate_data(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"height": 3.0}, "height cap must be an int"),
+    ({"height": True}, "height cap must be an int"),
+    ({"box": (1, 1.0)}, "box bound entries must be ints"),
+    ({"box": (True, 1)}, "box bound entries must be ints"),
+    ({"height": 2, "box": (1, "1")}, "box bound entries must be ints"),
+], ids=["float-height", "bool-height", "float-box-entry", "bool-box-entry",
+        "str-box-entry"])
+def test_enumerate_data_rejects_non_int_caps(kwargs, match):
+    # the caps are counts: a float one would fail deep inside the walk,
+    # and a bool one is an int that counts nothing
+    mod = get_module(AffineType("A", 2, 1))
+    with pytest.raises(ValueError, match=match):
+        mod.enumerate_data(**kwargs)
+
+
 def brute_force_data(mod, height=None, box=None):
     """Every multiplicity tuple of a box big enough to hold all data,
     in lexicographic order, filtered by the caps: each root's
