@@ -17,9 +17,7 @@ from .coeffring import Coefficient
 from .drinfeld import c_r, ell_weight_of_vacuum
 from .microrec import (negative_closed_form, negative_ell_weight,
                        rank_one_serre_check, string_recurrence)
-from .opalg import (CheckReport, central_element_expr, k_commutation_expr,
-                    k_e_conjugation_expr, serre_expr,
-                    check_identity_on_basis)
+from .opalg import CheckReport, check_identity_on_basis, defining_relations
 from .rootdata import (AffineType, braid_equivalent, convex_order,
                        positive_roots, reading_words, reduced_word_wr,
                        root_str, simple_root, theta)
@@ -53,19 +51,10 @@ def cmd_relations(args) -> int:
         if args.bound is not None:
             caps.append(f"box {','.join(map(str, args.bound))}")
         lines.append(f"defining-relation sweep on {t}, {', '.join(caps)}")
-    checks = []
-    for i in range(t.n + 1):
-        for j in range(t.n + 1):
-            if i != j:
-                checks.append((f"serre-{i}-{j}", serre_expr(i, j, t)))
-            checks.append((f"k{i}-e{j}-conj", k_e_conjugation_expr(i, j, t)))
-            if i < j:
-                checks.append((f"k{i}-k{j}-comm", k_commutation_expr(i, j)))
-    checks.append(("central-element", central_element_expr(t)))
     reports = [check_identity_on_basis(
         x, t, bound=args.bound, height=height,
         extra_random=10, seed=args.seed, name=f"relations-{t}-{name}")
-        for name, x in checks]
+        for name, x in defining_relations(t)]
     lines += [rep.line() for rep in reports]
     return _emit(args, lines, all(rep.passed for rep in reports))
 

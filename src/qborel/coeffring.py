@@ -9,9 +9,9 @@ Two structures:
   combination over ``LaurentPoly`` that carries one a-degree for all
   its terms, since every generator acts a-homogeneously: e_0 carries
   one factor of the formal parameter ``a``, and e_1..e_n and k_i none.
-  Module elements on Lusztig data and vectors on the alpha_r-string
-  are of this kind, and so is the scalar ``Coefficient``, a^d times a
-  Laurent polynomial, on one fixed label.  Operator words are
+  Module elements on Lusztig data are of this kind, and so is the
+  scalar ``Coefficient``, a^d times a Laurent polynomial, on one fixed
+  label.  Operator words are
   combinations over ``Coefficient``.  One core thus serves every level
   of the coefficient tower, and one rule rejects a sum of two nonzero
   values of different a-degrees with ValueError.  One routine,
@@ -303,7 +303,10 @@ class LaurentPoly:
         m^k of the result.  When that bound would widen the operand, the
         power of the exact norm replaces it and sets the width, which may
         then be narrower than the operand's: after a cancellation the
-        tracked bound can be far above the norm."""
+        tracked bound can be far above the norm.  k must be an int; a
+        bool or a float is a TypeError."""
+        if k.__class__ is not int:
+            raise TypeError("LaurentPoly power needs an int k")
         if k < 0:
             raise ValueError("LaurentPoly power needs k >= 0")
         if not k:
@@ -361,7 +364,12 @@ class LaurentPoly:
     # -- exact division -----------------------------------------------
 
     def exact_divide(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self/den; raises NotDivisible on any remainder."""
+        """Exact quotient self/den; raises NotDivisible on any remainder.
+        den is a LaurentPoly or an int, as for ``*``; any other type is a
+        TypeError."""
+        den = _operand(den)
+        if den is None:
+            raise TypeError("exact_divide needs a LaurentPoly or an int")
         if den.is_zero():
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero():
@@ -472,10 +480,9 @@ class Combination:
 
     ``terms`` maps each label to its nonzero coefficient, an element of
     the class attribute ``ring``: ``Coefficient`` for operator words,
-    ``LaurentPoly`` for every ``GradedCombination``: module elements,
-    string vectors and ``Coefficient`` itself.  A subclass names its
-    labels: ``_label`` prints one, and ``_sort_key`` orders them in the
-    text form.
+    ``LaurentPoly`` for every ``GradedCombination``: module elements
+    and ``Coefficient`` itself.  A subclass names its labels: ``_label``
+    prints one, and ``_sort_key`` orders them in the text form.
     """
 
     __slots__ = ("terms",)
@@ -535,7 +542,11 @@ class Combination:
         return self._of({k: coeff * v for k, v in self.terms.items()})
 
     def exact_divide(self, den: LaurentPoly):
-        """Divide every coefficient by den; NotDivisible on a remainder."""
+        """Divide every coefficient by den, a LaurentPoly or an int;
+        NotDivisible on a remainder.  A zero value checks den as a
+        nonzero value does, through the zero LaurentPoly."""
+        if not self.terms:
+            _ZERO.exact_divide(den)
         return self._like({k: v.exact_divide(den)
                            for k, v in self.terms.items()})
 
@@ -680,13 +691,13 @@ class GradedCombination(Combination):
     """A combination whose terms all carry one power of a: the value
     a^deg * sum_k terms[k] k, with ``terms`` over LaurentPoly.
 
-    Module elements and string vectors are of this kind, because every
-    generator acts a-homogeneously: e_0 carries one factor of a, and
-    e_1..e_n and k_i none.  A zero value has no degree.  Adding two
-    nonzero values of different degrees raises ValueError: no
-    construction of the library makes such a sum, so one signals a
-    wrong operator upstream.  ``coefficient`` and the text form give
-    each term's full Coefficient a^deg * terms[k].
+    Module elements are of this kind, because every generator acts
+    a-homogeneously: e_0 carries one factor of a, and e_1..e_n and k_i
+    none.  A zero value has no degree.  Adding two nonzero values of
+    different degrees raises ValueError: no construction of the library
+    makes such a sum, so one signals a wrong operator upstream.
+    ``coefficient`` and the text form give each term's full Coefficient
+    a^deg * terms[k].
     """
 
     __slots__ = ("deg",)

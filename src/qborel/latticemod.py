@@ -49,7 +49,8 @@ items.  ``_run_word`` is the one routine that applies letters to a plain
 term map {datum: LaurentPoly}: ``apply_e`` and ``apply_k`` are
 one-letter calls of it on an element's map, ``opalg.evaluate`` runs each
 trie segment through it by ``run_expression``, ``drinfeld.CurrentEngine``
-each e- and k-step of its levels and its bracket.  Almost every step of a
+each e- and k-step of its levels and its bracket, and ``microrec`` both
+rank-one models and e_r on the alpha_r-string.  Almost every step of a
 relation check acts on a map of one term, which ``_run_word`` walks as
 one (datum, coefficient) pair until an e-letter gives two or more
 terms; a map of several terms takes each letter in one pass, each term's

@@ -8,9 +8,11 @@ bases, since distinct free words can act identically.
 
 ``run_expression`` evaluates an expression on any module given by its
 step ``run_word(word, terms)`` on term maps {label: LaurentPoly}:
-``LatticeModule._run_word`` on Lusztig data, and ``microrec._run_word``
-on the powers of the rank-one models.  ``evaluate`` is the lattice
-module's letter and datum checks followed by one ``run_expression``.
+``LatticeModule._run_word`` on Lusztig data, as is or, for the
+rank-one lowering model, with each e_0 letter replaced by e_0 k_1.
+``evaluate`` is the lattice module's letter and datum checks followed
+by one ``run_expression``.  ``defining_relations`` lists every defining
+relation of a type by name.
 """
 
 from __future__ import annotations
@@ -209,6 +211,22 @@ def central_element_expr(t: AffineType) -> OperatorExpr:
         word += (("k", i, 1),) * a
     return OperatorExpr._of({word: Coefficient.one(),
                              (): Coefficient.from_int(-1)})
+
+
+def defining_relations(t: AffineType):
+    """Every defining relation of t as (name, expression) pairs: for each
+    pair of nodes (i, j), row by row, ``serre-i-j`` when i != j,
+    ``k{i}-e{j}-conj``, and ``k{i}-k{j}-comm`` when i < j; last
+    ``central-element``.  These are the names of the ``relations`` job."""
+    out = []
+    for i in range(t.n + 1):
+        for j in range(t.n + 1):
+            if i != j:
+                out.append((f"serre-{i}-{j}", serre_expr(i, j, t)))
+            out.append((f"k{i}-e{j}-conj", k_e_conjugation_expr(i, j, t)))
+            if i < j:
+                out.append((f"k{i}-k{j}-comm", k_commutation_expr(i, j)))
+    return out + [("central-element", central_element_expr(t))]
 
 
 class CheckReport:

@@ -28,8 +28,7 @@ from qborel.drinfeld import c_r, ell_weight_of_vacuum
 from qborel.latticemod import Element, get_module, random_datum
 from qborel.microrec import (negative_closed_form, negative_ell_weight,
                              rank_one_serre_check, string_recurrence)
-from qborel.opalg import (central_element_expr, evaluate, k_commutation_expr,
-                          k_e_conjugation_expr, serre_expr)
+from qborel.opalg import defining_relations, evaluate
 from qborel.rootdata import (AffineType, braid_equivalent, convex_order,
                              positive_roots_wr, reading_words, reduced_word_wr,
                              simple_root, theta)
@@ -58,16 +57,7 @@ def test_criterion1_relations(t):
     rng = random.Random(20240814)
     data = mod.enumerate_data(height=6)
     data += [random_datum(t, rng, max_entry=10) for _ in range(500)]
-    exprs = []
-    for i in range(t.n + 1):
-        for j in range(t.n + 1):
-            if i != j:
-                exprs.append((f"serre {i},{j}", serre_expr(i, j, t)))
-            exprs.append((f"conj {i},{j}", k_e_conjugation_expr(i, j, t)))
-            if i < j:
-                exprs.append((f"comm {i},{j}", k_commutation_expr(i, j)))
-    exprs.append(("central", central_element_expr(t)))
-    for name, x in exprs:
+    for name, x in defining_relations(t):
         for c in data:
             out = evaluate(x, t, Element.basis(c))
             assert out.is_zero(), f"{name} fails on {mod.datum_str(c)}"

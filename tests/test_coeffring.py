@@ -461,6 +461,36 @@ def test_add_and_subtract_reject_other_types(other):
             op()
 
 
+@pytest.mark.parametrize("c", [1, -2, 2 ** 70])
+def test_exact_divide_by_an_int(c):
+    x = lp({1: 4, -2: -6}) * c
+    assert x.exact_divide(c) == lp({1: 4, -2: -6})
+    assert x.exact_divide(c) == x.exact_divide(LaurentPoly.from_int(c))
+    assert Coefficient.from_laurent(x, 2).exact_divide(c) == \
+        Coefficient.from_laurent(lp({1: 4, -2: -6}), 2)
+    with pytest.raises(NotDivisible):
+        LaurentPoly.q_power(2).exact_divide(2 * c)
+    for y in (x, Coefficient.from_laurent(x, 2), Coefficient.zero()):
+        with pytest.raises(ZeroDivisionError):
+            y.exact_divide(0)
+
+
+@pytest.mark.parametrize("other", [None, "2", 2.0, Fraction(1, 2)])
+def test_exact_divide_rejects_other_types(other):
+    for x in (LaurentPoly.q_power(2), LaurentPoly.zero(),
+              Coefficient.q_power(2), Coefficient.zero()):
+        with pytest.raises(TypeError):
+            x.exact_divide(other)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2", None])
+def test_power_rejects_a_non_int_exponent(k):
+    x = lp({1: 1, 0: 1})
+    for y in (x, LaurentPoly.zero(), Coefficient.from_laurent(x, 1)):
+        with pytest.raises(TypeError):
+            y ** k
+
+
 # -- the fused kernel of _add_terms ----------------------------------------
 
 def signed_digits(n, b):

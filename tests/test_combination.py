@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qborel.coeffring import (Coefficient, Combination, GradedCombination,
                               LaurentPoly, _add_terms, parse_coefficient)
 from qborel.latticemod import Element
-from qborel.microrec import StringElement
 from qborel.opalg import OperatorExpr
 
 LABELS = ("x", "y", "z")
@@ -125,7 +124,7 @@ def test_graded_combination_rejects_non_homogeneous_coefficients():
 
 
 @pytest.mark.parametrize("cls, key", [(Element, (0, 1)), (OperatorExpr, (1,)),
-                                      (StringElement, 2), (Combination, "x"),
+                                      (GradedCombination, 2), (Combination, "x"),
                                       (Coefficient, ())])
 def test_basis_with_zero_coefficient_is_zero(cls, key):
     assert cls.basis(key, cls.ring.zero()).is_zero()
@@ -135,7 +134,7 @@ def test_basis_with_zero_coefficient_is_zero(cls, key):
 
 def test_combinations_of_different_kinds_differ():
     assert Element.basis((0,)) != OperatorExpr.basis((0,))
-    assert StringElement.zero() != Element.zero()
+    assert GradedCombination.zero() != Element.zero()
 
 
 def test_text_form_element():
@@ -147,8 +146,7 @@ def test_text_form_element():
     assert str(Element.basis((2,), Coefficient.q_power(-1))) == "(q^-1) * [2]"
 
 
-@pytest.mark.parametrize("cls, key", [(Element, (0, 3, 0)),
-                                      (StringElement, 2)])
+@pytest.mark.parametrize("cls, key", [(Element, (0, 3, 0))])
 def test_mixed_degree_sum_raises(cls, key):
     x = cls.basis(key, Coefficient.q_power(1))
     y = cls.basis(key, Coefficient.from_int(-2) * Coefficient.a_power(1))
@@ -172,13 +170,14 @@ def test_text_form_operator_expr():
 
 
 def test_text_form_string_element():
-    z = (StringElement.basis(2, Coefficient.q_power(2) * Coefficient.a_power(1))
-         + StringElement.basis(0, Coefficient.from_laurent(
+    # the alpha_r-string vectors v_m are lattice data: here of A1r1
+    z = (Element.basis((2,), Coefficient.q_power(2) * Coefficient.a_power(1))
+         + Element.basis((0,), Coefficient.from_laurent(
              LaurentPoly({1: 1, -1: -1}), 1)))
-    assert str(z) == "(-q^-1*a + q^1*a) * f^0 + (q^2*a) * f^2"
+    assert str(z) == "(-q^-1*a + q^1*a) * [0] + (q^2*a) * [2]"
 
 
-@pytest.mark.parametrize("cls", [Element, OperatorExpr, StringElement])
+@pytest.mark.parametrize("cls", [Element, OperatorExpr])
 def test_text_form_zero(cls):
     assert str(cls.zero()) == "0"
 

@@ -7,7 +7,7 @@ from qborel.drinfeld import (CurrentEngine, EllWeight, c_r,
                              ell_weight_of_vacuum, raise_level,
                              string_closure)
 from qborel.latticemod import Element, get_module, random_datum
-from qborel.microrec import _lowering_e, _times, negative_closed_form
+from qborel.microrec import _string_inputs, negative_closed_form
 from qborel.opalg import evaluate
 from qborel.rootdata import AffineType, o_sign
 from qborel.rootvec import alpha_r_string, bracket_E, string_span_values
@@ -244,17 +244,16 @@ CRITERION2_TYPES = ([AffineType("A", n, r) for n in range(1, 7)
                        for r in (1, n - 1, n)])
 
 
-def lattice_inputs(t, eng):
-    """string_closure's raising-model inputs: the engine's E_{d-a_r} and
-    e_r, and the labels of 1, f and f^2."""
-    (one,), (f,), (f2,) = (alpha_r_string(t, m).terms for m in range(3))
-    return ((lambda u: eng._E1(t.r, u)), (lambda u: eng._e(t.r, u)),
-            one, f), f2
+def lattice_inputs(t):
+    """string_closure's raising-model inputs: an engine's E_{d-a_r} and
+    the lattice module's e_r, the data of 1 and f, and the datum of f^2."""
+    (f2,) = alpha_r_string(t, 2).terms
+    return _string_inputs(t, "pos"), f2
 
 
 def lowering_inputs(t):
     """The lowering model's: the quoted scalar on 1 and f, and e_r."""
-    return _times(string_span_values(t)[0].terms[()]), _lowering_e, 0, 1
+    return _string_inputs(t, "neg")
 
 
 def closure_series(inputs, K=6):
@@ -274,7 +273,7 @@ def test_string_closure_is_the_level_engine_on_the_lattice(t):
     # gamma_1 rho^{k-1} is CurrentEngine.E(r, k, 1) read at f, k <= 6: the
     # level-by-level route is the reference
     eng = CurrentEngine(t)
-    inputs, _ = lattice_inputs(t, eng)
+    inputs, _ = lattice_inputs(t)
     one, f = inputs[2:]
     for k, g in enumerate(closure_series(inputs), start=1):
         v = eng.E(t.r, k, Element.basis(one))
@@ -291,7 +290,7 @@ def test_string_closure_catches_wrong_inputs(t):
     # series, in both models
     q = LaurentPoly.q_power(1)
     eng = CurrentEngine(t)
-    (E1, e, one, f), f2 = lattice_inputs(t, eng)
+    (E1, e, one, f), f2 = lattice_inputs(t)
     other = 1 if t.r != 1 else 2
     mutants = [(E1, scaled_on(e, f2, q), one, f),
                (scaled_on(E1, f, q), e, one, f),
@@ -303,7 +302,7 @@ def test_string_closure_catches_wrong_inputs(t):
     E1, e, one, f = lowering_inputs(t)
     reference = [negative_closed_form(t, k).a_terms[k] for k in range(1, 7)]
     assert closure_series((E1, e, one, f)) == reference
-    for inputs in [(E1, scaled_on(e, 2, q), one, f),
+    for inputs in [(E1, scaled_on(e, f2, q), one, f),
                    (scaled_on(E1, f, q), e, one, f)]:
         assert closure_series(inputs) != reference
 
@@ -312,7 +311,7 @@ def test_string_closure_catches_wrong_inputs(t):
 def test_string_closure_rejects_a_nondiagonal_bracket(model):
     # e_r f gains a term at f itself, so B f leaves the line of f
     t = AffineType("A", 3, 2)
-    E1, e, one, f = (lattice_inputs(t, CurrentEngine(t))[0] if model == "pos"
+    E1, e, one, f = (lattice_inputs(t)[0] if model == "pos"
                      else lowering_inputs(t))
     e_bad = lambda u: {**u, **e(u)} if f in u else e(u)
     with pytest.raises(AssertionError, match="B is not diagonal on"):

@@ -11,9 +11,8 @@ from qborel.chars import module_character
 from qborel.coeffring import (_ONE, _Q_INTEGERS, Coefficient, LaurentPoly,
                               _build_q_integer, q_integer)
 from qborel.latticemod import Element, LatticeModule, get_module, random_datum
-from qborel.opalg import (OperatorExpr, central_element_expr, evaluate,
-                          k_commutation_expr, k_e_conjugation_expr,
-                          run_expression, serre_expr)
+from qborel.opalg import (OperatorExpr, defining_relations, evaluate,
+                          k_e_conjugation_expr, run_expression)
 from qborel.rootdata import (AffineType, pairing, positive_roots_wr,
                              simple_root, theta)
 
@@ -335,15 +334,7 @@ def test_e_on_datum_rejects_bad_nodes_and_data():
 # -- what the e_on_datum cache shares ------------------------------------
 
 def _relation_exprs(t):
-    out = [central_element_expr(t)]
-    for i in range(t.n + 1):
-        for j in range(t.n + 1):
-            if i != j:
-                out.append(serre_expr(i, j, t))
-            out.append(k_e_conjugation_expr(i, j, t))
-            if i < j:
-                out.append(k_commutation_expr(i, j))
-    return out
+    return [x for _, x in defining_relations(t)]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ from qborel import microrec
 from qborel.coeffring import Coefficient, LaurentPoly, q_integer
 from qborel.drinfeld import c_r
 from qborel.opalg import OperatorExpr
-from qborel.microrec import (_run_word, negative_closed_form,
+from qborel.microrec import (_rank_one_step, negative_closed_form,
                              negative_ell_weight, rank_one_serre_check,
                              string_recurrence)
 from qborel.rootdata import AffineType, dual_coxeter, o_sign
@@ -16,27 +16,31 @@ def test_rank_one_suite():
     assert rep.passed, "\n".join(rep.lines)
 
 
+def f_power(m, p):
+    """p f^m as a term map on A1r1 data: f^m = q^{-m(m-1)/2} v_m."""
+    return {(m,): p.shift(-m * (m - 1) // 2)}
+
+
 def test_rank_one_generators():
-    f2 = {2: LaurentPoly.one()}
+    q = LaurentPoly.q_power
     for model in ("pos", "neg"):
-        # e_1 f^2 = q^{-1} [2] f
-        assert _run_word(model, (1,), f2) == {
-            1: LaurentPoly.q_power(-1) * q_integer(2)}
-        # diagonal: k_1 f^m = q^{-2m} f^m, k_0 f^m = q^{2m} f^m
-        assert _run_word(model, (("k", 1, 1),), f2) == {2: LaurentPoly.q_power(-4)}
-        assert _run_word(model, (("k", 0, 1),), f2) == {2: LaurentPoly.q_power(4)}
-        assert _run_word(model, (("k", 1, -1),), f2) == {2: LaurentPoly.q_power(4)}
-        assert _run_word(model, (("k", 0, -1),), f2) == {2: LaurentPoly.q_power(-4)}
+        step = _rank_one_step(model)
+        for m in range(30):
+            fm = f_power(m, LaurentPoly.one())
+            # e_1 f^m = q^{1-m} [m] f^{m-1}, and e_1 1 = 0
+            assert step((1,), fm) == (
+                f_power(m - 1, q(1 - m) * q_integer(m)) if m else {})
+            # diagonal: k_1^{+-1} f^m = q^{-+2m} f^m, k_0^{+-1} f^m = q^{+-2m} f^m
+            for s in (1, -1):
+                assert step((("k", 1, s),), fm) == f_power(m, q(-2 * s * m))
+                assert step((("k", 0, s),), fm) == f_power(m, q(2 * s * m))
+            # raising model: e_0 f^m = a q^{2m} f^{m+1}; lowering: a f^{m+1};
+            # the factor a is the caller's
+            assert step((0,), fm) == f_power(
+                m + 1, q(2 * m) if model == "pos" else LaurentPoly.one())
         # the empty word is the identity on the map itself
-        assert _run_word(model, (), f2) is f2
-    # raising model: e_0 f^m = a q^{2m} f^{m+1}; lowering: a f^{m+1}; the
-    # factor a is the caller's
-    assert _run_word("pos", (0,), f2) == {3: LaurentPoly.q_power(4)}
-    assert _run_word("neg", (0,), f2) == {3: LaurentPoly.one()}
-    assert _run_word("pos", (1,), {0: LaurentPoly.one()}) == {}
-    # a word applies its letters in order: e_1 then e_0 on f^2
-    assert _run_word("pos", (1, 0), f2) == {
-        2: LaurentPoly.q_power(1) * q_integer(2)}
+        f2 = f_power(2, LaurentPoly.one())
+        assert step((), f2) is f2
 
 
 @pytest.mark.parametrize("model", ["bogus", "POS", ""])
@@ -45,21 +49,22 @@ def test_unknown_model_is_rejected(model):
         string_recurrence(AffineType("A", 3, 2), model, 3)
 
 
-def _mutant(letter_map):
-    """microrec._run_word with some letters replaced: letter_map(model, x)
-    gives a term-map function for the letter x, or None to keep it."""
-    def run_word(model, word, terms):
-        for x in word:
-            f = letter_map(model, x)
-            terms = f(terms) if f else _run_word(model, (x,), terms)
-        return terms
-    return run_word
+def _mutant(monkeypatch, letter_map):
+    """rank_one_serre_check with some letters of each model's step
+    replaced: letter_map(model, x, run_word) gives a term-map function
+    for the letter x, or None to keep it, run_word the model's own step."""
+    step = microrec._rank_one_step
 
+    def mutant_step(model):
+        run_word = step(model)
 
-def _lowering_e0(power):
-    return _mutant(lambda model, x: (
-        lambda terms: {m + 1: c.shift(power * m) for m, c in terms.items()})
-        if model == "neg" and x == 0 else None)
+        def mutated(word, terms):
+            for x in word:
+                f = letter_map(model, x, run_word)
+                terms = f(terms) if f else run_word((x,), terms)
+            return terms
+        return mutated
+    monkeypatch.setattr(microrec, "_rank_one_step", mutant_step)
 
 
 def _lines(rep):
@@ -67,7 +72,10 @@ def _lines(rep):
 
 
 def test_rank_one_suite_catches_a_lowering_e0_with_q_power_m(monkeypatch):
-    monkeypatch.setattr(microrec, "_run_word", _lowering_e0(1))
+    # e_0 v_m = v_{m+1} in the lowering model: off by q^m
+    _mutant(monkeypatch, lambda model, x, run_word: (
+        lambda terms: {(c[0] + 1,): p for c, p in terms.items()})
+        if model == "neg" and x == 0 else None)
     rep = rank_one_serre_check(6)
     assert not rep.passed
     lines = _lines(rep)
@@ -76,9 +84,10 @@ def test_rank_one_suite_catches_a_lowering_e0_with_q_power_m(monkeypatch):
 
 
 def test_rank_one_suite_catches_a_lowering_e0_with_q_power_2m(monkeypatch):
-    # the raising model's e_0 in the lowering model: the Serre relations
-    # hold, and only the transcribed expansion lines can see it
-    monkeypatch.setattr(microrec, "_run_word", _lowering_e0(2))
+    # the raising model's e_0 in the lowering model, the k_1 twist
+    # dropped: the Serre relations hold, and only the transcribed
+    # expansion lines can see it
+    monkeypatch.setattr(microrec, "_LOWERING_E0", (0,))
     rep = rank_one_serre_check(6)
     assert not rep.passed
     lines = _lines(rep)
@@ -90,9 +99,10 @@ def test_rank_one_suite_catches_a_lowering_e0_with_q_power_2m(monkeypatch):
 
 
 def test_rank_one_suite_catches_a_k1_sign_flip(monkeypatch):
-    monkeypatch.setattr(microrec, "_run_word", _mutant(
-        lambda model, x: (lambda terms: _run_word(model, (("k", 1, -x[2]),), terms))
-        if x.__class__ is tuple and x[1] == 1 else None))
+    # every k_1 letter of the checked words inverted, in both models
+    _mutant(monkeypatch, lambda model, x, run_word: (
+        lambda terms: run_word((("k", 1, -x[2]),), terms))
+        if x.__class__ is tuple and x[1] == 1 else None)
     rep = rank_one_serre_check(6)
     assert not rep.passed
     lines = _lines(rep)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from qborel.coeffring import Coefficient, LaurentPoly
 from qborel.latticemod import Element, get_module, random_datum
 from qborel.opalg import (CheckReport, OperatorExpr, central_element_expr,
-                          check_identity_on_basis, evaluate, k_commutation_expr,
-                          k_e_conjugation_expr, q_bracket, serre_expr)
+                          check_identity_on_basis, defining_relations,
+                          evaluate, k_commutation_expr, k_e_conjugation_expr,
+                          q_bracket, serre_expr)
 from qborel.rootdata import AffineType, cartan_entry, marks
 from qborel.rootvec import bracket_E
 from test_coeffring import binomial_by_division
@@ -56,9 +57,9 @@ def test_serre_expr_shape():
 
 
 def product_built_relations(t):
-    """Each relation of t as (builder's expression, reference), the
-    reference built from products of OperatorExpr.k and .e, scale and -,
-    its Serre coefficients by exact division."""
+    """Each defining relation of t, in the order of ``defining_relations``,
+    built from products of OperatorExpr.k and .e, scale and -, its Serre
+    coefficients by exact division."""
     k, e = OperatorExpr.k, OperatorExpr.e
     out = []
     for i in range(t.n + 1):
@@ -73,18 +74,16 @@ def product_built_relations(t):
                         word = word * e(x)
                     ref = ref + word.scale(Coefficient.from_laurent(
                         binomial_by_division(N, m) * (-1) ** m))
-                out.append((serre_expr(i, j, t), ref))
-            out.append((k_e_conjugation_expr(i, j, t),
-                        k(i) * e(j) * k(i, -1)
-                        - e(j).scale(Coefficient.q_power(aij))))
+                out.append(ref)
+            out.append(k(i) * e(j) * k(i, -1)
+                       - e(j).scale(Coefficient.q_power(aij)))
             if i < j:
-                out.append((k_commutation_expr(i, j),
-                            k(i) * k(j) - k(j) * k(i)))
+                out.append(k(i) * k(j) - k(j) * k(i))
     ref = k(0)
     for i, a in enumerate(marks(t), start=1):
         for _ in range(a):
             ref = ref * k(i)
-    out.append((central_element_expr(t), ref - OperatorExpr.identity()))
+    out.append(ref - OperatorExpr.identity())
     return out
 
 
@@ -97,8 +96,10 @@ def same_expression(x, y):
 
 @pytest.mark.parametrize("t", all_types(6), ids=str)
 def test_relation_builders_equal_the_product_built_relations(t):
-    for x, ref in product_built_relations(t):
-        assert same_expression(x, ref), (x, ref)
+    relations, refs = defining_relations(t), product_built_relations(t)
+    assert len(relations) == len(refs)
+    for (name, x), ref in zip(relations, refs):
+        assert same_expression(x, ref), (name, x, ref)
 
 
 def test_a_wrong_q_power_fails_the_comparison():
@@ -118,16 +119,7 @@ def test_defining_relations_sample_sweep():
     # full suite on a couple of types at small height; the acceptance
     # gate runs the complete sweep
     for t in [AffineType("A", 2, 1), AffineType("D", 4, 4)]:
-        exprs = []
-        for i in range(t.n + 1):
-            for j in range(t.n + 1):
-                if i != j:
-                    exprs.append(serre_expr(i, j, t))
-                exprs.append(k_e_conjugation_expr(i, j, t))
-                if i < j:
-                    exprs.append(k_commutation_expr(i, j))
-        exprs.append(central_element_expr(t))
-        for x in exprs:
+        for _, x in defining_relations(t):
             rep = check_identity_on_basis(x, t, bound=None, height=3,
                                           extra_random=5, seed=11)
             assert rep.passed, rep.detail
