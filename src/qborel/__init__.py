@@ -1,9 +1,9 @@
 """Exact symbolic realization of prefundamental Borel modules on
 Lusztig data, for affine families A and D at minuscule nodes."""
 
-from .coeffring import (Coefficient, Combination, GradedCombination,
-                        LaurentPoly, NotDivisible, parse_coefficient,
-                        q_binomial, q_factorial, q_integer)
+from .coeffring import (Coefficient, GradedCombination, LaurentPoly,
+                        NotDivisible, parse_coefficient, q_binomial,
+                        q_factorial, q_integer)
 from .rootdata import (AffineType, NotReduced, braid_equivalent, cartan_matrix,
                        convex_order, index_matrix, marks, o_sign, pairing,
                        positive_roots, positive_roots_wr, reading_words,

@@ -4,21 +4,21 @@ Two structures:
 
 * ``LaurentPoly`` -- integer Laurent polynomials in q, packed into one
   Python integer by Kronecker substitution.
-* ``Combination`` -- finite linear combinations of hashable labels with
-  nonzero coefficients in a ring.  ``GradedCombination`` is a
-  combination over ``LaurentPoly`` that carries one a-degree for all
-  its terms, since every generator acts a-homogeneously: e_0 carries
-  one factor of the formal parameter ``a``, and e_1..e_n and k_i none.
-  Module elements on Lusztig data are of this kind, and so is the
-  scalar ``Coefficient``, a^d times a Laurent polynomial, on one fixed
-  label.  Operator words are
-  combinations over ``Coefficient``.  One core thus serves every level
-  of the coefficient tower, and one rule rejects a sum of two nonzero
-  values of different a-degrees with ValueError.  One routine,
-  ``_add_terms``, is the sum rule for term maps {label: value}: it adds
-  (label, value) pairs, each times an optional scale p, into a map in
-  place and deletes every sum that cancels.  ``Combination`` addition
-  and ``collect``, the word-trie sums of ``opalg``, the level steps and
+* ``GradedCombination`` -- finite linear combinations of hashable labels
+  with nonzero ``LaurentPoly`` coefficients that carry one a-degree for
+  all their terms, since every generator acts a-homogeneously: e_0
+  carries one factor of the formal parameter ``a``, and e_1..e_n and
+  k_i none.  Module elements on Lusztig data are of this kind, so are
+  the operator words of ``opalg``, and so is the scalar
+  ``Coefficient``, a^d times a Laurent polynomial, on one fixed label.
+  One class thus serves every level of the coefficient tower, and one
+  rule rejects a sum of two nonzero values of different a-degrees with
+  ValueError, and a sum of two different kinds of combination with
+  TypeError.  One routine, ``_add_terms``, is the sum rule for term
+  maps {label: LaurentPoly}: it adds (label, value) pairs, each times
+  an optional LaurentPoly scale p, into a map in place and deletes
+  every sum that cancels.  Combination addition and ``collect``, the
+  products and word-trie sums of ``opalg``, the level steps and
   q-commutators of ``drinfeld`` and the e-steps of
   ``LatticeModule._run_word`` all add through it.
 
@@ -45,10 +45,10 @@ assumed.  CPython multiplies integers of a few dozen digits by
 schoolbook, in time quadratic in their bit length, so the narrow digit
 makes the common product, of coefficients far below 2^15, cheap.
 
-Sum rule.  ``_add_terms`` holds the one packed sum: on LaurentPolys it
-is a fused multiply-add s + p v on the fields ``(n, lo, b, m)``, which
-builds no intermediate product and at most one new LaurentPoly per
-pair.  ``+`` and ``-`` add through it, as a map of one label and one
+Sum rule.  ``_add_terms`` holds the one packed sum, and its one value
+path: a fused multiply-add s + p v on the fields ``(n, lo, b, m)``,
+which builds no intermediate product and at most one new LaurentPoly
+per pair.  ``+`` and ``-`` add through it, as a map of one label and one
 pair; they take an int on either side, as ``*`` and ``==`` do.
 
 A power ``p ** k`` is one big-integer power, at the width of the bound
@@ -157,7 +157,7 @@ def _make(n, lo, b, m):
 
 def _from_digits(digits, lo):
     """The Laurent polynomial q^lo sum_k digits[k] q^k; the first and last
-    digits must be nonzero."""
+    digits must be nonzero, and no digits at lo = 0 give zero."""
     m = sum(map(abs, digits))
     b = _width_for(m)
     return _make(_pack(digits, b), lo, b, m)
@@ -209,16 +209,9 @@ class LaurentPoly:
 
     def __init__(self, terms=None):
         terms = {k: c for k, c in dict(terms or {}).items() if c}
-        if not terms:
-            self.n, self.lo, self.b, self.m = 0, 0, 16, 0
-            return
-        lo = min(terms)
-        digits = [terms.get(k, 0) for k in range(lo, max(terms) + 1)]
-        m = sum(map(abs, digits))
-        self.b = _width_for(m)
-        self.n = _pack(digits, self.b)
-        self.lo = lo
-        self.m = m
+        lo, hi = (min(terms), max(terms)) if terms else (0, -1)
+        p = _from_digits([terms.get(k, 0) for k in range(lo, hi + 1)], lo)
+        self.n, self.lo, self.b, self.m = p.n, p.lo, p.b, p.m
 
     @property
     def terms(self):
@@ -474,148 +467,31 @@ def q_binomial(m: int, k: int) -> LaurentPoly:
     return row[k]
 
 
-class Combination:
-    """A finite linear combination of hashable labels over a coefficient
-    ring.
-
-    ``terms`` maps each label to its nonzero coefficient, an element of
-    the class attribute ``ring``: ``Coefficient`` for operator words,
-    ``LaurentPoly`` for every ``GradedCombination``: module elements
-    and ``Coefficient`` itself.  A subclass names its labels: ``_label``
-    prints one, and ``_sort_key`` orders them in the text form.
-    """
-
-    __slots__ = ("terms",)
-    _label = str
-    _sort_key = None
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def _of(cls, terms):
-        """A combination on a map whose values are all nonzero."""
-        c = _new(cls)
-        c.terms = terms
-        return c
-
-    def _like(self, terms):
-        """A combination of self's kind on a map of nonzero values."""
-        return self._of(terms)
-
-    @classmethod
-    def zero(cls):
-        return cls._of({})
-
-    @classmethod
-    def basis(cls, key, coeff=None):
-        return cls({key: cls.ring.one() if coeff is None else coeff})
-
-    @classmethod
-    def collect(cls, pairs):
-        """The sum of the (label, coefficient) pairs, equal labels added."""
-        return cls(_add_terms({}, pairs))
-
-    def __add__(self, other):
-        mine, theirs = self.terms, other.terms
-        if not theirs:
-            return self
-        if not mine:
-            return other
-        return self._like(_add_terms(dict(mine), theirs.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    # Z[q^{+-1}][a] has no zero divisors, so negation and scaling by a
-    # nonzero scalar need no zero filter
-
-    def __neg__(self):
-        return self._like({k: -v for k, v in self.terms.items()})
-
-    def scale(self, coeff):
-        ring = self.ring
-        if not isinstance(coeff, ring):
-            coeff = ring.one() * coeff
-        if not coeff:
-            return self._of({})
-        return self._of({k: coeff * v for k, v in self.terms.items()})
-
-    def exact_divide(self, den: LaurentPoly):
-        """Divide every coefficient by den, a LaurentPoly or an int;
-        NotDivisible on a remainder.  A zero value checks den as a
-        nonzero value does, through the zero LaurentPoly."""
-        if not self.terms:
-            _ZERO.exact_divide(den)
-        return self._like({k: v.exact_divide(den)
-                           for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def support(self):
-        return set(self.terms)
-
-    def coefficient(self, key):
-        c = self.terms.get(key)
-        return self.ring.zero() if c is None else c
-
-    def __str__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        return " + ".join(f"({self.coefficient(k)}) * {self._label(k)}"
-                          for k in sorted(terms, key=self._sort_key))
-
-    __repr__ = __str__
-
-
 def _add_terms(out, pairs, p=None):
-    """Add the (label, value) pairs into the term map out in place, each
-    value times p when p is given, deleting every sum that cancels;
-    return out.  This is the one sum rule for term maps: a map is added
-    as its ``.items()``, never as itself, whose keys a 2-tuple datum
-    (A2r1) would unpack as pairs without an error; a flat tuple
-    (k1, v1, k2, v2, ...) as ``zip(it, it)`` with ``it = iter(flat)``.
+    """Add the (label, LaurentPoly) pairs into the term map out in place,
+    each value times the LaurentPoly p when p is given, deleting every
+    sum that cancels; return out.  This is the one sum rule for term
+    maps: a map is added as its ``.items()``, never as itself, whose keys
+    a 2-tuple datum (A2r1) would unpack as pairs without an error; a flat
+    tuple (k1, v1, k2, v2, ...) as ``zip(it, it)`` with ``it = iter(flat)``.
 
-    On LaurentPolys it is a fused multiply-add on the packed fields, and
-    the one packed sum of the library (``_sum`` adds through it).  A
-    product p v of one width whose bound stays below 2^(b-1) is one
-    integer product; otherwise ``_widen`` picks the width.  The sum with
-    the stored value s is one shift and add at s's width when the widths
-    agree and the bound m(s) + m(p v) stays below 2^(b-1), else at the
-    width ``_widen`` picks; a sum that cancels in its lowest digits has
-    them shifted out, and one that cancels fully deletes its label.
-    Zero values are skipped, so out stores no zero.  At most one new
-    LaurentPoly is built per pair.  Any other value, a Coefficient or an
-    operator word's, and any other scale p, is added as s + p * v."""
+    It is a fused multiply-add on the packed fields, and the one packed
+    sum of the library (``_sum`` adds through it).  A product p v of one
+    width whose bound stays below 2^(b-1) is one integer product;
+    otherwise ``_widen`` picks the width.  The sum with the stored value
+    s is one shift and add at s's width when the widths agree and the
+    bound m(s) + m(p v) stays below 2^(b-1), else at the width ``_widen``
+    picks; a sum that cancels in its lowest digits has them shifted out,
+    and one that cancels fully deletes its label.  Zero values are
+    skipped, so out stores no zero.  At most one new LaurentPoly is built
+    per pair."""
     get = out.get
-    fused = p.__class__ is LaurentPoly
+    fused = p is not None
     if fused:
         if not p.m:
             return out
         pn, plo, pb, pm = p.n, p.lo, p.b, p.m
-    elif p is not None:   # a Coefficient or int scale
-        pairs = ((k, p * v) for k, v in pairs)
     for k, v in pairs:
-        if v.__class__ is not LaurentPoly:
-            if fused:
-                v = p * v
-            s = get(k)
-            if s is None:
-                if v:
-                    out[k] = v
-            elif s := s + v:
-                out[k] = s
-            else:
-                del out[k]
-            continue
         if fused:
             m = pm * v.m
             if not m:
@@ -687,35 +563,58 @@ def _homogeneous(coeff):
     return coeff.terms.get((), _ZERO), coeff.deg
 
 
-class GradedCombination(Combination):
-    """A combination whose terms all carry one power of a: the value
-    a^deg * sum_k terms[k] k, with ``terms`` over LaurentPoly.
+class GradedCombination:
+    """A finite linear combination of hashable labels whose terms all
+    carry one power of a: the value a^deg * sum_k terms[k] k, ``terms``
+    mapping each label to its nonzero LaurentPoly.
 
-    Module elements are of this kind, because every generator acts
-    a-homogeneously: e_0 carries one factor of a, and e_1..e_n and k_i
-    none.  A zero value has no degree.  Adding two nonzero values of
-    different degrees raises ValueError: no construction of the library
-    makes such a sum, so one signals a wrong operator upstream.
-    ``coefficient`` and the text form give each term's full Coefficient
-    a^deg * terms[k].
+    Module elements, operator words and the scalar ``Coefficient`` are
+    of this kind, because every generator acts a-homogeneously: e_0
+    carries one factor of a, and e_1..e_n and k_i none.  A zero value
+    has no degree.  Adding two nonzero values of different degrees
+    raises ValueError: no construction of the library makes such a sum,
+    so one signals a wrong operator upstream.  Adding two combinations
+    of different classes raises TypeError.  ``coefficient`` and the
+    text form give each term's full Coefficient a^deg * terms[k].  A
+    subclass names its labels: ``_label`` prints one, and ``_sort_key``
+    orders them in the text form.
     """
 
-    __slots__ = ("deg",)
-    ring = LaurentPoly
+    __slots__ = ("terms", "deg")
+    _label = str
+    _sort_key = None
 
     def __init__(self, terms=None, deg=0):
-        Combination.__init__(self, terms)
-        self.deg = deg
+        """The combination a^deg * sum_k terms[k] k.  A value is a
+        LaurentPoly, or a Coefficient a^d p, whose d adds to deg; the
+        nonzero values must share one d (ValueError), and any other
+        value is a TypeError that names its type."""
+        out, degs = {}, set()
+        for k, v in (terms or {}).items():
+            if not isinstance(v, (LaurentPoly, Coefficient)):
+                raise TypeError(f"a {type(self).__name__} value is a "
+                                f"LaurentPoly, not a {type(v).__name__}")
+            p, d = _homogeneous(v)
+            if p:
+                out[k] = p
+                degs.add(d)
+        if len(degs) > 1:
+            raise ValueError(f"values of a-degrees {sorted(degs)} in one "
+                             f"{type(self).__name__}")
+        self.terms = out
+        self.deg = deg + max(degs, default=0)
 
     @classmethod
     def _of(cls, terms, deg=0):
+        """A combination on a map whose values are all nonzero."""
         c = _new(cls)
         c.terms = terms
         c.deg = deg
         return c
 
-    def _like(self, terms):
-        return self._of(terms, self.deg)
+    @classmethod
+    def zero(cls):
+        return cls._of({})
 
     @classmethod
     def basis(cls, key, coeff=None):
@@ -725,11 +624,34 @@ class GradedCombination(Combination):
         p, d = _homogeneous(coeff)
         return cls._of({key: p} if p else {}, d)
 
+    @classmethod
+    def collect(cls, pairs):
+        """The sum of the (label, LaurentPoly) pairs at a-degree 0, equal
+        labels added."""
+        return cls(_add_terms({}, pairs))
+
     def __add__(self, other):
-        if self.deg != other.deg and self.terms and other.terms:
+        if other.__class__ is not self.__class__:
+            raise TypeError(f"cannot add a {type(self).__name__} "
+                            f"and a {type(other).__name__}")
+        mine, theirs = self.terms, other.terms
+        if not theirs:
+            return self
+        if not mine:
+            return other
+        if self.deg != other.deg:
             raise ValueError(
                 f"sum of a-degrees {self.deg} and {other.deg}: {self} + {other}")
-        return Combination.__add__(self, other)
+        return self._of(_add_terms(dict(mine), theirs.items()), self.deg)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    # Z[q^{+-1}][a] has no zero divisors, so negation and scaling by a
+    # nonzero scalar need no zero filter
+
+    def __neg__(self):
+        return self._of({k: -v for k, v in self.terms.items()}, self.deg)
 
     def scale(self, coeff, deg=0):
         """self times a^deg coeff, for coeff as in ``basis``."""
@@ -739,14 +661,41 @@ class GradedCombination(Combination):
         return self._of({k: p * v for k, v in self.terms.items()},
                         self.deg + d + deg)
 
+    def exact_divide(self, den: LaurentPoly):
+        """Divide every coefficient by den, a LaurentPoly or an int;
+        NotDivisible on a remainder.  A zero value checks den as a
+        nonzero value does, through the zero LaurentPoly."""
+        if not self.terms:
+            _ZERO.exact_divide(den)
+        return self._of({k: v.exact_divide(den)
+                         for k, v in self.terms.items()}, self.deg)
+
     def __eq__(self, other):
-        return (Combination.__eq__(self, other)
+        return (type(other) is type(self) and self.terms == other.terms
                 and (self.deg == other.deg or not self.terms))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def support(self):
+        return set(self.terms)
 
     def coefficient(self, key):
         p = self.terms.get(key)
         return (Coefficient.zero() if p is None
                 else Coefficient.from_laurent(p, self.deg))
+
+    def __str__(self):
+        terms = self.terms
+        if not terms:
+            return "0"
+        return " + ".join(f"({self.coefficient(k)}) * {self._label(k)}"
+                          for k in sorted(terms, key=self._sort_key))
+
+    __repr__ = __str__
 
 
 class Coefficient(GradedCombination):
@@ -841,10 +790,6 @@ class Coefficient(GradedCombination):
         return " ".join(out)
 
     __repr__ = __str__
-
-
-# a plain Combination, and OperatorExpr, is over Coefficient
-Combination.ring = Coefficient
 
 
 _MONO_RE = re.compile(

@@ -336,7 +336,7 @@ class LatticeModule:
     def apply_k(self, i, exponent, v: Element) -> Element:
         self.check_letters((("k", i, exponent),))
         self.check_data(v.terms)
-        return v._like(self._run_word((("k", i, exponent),), v.terms))
+        return v._of(self._run_word((("k", i, exponent),), v.terms), v.deg)
 
     # -- basis enumeration ------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Formal noncommutative operator expressions and relation checking.
 
-An ``OperatorExpr`` is a finite Coefficient-linear combination of words
-in the letters ``e_0..e_n`` and ``k_i^{+-1}``.  Words act on module
-elements right-to-left.  Two expressions are never compared as free
+An ``OperatorExpr`` is a finite linear combination of words in the
+letters ``e_0..e_n`` and ``k_i^{+-1}``: a ``GradedCombination``, whose
+coefficients are LaurentPolys times one power a^deg for the whole
+expression, as for module elements.  Words act on module elements
+right-to-left.  Two expressions are never compared as free
 words: equality of operators is always decided by evaluation on graded
 bases, since distinct free words can act identically.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 
-from .coeffring import (Coefficient, Combination, _add_terms, _homogeneous,
+from .coeffring import (_ONE, GradedCombination, LaurentPoly, _add_terms,
                         q_binomial)
 from .latticemod import Element, get_module, letter_str, random_datum
 from .rootdata import AffineType, cartan_entry, marks
@@ -27,21 +29,24 @@ from .rootdata import AffineType, cartan_entry, marks
 # letters: an int i means e_i; ("k", i, s) means k_i^s with s = +-1.
 
 
-class OperatorExpr(Combination):
-    """A combination of words; ``==`` compares free words only, and
-    operator equality goes via evaluation.
+class OperatorExpr(GradedCombination):
+    """A graded combination of words: a^deg * sum_w terms[w] w, each
+    terms[w] a LaurentPoly.  ``==`` compares free words only, and
+    operator equality goes via evaluation; as for any
+    ``GradedCombination``, a sum of two nonzero expressions of different
+    degrees raises ValueError.
 
     Nothing mutates ``terms`` after construction: every constructor and
     operation returns a fresh expression.  So an expression is compiled
     once, on the first read of ``_program``, into a program kept there:
-    the letters of all words, and for each a-degree class (a word's
-    coefficient degree plus its number of e_0 letters) a word trie,
-    left-factored so that sum_w c_w w(v) = sum_x x(sum_u c_{xu} u(v)).
-    A trie node is a tuple of edges (segment, child, p): a branch-free
-    chain of letters in application order, the node below it or None
-    when the segment ends a word and so runs on v, and the Laurent part
-    of that word's coefficient, or None.  Words with no shared leftmost
-    letter make a flat root.  The program does not depend on the type."""
+    the letters of all words, and for each a-degree class (deg plus a
+    word's number of e_0 letters) a word trie, left-factored so that
+    sum_w c_w w(v) = sum_x x(sum_u c_{xu} u(v)).  A trie node is a tuple
+    of edges (segment, child, p): a branch-free chain of letters in
+    application order, the node below it or None when the segment ends
+    a word and so runs on v, and that word's LaurentPoly coefficient, or
+    None for 1.  Words with no shared leftmost letter make a flat root.
+    The program does not depend on the type."""
 
     __slots__ = ("_program",)
 
@@ -58,20 +63,22 @@ class OperatorExpr(Combination):
         return OperatorExpr.basis((("k", i, s),))
 
     def __mul__(self, other):
-        """Concatenation product: (xy)(v) = x(y(v))."""
-        return OperatorExpr.collect((w1 + w2, c1 * c2)
-                                    for w1, c1 in self.terms.items()
-                                    for w2, c2 in other.terms.items())
+        """Concatenation product: (xy)(v) = x(y(v)), of a-degree
+        self.deg + other.deg."""
+        return OperatorExpr._of(_add_terms({}, (
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items())), self.deg + other.deg)
 
     def __getattr__(self, name):
         """``_program`` on its first read, which then fills its slot:
-        (classes, letters), the (a-degree, trie) pairs and all letters."""
+        (classes, letters), the (a-degree, trie) pairs and all letters.
+        A word's class is deg plus its number of e_0 letters, and its
+        trie leaf holds its LaurentPoly as is."""
         if name != "_program":
             raise AttributeError(name)
         classes = {}
-        for w, c in self.terms.items():
-            p, d = _homogeneous(c)
-            classes.setdefault(d + w.count(0), []).append(
+        for w, p in self.terms.items():
+            classes.setdefault(self.deg + w.count(0), []).append(
                 (w[::-1], None if p == 1 else p))
         letters = frozenset(x for w in self.terms for x in w)
         self._program = (tuple((d, _trie(words))
@@ -89,7 +96,7 @@ class OperatorExpr(Combination):
 
 def q_bracket(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
     """[x, y]_q = xy - q^{-1} yx."""
-    return x * y - (y * x).scale(Coefficient.q_power(-1))
+    return x * y - (y * x).scale(LaurentPoly.q_power(-1))
 
 
 def _trie(words):
@@ -181,8 +188,7 @@ def serre_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     terms = {}
     for m in range(N + 1):
         b = q_binomial(N, m)
-        terms[(i,) * (N - m) + (j,) + (i,) * m] = Coefficient.from_laurent(
-            -b if m & 1 else b)
+        terms[(i,) * (N - m) + (j,) + (i,) * m] = -b if m & 1 else b
     return OperatorExpr._of(terms)
 
 
@@ -190,8 +196,8 @@ def k_e_conjugation_expr(i: int, j: int, t: AffineType) -> OperatorExpr:
     """k_i e_j k_i^{-1} - q^{a_ij} e_j (zero in the algebra)."""
     aij = cartan_entry(t, i, j)
     return OperatorExpr._of({
-        (("k", i, 1), j, ("k", i, -1)): Coefficient.one(),
-        (j,): -Coefficient.q_power(aij)})
+        (("k", i, 1), j, ("k", i, -1)): _ONE,
+        (j,): LaurentPoly.q_power(aij, -1)})
 
 
 def k_commutation_expr(i: int, j: int) -> OperatorExpr:
@@ -200,8 +206,8 @@ def k_commutation_expr(i: int, j: int) -> OperatorExpr:
     if i == j:
         return OperatorExpr.zero()
     ki, kj = ("k", i, 1), ("k", j, 1)
-    return OperatorExpr._of({(ki, kj): Coefficient.one(),
-                             (kj, ki): Coefficient.from_int(-1)})
+    return OperatorExpr._of({(ki, kj): _ONE,
+                             (kj, ki): LaurentPoly.from_int(-1)})
 
 
 def central_element_expr(t: AffineType) -> OperatorExpr:
@@ -209,8 +215,7 @@ def central_element_expr(t: AffineType) -> OperatorExpr:
     word = (("k", 0, 1),)
     for i, a in enumerate(marks(t), start=1):
         word += (("k", i, 1),) * a
-    return OperatorExpr._of({word: Coefficient.one(),
-                             (): Coefficient.from_int(-1)})
+    return OperatorExpr._of({word: _ONE, (): LaurentPoly.from_int(-1)})
 
 
 def defining_relations(t: AffineType):

@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qborel.coeffring import (Coefficient, Combination, GradedCombination,
-                              LaurentPoly, _add_terms, parse_coefficient)
+from qborel.coeffring import (Coefficient, GradedCombination, LaurentPoly,
+                              _add_terms, parse_coefficient)
 from qborel.latticemod import Element
 from qborel.opalg import OperatorExpr
 
 LABELS = ("x", "y", "z")
+WORDS = ((1,), (0, 2), (("k", 1, -1), 0))
+ZERO = LaurentPoly.zero()
 
 
 def laurents():
@@ -17,19 +19,10 @@ def laurents():
                            max_size=2).map(LaurentPoly)
 
 
-def coeffs():
-    """Small Coefficients a^d p, zero included, so that sums cancel often.
-    Every value drawn for one example has the same a-degree d, so that
-    any two of them can be added."""
-    return st.builds(Coefficient.from_laurent, laurents(),
-                     st.shared(st.integers(0, 2), key="a-degree"))
-
-
-# labels and coefficients of each kind: words over Coefficient,
-# Coefficient itself as the graded combination of its one label () over
-# LaurentPoly, and the graded core at a-degree 0 over LaurentPoly
-KINDS = {Combination: (LABELS, coeffs()), Coefficient: (((),), laurents()),
-         GradedCombination: (LABELS, laurents())}
+# the labels of each kind, all over LaurentPoly at a-degree 0: operator
+# words, Coefficient itself as the graded combination of its one label
+# (), and the graded core
+KINDS = {OperatorExpr: WORDS, Coefficient: ((),), GradedCombination: LABELS}
 
 
 def reference(ps, zero):
@@ -49,15 +42,16 @@ def no_stored_zero(c):
     return all(not v.is_zero() for v in c.terms.values())
 
 
-@pytest.mark.parametrize("cls", [Combination, Coefficient, GradedCombination],
+@pytest.mark.parametrize("cls", [OperatorExpr, Coefficient, GradedCombination],
                          ids=lambda c: c.__name__)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_combination_against_dict_reference(cls, data):
-    labels, values = KINDS[cls]
-    pairs = st.lists(st.tuples(st.sampled_from(labels), values), max_size=6)
-    p1, p2, s = data.draw(pairs), data.draw(pairs), data.draw(values)
-    zero = cls.ring.zero()
+    labels = KINDS[cls]
+    pairs = st.lists(st.tuples(st.sampled_from(labels), laurents()),
+                     max_size=6)
+    p1, p2, s = data.draw(pairs), data.draw(pairs), data.draw(laurents())
+    zero = ZERO
     x, y = cls.collect(p1), cls.collect(p2)
     rx, ry = reference(p1, zero), reference(p2, zero)
     assert x.terms == rx and y.terms == ry
@@ -124,17 +118,54 @@ def test_graded_combination_rejects_non_homogeneous_coefficients():
 
 
 @pytest.mark.parametrize("cls, key", [(Element, (0, 1)), (OperatorExpr, (1,)),
-                                      (GradedCombination, 2), (Combination, "x"),
+                                      (GradedCombination, 2),
+                                      (OperatorExpr, (0, ("k", 1, -1))),
                                       (Coefficient, ())])
 def test_basis_with_zero_coefficient_is_zero(cls, key):
-    assert cls.basis(key, cls.ring.zero()).is_zero()
-    assert str(cls.basis(key, cls.ring.zero())) == "0"
-    assert cls.basis(key).coefficient(key) == cls.ring.one()
+    assert cls.basis(key, ZERO).is_zero()
+    assert str(cls.basis(key, ZERO)) == "0"
+    assert cls.basis(key).coefficient(key) == Coefficient.one()
 
 
 def test_combinations_of_different_kinds_differ():
     assert Element.basis((0,)) != OperatorExpr.basis((0,))
     assert GradedCombination.zero() != Element.zero()
+
+
+def test_combinations_of_different_kinds_do_not_add():
+    # each pair was silently wrong before: a Coefficient holding a datum
+    # label, a datum and the empty label in one Element, a datum read as
+    # a word, or an AttributeError
+    d, one, e1 = Element.basis((0, 1)), Coefficient.one(), OperatorExpr.e(1)
+    for x, y in [(one, d), (d, one), (e1, d), (d, e1), (Element.zero(), e1),
+                 (GradedCombination.basis((0, 1)), d), (e1, one)]:
+        with pytest.raises(TypeError, match="cannot add"):
+            x + y
+        with pytest.raises(TypeError, match="cannot add"):
+            x - y
+    with pytest.raises(TypeError, match="cannot add"):
+        d + 1
+
+
+def test_constructor_values_are_laurent_polynomials():
+    q = LaurentPoly.q_power
+    for cls in (Element, OperatorExpr, GradedCombination, Coefficient):
+        for bad, name in [(1, "int"), ("q", "str"), (1.5, "float")]:
+            with pytest.raises(TypeError, match=f"not a {name}"):
+                cls({(): bad})
+    assert Element({(0, 1): q(1), (1, 0): ZERO}).terms == {(0, 1): q(1)}
+    # a Coefficient value a^d p is p at the combination's degree plus d
+    x = OperatorExpr({(1,): Coefficient.one(), (2,): q(-1)})
+    assert x == OperatorExpr.e(1) + OperatorExpr.e(2).scale(q(-1))
+    assert all(type(p) is LaurentPoly for p in x.terms.values())
+    y = Element({(0, 1): Coefficient.a_power(1)}, 1)
+    assert y.deg == 2 and y == Element.basis((0, 1), Coefficient.a_power(2))
+    with pytest.raises(ValueError, match="a-degrees"):
+        OperatorExpr({(1,): q(0), (2,): Coefficient.a_power(1)})
+    # zero values have no degree, and collect checks the labels
+    assert OperatorExpr({(1,): Coefficient.zero(), (2,): q(0)}).deg == 0
+    with pytest.raises(ValueError):
+        Coefficient.collect([(3, LaurentPoly.one())])
 
 
 def test_text_form_element():
@@ -163,10 +194,12 @@ def test_text_form_operator_expr():
     E, qp = OperatorExpr, Coefficient.q_power
     y = (E.k(1) * E.e(2) * E.k(1, -1) - E.e(2).scale(qp(-1))
          + E.identity().scale(3) + E.e(10) * E.e(2)
-         + (E.e(2) * E.e(10)).scale(Coefficient.a_power(2))
          + E.k(0, -1) * E.e(0))
     assert str(y) == ("(3) * 1 + (-q^-1) * e2 + (1) * k0^-1.e0 + (1) * e10.e2"
-                      " + (a^2) * e2.e10 + (1) * k1.e2.k1^-1")
+                      " + (1) * k1.e2.k1^-1")
+    # the a-degree is the expression's, and every term prints it
+    z = (E.e(2) * E.e(10) - E.e(10) * E.e(2)).scale(Coefficient.a_power(2))
+    assert str(z) == "(-a^2) * e10.e2 + (a^2) * e2.e10"
 
 
 def test_text_form_string_element():
@@ -215,22 +248,6 @@ def test_add_terms_takes_any_iterable_of_pairs():
     assert _add_terms({}, [("x", p), ("x", -p)]) == {}
     assert _add_terms({}, [("x", q(1)), ("x", -q(1)), ("x", q(1))],
                       p) == {"x": p * q(1)}
-
-
-def test_add_terms_scales_and_adds_values_of_any_ring():
-    c, a = Coefficient.q_power, Coefficient.a_power(1)
-    # Coefficient values, by an int, a LaurentPoly or a Coefficient scale;
-    # a zero value is not stored
-    out = {"x": c(1) * a}
-    assert _add_terms(out, [("x", -c(1) * a), ("y", c(2)),
-                            ("z", Coefficient.zero())], 3) is out
-    assert out == {"x": -2 * c(1) * a, "y": 3 * c(2)}
-    assert _add_terms(out, [("x", c(1) * a)], LaurentPoly.from_int(2)) == {
-        "y": 3 * c(2)}
-    assert _add_terms(out, [("y", c(0))], c(2)) == {"y": 4 * c(2)}
-    # LaurentPoly values by a Coefficient scale are Coefficients
-    assert _add_terms({}, [("w", LaurentPoly.q_power(1))], a) == {
-        "w": c(1) * a}
 
 
 @given(st.dictionaries(st.sampled_from(LABELS), laurents().filter(bool)),

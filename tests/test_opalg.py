@@ -102,6 +102,37 @@ def test_relation_builders_equal_the_product_built_relations(t):
         assert same_expression(x, ref), (name, x, ref)
 
 
+def test_relation_coefficients_are_laurent_polynomials():
+    # an operator expression is a graded combination over LaurentPoly:
+    # its one a-degree is the expression's, not each coefficient's
+    for t in all_types(6):
+        for name, x in defining_relations(t):
+            assert x.deg == 0, name
+            assert all(type(p) is LaurentPoly for p in x.terms.values()), name
+
+
+def test_coefficients_of_different_a_degrees_raise_at_the_sum():
+    # e_0 and a e_1 both raise the a-degree by one on a vector, but their
+    # coefficients differ in degree, and one expression has one degree
+    a = Coefficient.a_power(1)
+    with pytest.raises(ValueError, match="a-degrees 0 and 1"):
+        OperatorExpr.e(0) + OperatorExpr.e(1).scale(a)
+    with pytest.raises(ValueError, match="a-degrees 1 and 0"):
+        OperatorExpr.e(1).scale(a) - OperatorExpr.e(0)
+    # a zero expression has no degree, and a product adds the degrees
+    x = OperatorExpr.e(1).scale(a)
+    assert OperatorExpr.zero() + x == x == x - OperatorExpr.zero()
+    assert (x * x).deg == 2 and (x * OperatorExpr.e(0)).deg == 1
+    assert (x * x - x * x).is_zero()
+    # on a vector, the expression's degree adds to the vector's
+    t = AffineType("A", 3, 2)
+    v = Element.basis((1, 0, 2, 1), Coefficient.a_power(1))
+    got = evaluate(x * OperatorExpr.e(0), t, v)
+    want = evaluate(OperatorExpr.e(1) * OperatorExpr.e(0), t, v)
+    assert not want.is_zero() and want.deg == 2
+    assert got == want.scale(a) and got.deg == 3
+
+
 def test_a_wrong_q_power_fails_the_comparison():
     t = AffineType("D", 4, 4)
     x = k_e_conjugation_expr(2, 1, t)
@@ -194,10 +225,11 @@ def test_words_of_different_a_degrees_raise():
 def test_two_nonzero_degree_classes_raise():
     # e_0 never kills a datum; on seeded data where e_r does not either,
     # the classes 1 and 0 raise, whichever word comes first, also next to
-    # a class that cancels
+    # a class that cancels: a Serre relation after e_0^2, in class 2
+    e0 = OperatorExpr.e(0)
     for t in (AffineType("A", 4, 2), AffineType("D", 5, 5)):
         mod = get_module(t)
-        serre = serre_expr(t.r, t.r - 1, t).scale(Coefficient.a_power(2))
+        serre = serre_expr(t.r, t.r - 1, t) * e0 * e0
         rng = random.Random(17)
         c = [0] * mod.nroots
         c[mod.alpha_r_idx] = 1
@@ -216,33 +248,41 @@ def test_two_nonzero_degree_classes_raise():
 
 
 def test_a_degree_class_that_cancels_has_no_degree():
-    # a Serre relation times a^2, and a k-conjugation with e_0, cancel on
-    # every datum: their classes have no degree next to a nonzero one,
+    # a Serre relation after e_0^2, and a k-conjugation with e_0, cancel
+    # on every datum: their classes have no degree next to a nonzero one,
     # whatever the order of the words
+    e0 = OperatorExpr.e(0)
     for t in (AffineType("A", 4, 2), AffineType("D", 5, 1)):
         mod = get_module(t)
-        serre = serre_expr(t.r, t.r % t.n + 1, t).scale(Coefficient.a_power(2))
+        serre = serre_expr(t.r, t.r % t.n + 1, t) * e0 * e0
         conj = k_e_conjugation_expr(1, 0, t)
         rng = random.Random(23)
         data = mod.enumerate_data(height=2) + [
             random_datum(t, rng, max_entry=3) for _ in range(4)]
+        e = OperatorExpr.e(t.r)
         for c in data:
             v = Element.basis(c, Coefficient.q_power(-1) * 2)
-            e = OperatorExpr.e(t.r)
             for x in (serre + e, e + serre, conj + e, serre + conj + e):
                 assert evaluate(x, t, v) == evaluate(e, t, v), (x, c)
             assert evaluate(serre + conj, t, v).is_zero()
+        # the same Serre relation with the coefficient a^2 in place of
+        # e_0^2 cannot be added to words of coefficient degree 0
+        scaled = serre_expr(t.r, t.r % t.n + 1, t).scale(Coefficient.a_power(2))
+        for x, y in ((scaled, e), (e, scaled), (scaled, conj)):
+            with pytest.raises(ValueError, match="a-degrees"):
+                x + y
 
 
 def test_program_does_not_depend_on_the_type():
+    # every word has one e_0 letter and a coefficient of a-degree 0
     x = (q_bracket(OperatorExpr.e(0), OperatorExpr.e(2)) * OperatorExpr.k(1, -1)
          + OperatorExpr.e(1) * OperatorExpr.e(0) * OperatorExpr.k(0)
-         + OperatorExpr.e(4).scale(Coefficient.a_power(1)))
+         + OperatorExpr.e(4) * OperatorExpr.e(0))
     a32, d44 = AffineType("A", 3, 2), AffineType("D", 4, 4)
     # e_4 is no letter of A3r2, and one of D4r4
     with pytest.raises(ValueError, match="e4 is not a letter of A3r2"):
         evaluate(x, a32, Element.basis(get_module(a32).vacuum))
-    y = x - OperatorExpr.e(4).scale(Coefficient.a_power(1))
+    y = x - OperatorExpr.e(4) * OperatorExpr.e(0)
     for c in [(1, 0, 2, 1), (0, 2, 1, 1)]:
         got = evaluate(y, a32, Element.basis(c))
         assert got == evaluate(OperatorExpr(dict(y.terms)), a32, Element.basis(c))
@@ -552,7 +592,9 @@ WORD_TYPES = [AffineType("A", 3, 2), AffineType("A", 4, 2),
 @st.composite
 def word_sums(draw):
     """A type, an expression of one a-degree class whose words share
-    leftmost letters, and a one-term or multi-term element."""
+    leftmost letters, and a one-term or multi-term element.  The class
+    is the coefficient degree plus the number of e_0 letters, each the
+    same for every word."""
     t = draw(st.sampled_from(WORD_TYPES))
     k = st.tuples(st.just("k"), st.integers(0, t.n), st.sampled_from((1, -1)))
     letter = st.one_of(st.integers(1, t.n), k)
@@ -560,15 +602,15 @@ def word_sums(draw):
     # leftmost letters and whole chains of them are shared
     stems = [draw(st.lists(letter, max_size=4)) for _ in range(2)]
     a_class = draw(st.integers(0, 1))
+    e0 = draw(st.integers(0, a_class))
     x = OperatorExpr.zero()
     for _ in range(draw(st.integers(1, 6))):
         stem = draw(st.sampled_from(stems))
         word = stem[:draw(st.integers(0, len(stem)))]
         word += draw(st.one_of(st.lists(letter, max_size=3),
                                st.lists(k, max_size=3)))
-        # the word's e_0 letters and its coefficient's a-degree add up to
-        # the class
-        e0 = draw(st.integers(0, a_class))
+        # the word's e_0 letters and the coefficient degree add up to the
+        # class
         for _ in range(e0):
             word.insert(draw(st.integers(0, len(word))), 0)
         coeff = Coefficient.from_laurent(
@@ -595,8 +637,8 @@ def test_evaluate_is_the_sum_of_its_words(case):
     # value must be the one of the words run one by one
     t, x, v = case
     want = Element.zero()
-    for w, c in x.terms.items():
-        want = want + evaluate(OperatorExpr.basis(w, c), t, v)
+    for w in x.terms:
+        want = want + evaluate(OperatorExpr.basis(w, x.coefficient(w)), t, v)
     assert evaluate(x, t, v) == want
 
 
